@@ -28,7 +28,6 @@ from jrpnet.netbuild import assemble_temporal_network, channel_graph, write_dot
 from jrpnet.pipeline import estimate_trial_embeddings
 from jrpnet.synth import CouplingSpec, generate
 from jrpnet.tempnet import (
-    count_fastest_paths,
     feature_vector,
     reachability_and_latency,
     temporal_correlation,
@@ -85,7 +84,7 @@ with np.printoptions(precision=0, suppress=True):
 print(f"mutually reachable pairs: {sorted(report.strong_pairs)}")
 print(f"one-way reachable pairs: {sorted(report.weak_pairs)}")
 print("(every pair is mutual here because the module edges repeat in each window)")
-print(f"distinct fastest a->d routes: {count_fastest_paths(tn, 0, 3)}")
+print(f"distinct fastest a->d routes: {report.fastest_path_counts[0, 3]}")
 
 # Scalar summaries of the whole network.
 per_node, corr = temporal_correlation(tn)

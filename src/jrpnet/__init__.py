@@ -89,7 +89,6 @@ from .synth import CouplingSpec, generate, three_regime_specs, write_dataset, wr
 from .tempnet import (
     ReachabilityReport,
     TemporalFeatures,
-    count_fastest_paths,
     feature_vector,
     reachability_and_latency,
     temporal_correlation,

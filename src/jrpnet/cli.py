@@ -15,7 +15,7 @@ import json
 import sys
 
 from .config import PipelineConfig, load_config
-from .errors import InputError, JrpnetError, NumericError
+from .errors import InputError, JrpnetError
 from .pipeline import (
     TARGETS,
     discover_trials,
@@ -135,26 +135,21 @@ def _cmd_train(args: argparse.Namespace) -> None:
         print(f"wrote {path}")
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> None:
-    config = _config_from(args)
-    report = stage_evaluate(args.data_dir, args.out, config, args.jobs)
+def _print_evaluation(report: dict) -> None:
     for target, per_metric in sorted(report["results"].items()):
         for metric, entry in sorted(per_metric.items()):
             print(
                 f"{target}/{metric}: accuracy {entry['accuracy']:.3f} "
                 f"at lambda {entry['selected_lambda']:.5g}"
             )
+
+
+def _cmd_evaluate(args: argparse.Namespace) -> None:
+    _print_evaluation(stage_evaluate(args.data_dir, args.out, _config_from(args), args.jobs))
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> None:
-    config = _config_from(args)
-    report = run_pipeline(args.data_dir, args.out, config, args.jobs)
-    for target, per_metric in sorted(report["results"].items()):
-        for metric, entry in sorted(per_metric.items()):
-            print(
-                f"{target}/{metric}: accuracy {entry['accuracy']:.3f} "
-                f"at lambda {entry['selected_lambda']:.5g}"
-            )
+    _print_evaluation(run_pipeline(args.data_dir, args.out, _config_from(args), args.jobs))
 
 
 _COMMANDS = {
@@ -175,10 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except JrpnetError as exc:
+    except JrpnetError as exc:  # NumericError and anything else numeric
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -213,12 +213,10 @@ def _target_classes(table: FeatureTable, target: str) -> list[str]:
     return [c for c in CLASS_ORDER if c in labels]
 
 
-def fit_lasso(table: FeatureTable, target: str, lam: float, seed: int = 0) -> SparseLinearModel:
+def fit_lasso(table: FeatureTable, target: str, lam: float) -> SparseLinearModel:
     """Fit one-vs-rest L1 logistic models for ``target`` at one lambda.
 
-    The solver is deterministic, so ``seed`` does not influence the fit;
-    it is part of the signature for interface uniformity with the other
-    stages.
+    The coordinate-descent solver is deterministic.
     """
     if lam < 0.0:
         raise InputError(f"lambda must be >= 0, got {lam}")
@@ -262,12 +260,6 @@ def predict(model: SparseLinearModel, feature_vector: np.ndarray) -> tuple[str, 
     scores = model.weights @ xs + model.intercepts
     winner = model.classes[int(np.argmax(scores))]
     return winner, {cls: float(s) for cls, s in zip(model.classes, scores)}
-
-
-def _predict_rows(model: SparseLinearModel, X: np.ndarray) -> list[str]:
-    Xs = (X - model.mean) / model.scale
-    scores = Xs @ model.weights.T + model.intercepts
-    return [model.classes[k] for k in np.argmax(scores, axis=1)]
 
 
 def lambda_grid(

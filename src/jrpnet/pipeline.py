@@ -61,10 +61,9 @@ from .recurrence import threshold_for_rate
 from .seeding import derive_seed
 from .tempnet import (
     FEATURE_SCHEMA_VERSION,
-    ReachabilityReport,
     TemporalFeatures,
     feature_vector,
-    reachability_and_latency,
+    reachability_and_latency,  # noqa: F401  (bound here for perfbench/tracing.py)
 )
 
 __all__ = [
@@ -220,7 +219,20 @@ class TrialAnalysis:
     weighted_records: list[dict]
     networks: dict[str, TemporalNetwork]
     features: dict[str, TemporalFeatures]
-    reachability: dict[str, ReachabilityReport]
+
+
+def _trial_features(
+    trial_id: str, networks: dict[str, TemporalNetwork], config: PipelineConfig
+) -> dict[str, TemporalFeatures]:
+    """Features per metric of one trial, each carrying its reachability report."""
+    return {
+        metric: feature_vector(
+            tn,
+            n_null=config.n_null,
+            seed=derive_seed(config.seed, f"smallworld:{trial_id}:{metric}"),
+        )
+        for metric, tn in networks.items()
+    }
 
 
 def analyze_recording(
@@ -255,13 +267,7 @@ def analyze_recording(
         metric: assemble_temporal_network(merged[metric], rho=config.binarize_rho)
         for metric in config.metrics
     }
-    features: dict[str, TemporalFeatures] = {}
-    reachability: dict[str, ReachabilityReport] = {}
-    if with_features:
-        for metric, tn in networks.items():
-            sw_seed = derive_seed(config.seed, f"smallworld:{recording.trial_id}:{metric}")
-            features[metric] = feature_vector(tn, n_null=config.n_null, seed=sw_seed)
-            reachability[metric] = reachability_and_latency(tn)
+    features = _trial_features(recording.trial_id, networks, config) if with_features else {}
 
     nodes = networks[config.metrics[0]].nodes
     return TrialAnalysis(
@@ -271,7 +277,6 @@ def analyze_recording(
         weighted_records=weighted_records,
         networks=networks,
         features=features,
-        reachability=reachability,
     )
 
 
@@ -290,7 +295,6 @@ def _trial_task(args: tuple) -> TrialAnalysis:
                 weighted_records=[],
                 networks={},
                 features={},
-                reachability={},
             )
         return analyze_recording(
             recording, config, embeddings, with_features=(want == "features")
@@ -495,21 +499,6 @@ def stage_analyze(
             )
 
 
-def _features_from_networks(
-    networks: dict[str, dict[str, TemporalNetwork]], config: PipelineConfig
-) -> tuple[dict[str, dict[str, TemporalFeatures]], dict[str, dict[str, ReachabilityReport]]]:
-    features: dict[str, dict[str, TemporalFeatures]] = {}
-    reach: dict[str, dict[str, ReachabilityReport]] = {}
-    for trial_id in sorted(networks):
-        features[trial_id] = {}
-        reach[trial_id] = {}
-        for metric, tn in networks[trial_id].items():
-            sw_seed = derive_seed(config.seed, f"smallworld:{trial_id}:{metric}")
-            features[trial_id][metric] = feature_vector(tn, n_null=config.n_null, seed=sw_seed)
-            reach[trial_id][metric] = reachability_and_latency(tn)
-    return features, reach
-
-
 def stage_features(
     data_dir: str | os.PathLike,
     out_dir: str | os.PathLike,
@@ -521,14 +510,13 @@ def stage_features(
     trials = discover_trials(data_dir)
     stored = _load_networks(out_dir, trials, config)
     if stored is not None:
-        features, reach = _features_from_networks(stored, config)
+        features = {tid: _trial_features(tid, stored[tid], config) for tid in sorted(stored)}
         nodes_by_trial = {
             tid: stored[tid][config.metrics[0]].nodes for tid in stored
         }
     else:
         results = _run_trials(trials, config, "features", _read_embedding_params(out_dir), jobs)
         features = {r.trial_id: r.features for r in results}
-        reach = {r.trial_id: r.reachability for r in results}
         nodes_by_trial = {r.trial_id: r.nodes for r in results}
 
     trial_ids = sorted(features)
@@ -553,6 +541,7 @@ def stage_features(
     path = os.path.join(out_dir, "features.csv")
     _write_text(path, "\n".join(lines) + "\n")
 
+    reach = {tid: {m: f.reachability for m, f in features[tid].items()} for tid in trial_ids}
     report = {
         "schema_version": CONFIG_SCHEMA_VERSION,
         "config": config.to_dict(),
@@ -655,7 +644,7 @@ def stage_train(
                 lam = selected.get((target, metric))
                 if lam is None:
                     lam = _cv_for(tables, config, target, metric).selected_lambda
-                model = fit_lasso(tables[metric], target, lam, config.seed)
+                model = fit_lasso(tables[metric], target, lam)
                 artifact = {
                     "schema_version": CONFIG_SCHEMA_VERSION,
                     "config": config.to_dict(),

@@ -2,13 +2,16 @@
 
 Determinism is the fraction of recurrence points lying on diagonal lines
 of length at least ``l_min``; laminarity is the same for vertical lines
-and ``v_min``.  Both exclude the main diagonal (the trivial line of
-identity) from numerator and denominator, which matters doubly for joint
-plots whose diagonal is always full.  Lines cut off by the matrix border
-count at their truncated length.
+and ``v_min`` (Marwan et al. 2007, Phys. Rep. 438).  Both exclude the
+main diagonal from numerator and denominator, which matters doubly for
+joint plots whose diagonal is always full.  Lines cut off by the matrix
+border count at their truncated length.  On a joint recurrence plot these
+are the joint determinism and laminarity used as coupling weights.
 
-Computed on a joint recurrence plot these are the joint determinism and
-joint laminarity used as coupling weights downstream.
+Lines are found by erosion: a point lies on a line of length >= l exactly
+when it falls inside a run of l ones along the line, so ANDing l shifted
+slices marks run starts and ORing those back over the same shifts marks
+the points.  Counts stay integers, so the fractions are exact.
 """
 
 from __future__ import annotations
@@ -45,90 +48,76 @@ class RqaSummary:
     v_min: int
 
 
-def _bits(matrix: RecurrenceMatrix | np.ndarray) -> np.ndarray:
+def _off_diagonal(matrix: RecurrenceMatrix | np.ndarray) -> np.ndarray:
+    """Boolean copy of a square matrix with the main diagonal cleared."""
     bits = matrix.bits if isinstance(matrix, RecurrenceMatrix) else np.asarray(matrix)
     if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
         raise InputError("recurrence matrix must be square")
-    return bits.astype(bool)
+    bits = bits.astype(bool)
+    np.fill_diagonal(bits, False)
+    return bits
 
 
-def _run_lengths(chunks: list[np.ndarray]) -> np.ndarray:
-    """Lengths of all maximal 1-runs across the given binary vectors."""
-    if not chunks:
-        return np.zeros(0, dtype=np.int64)
-    sep = np.zeros(1, dtype=np.int8)
-    parts: list[np.ndarray] = [sep]
-    for chunk in chunks:
-        parts.append(chunk.astype(np.int8))
-        parts.append(sep)
-    flat = np.concatenate(parts)
-    edges = np.diff(flat)
-    starts = np.nonzero(edges == 1)[0]
-    ends = np.nonzero(edges == -1)[0]
-    return ends - starts
+def _lines(matrix: RecurrenceMatrix | np.ndarray, length: int, diagonal: bool):
+    """Off-diagonal bits, eroded matrix and number of points on lines.
+
+    A set cell of the eroded matrix starts ``length`` consecutive ones
+    down-right (diagonal) or down (vertical).  Only starts whose run fits
+    inside the matrix are kept, which is zero padding beyond the border.
+    """
+    if length < 2:
+        raise InputError(f"{'l_min' if diagonal else 'v_min'} must be >= 2, got {length}")
+    bits = _off_diagonal(matrix)
+    n = len(bits)
+    rows = max(n - length + 1, 0)
+    cols = rows if diagonal else n
+
+    def shifted(k: int) -> tuple[slice, slice]:
+        c = k if diagonal else 0
+        return slice(k, k + rows), slice(c, c + cols)
+
+    eroded = bits[shifted(0)].copy()
+    for k in range(1, length):
+        eroded &= bits[shifted(k)]
+    covered = np.zeros_like(bits)
+    for k in range(length):
+        covered[shifted(k)] |= eroded
+    return bits, eroded, np.count_nonzero(covered)
 
 
-def _diagonal_runs(bits: np.ndarray) -> np.ndarray:
-    n = bits.shape[0]
-    # Shear the matrix so each diagonal becomes a column (diagonal j-i = d
-    # lands in column d+n-1, contiguous along rows), then scan all columns
-    # in one pass; the middle column is the main diagonal and is dropped.
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    sheared = np.zeros((n, 2 * n - 1), dtype=bool)
-    sheared[np.broadcast_to(i, (n, n)), j - i + n - 1] = bits
-    sheared[:, n - 1] = False
-    stacked = np.vstack([sheared, np.zeros((1, 2 * n - 1), dtype=bool)])
-    return _run_lengths([stacked.ravel(order="F")])
+def _ratio(num: int, den: int) -> float:
+    return num / den if den else 0.0
 
 
-def _vertical_runs(bits: np.ndarray) -> np.ndarray:
-    masked = bits.copy()
-    np.fill_diagonal(masked, False)
-    n = masked.shape[0]
-    # Append a zero row and flatten column-major so each column ends in a
-    # separator; all columns can then be scanned in one pass.
-    stacked = np.vstack([masked, np.zeros((1, n), dtype=bool)])
-    return _run_lengths([stacked.ravel(order="F")])
-
-
-def _off_diagonal_total(bits: np.ndarray) -> int:
-    return int(bits.sum()) - int(np.diagonal(bits).sum())
+def _mean_line_length(matrix: RecurrenceMatrix | np.ndarray, length: int, diagonal: bool) -> float:
+    """Points on lines over number of lines; a line starts at an eroded
+    cell whose predecessor along the line is not eroded."""
+    _, eroded, points = _lines(matrix, length, diagonal)
+    c = 1 if diagonal else 0
+    starts = eroded.copy()
+    starts[1:, c:] &= ~eroded[:-1, : eroded.shape[1] - c]
+    return _ratio(points, np.count_nonzero(starts))
 
 
 def determinism(matrix: RecurrenceMatrix | np.ndarray, l_min: int = DEFAULT_L_MIN) -> float:
     """Fraction of off-diagonal recurrence points on diagonal lines of
     length >= l_min; 0 when no off-diagonal points exist."""
-    if l_min < 2:
-        raise InputError(f"l_min must be >= 2, got {l_min}")
-    bits = _bits(matrix)
-    total = _off_diagonal_total(bits)
-    if total == 0:
-        return 0.0
-    runs = _diagonal_runs(bits)
-    return float(runs[runs >= l_min].sum()) / total
+    bits, _, points = _lines(matrix, l_min, diagonal=True)
+    return _ratio(points, np.count_nonzero(bits))
 
 
 def laminarity(matrix: RecurrenceMatrix | np.ndarray, v_min: int = DEFAULT_V_MIN) -> float:
     """Fraction of off-diagonal recurrence points on vertical lines of
-    length >= v_min; main-diagonal points are removed before runs form."""
-    if v_min < 2:
-        raise InputError(f"v_min must be >= 2, got {v_min}")
-    bits = _bits(matrix)
-    total = _off_diagonal_total(bits)
-    if total == 0:
-        return 0.0
-    runs = _vertical_runs(bits)
-    return float(runs[runs >= v_min].sum()) / total
+    length >= v_min; main-diagonal points are removed before lines form."""
+    bits, _, points = _lines(matrix, v_min, diagonal=False)
+    return _ratio(points, np.count_nonzero(bits))
 
 
 def recurrence_rate(matrix: RecurrenceMatrix | np.ndarray) -> float:
     """Off-diagonal density of the matrix."""
-    bits = _bits(matrix)
-    n = bits.shape[0]
-    if n < 2:
-        return 0.0
-    return _off_diagonal_total(bits) / float(n * n - n)
+    bits = _off_diagonal(matrix)
+    n = len(bits)
+    return _ratio(np.count_nonzero(bits), n * n - n)
 
 
 def mean_diagonal_length(
@@ -139,22 +128,14 @@ def mean_diagonal_length(
     Auxiliary reading of determinism as an average line length rather
     than a point fraction.
     """
-    if l_min < 2:
-        raise InputError(f"l_min must be >= 2, got {l_min}")
-    runs = _diagonal_runs(_bits(matrix))
-    runs = runs[runs >= l_min]
-    return float(runs.mean()) if runs.size else 0.0
+    return _mean_line_length(matrix, l_min, diagonal=True)
 
 
 def mean_vertical_length(
     matrix: RecurrenceMatrix | np.ndarray, v_min: int = DEFAULT_V_MIN
 ) -> float:
     """Mean length of vertical lines of length >= v_min (0 if none)."""
-    if v_min < 2:
-        raise InputError(f"v_min must be >= 2, got {v_min}")
-    runs = _vertical_runs(_bits(matrix))
-    runs = runs[runs >= v_min]
-    return float(runs.mean()) if runs.size else 0.0
+    return _mean_line_length(matrix, v_min, diagonal=False)
 
 
 def summarize(

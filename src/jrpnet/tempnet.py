@@ -12,7 +12,7 @@ nulls, and strong/weak connectedness fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +28,6 @@ __all__ = [
     "SmallWorldness",
     "reachability_and_latency",
     "temporal_efficiency",
-    "count_fastest_paths",
     "temporal_correlation",
     "temporal_small_worldness",
     "feature_vector",
@@ -64,7 +63,8 @@ class SmallWorldness(NamedTuple):
 
 @dataclass(frozen=True)
 class TemporalFeatures:
-    """Fixed-order feature summary of one temporal network."""
+    """Fixed-order feature summary of one temporal network, with the
+    reachability report its latency and path features came from."""
 
     efficiency: float
     mean_latency: float
@@ -75,6 +75,7 @@ class TemporalFeatures:
     frac_strong: float
     frac_weak: float
     per_node_correlation: tuple[float, ...]
+    reachability: ReachabilityReport = field(compare=False, repr=False)
 
     def names(self, nodes: tuple[str, ...]) -> list[str]:
         return [
@@ -194,14 +195,6 @@ def temporal_efficiency(tn: TemporalNetwork) -> float:
     with np.errstate(divide="ignore"):
         inv = 1.0 / latency[off]
     return float(np.where(np.isfinite(inv), inv, 0.0).mean())
-
-
-def count_fastest_paths(tn: TemporalNetwork, i: int, j: int) -> int:
-    """Number of distinct time-respecting paths from i to j arriving at
-    the pair's latency; 0 when j is unreachable from i."""
-    _check(tn)
-    report = reachability_and_latency(tn)
-    return int(report.fastest_path_counts[i, j])
 
 
 def temporal_correlation(tn: TemporalNetwork) -> tuple[np.ndarray, float]:
@@ -345,4 +338,5 @@ def feature_vector(
         frac_strong=frac_strong,
         frac_weak=frac_weak,
         per_node_correlation=tuple(float(c) for c in per_node),
+        reachability=report,
     )

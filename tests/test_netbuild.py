@@ -66,6 +66,30 @@ def test_pair_weights_match_direct_recomputation():
             assert graphs["JLAM"].weights[i, j] == laminarity(jrp)
 
 
+def test_unequal_embeddings_give_unequal_jrps_with_exact_weights():
+    # different (tau, m) per channel trim the trajectories to different
+    # lengths, so the window's JRPs differ in size
+    window = logistic_window(4, 90, seed=6)
+    names = window.channel_names
+    shapes = [(1, 2), (2, 3), (3, 4), (1, 6)]
+    embeddings = {
+        name: ChannelEmbedding(params=EmbeddingParams(delay_tau=tau, dimension_m=m), epsilon=1.5)
+        for name, (tau, m) in zip(names, shapes)
+    }
+    graphs = channel_graphs(window, embeddings, l_min=2, v_min=4)
+    rps = [
+        recurrence_plot(embed(window.channel(name), embeddings[name].params), 1.5)
+        for name in names
+    ]
+    assert len({rp.size_n for rp in rps}) == 4
+    assert np.nanmax(graphs["JDET"].weights) > 0.0 and np.nanmax(graphs["JLAM"].weights) > 0.0
+    for i in range(4):
+        for j in range(i + 1, 4):
+            jrp = joint_recurrence_plot(rps[i], rps[j])
+            assert graphs["JDET"].weights[i, j] == determinism(jrp, 2)
+            assert graphs["JLAM"].weights[j, i] == laminarity(jrp, 4)
+
+
 def test_six_channels_fill_all_fifteen_pairs():
     window = logistic_window(6, 100, seed=9)
     graphs = channel_graphs(window, simple_embeddings(window))

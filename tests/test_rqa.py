@@ -191,3 +191,28 @@ def test_line_minimum_validation():
         determinism(bits, 1)
     with pytest.raises(InputError):
         laminarity(bits, 0)
+
+
+
+@pytest.mark.parametrize("l_min", [2, 3, 5])
+def test_erosion_equals_brute_force_exactly(l_min):
+    # integer counts on both sides, so the fractions agree bit for bit
+    rng = np.random.default_rng(81 + l_min)
+    for _ in range(30):
+        n = int(rng.integers(1, 30))
+        bits = rng.random((n, n)) < float(rng.uniform(0.05, 0.6))
+        assert determinism(bits, l_min) == brute_det(bits, l_min)
+        assert laminarity(bits, l_min) == brute_lam(bits, l_min)
+        runs = [r for r in diagonal_run_lengths(bits) if r >= l_min]
+        vruns = [r for r in vertical_run_lengths(bits) if r >= l_min]
+        assert mean_diagonal_length(bits, l_min) == (sum(runs) / len(runs) if runs else 0.0)
+        assert mean_vertical_length(bits, l_min) == (sum(vruns) / len(vruns) if vruns else 0.0)
+    zero = np.zeros((12, 12), dtype=bool)
+    assert determinism(zero, l_min) == laminarity(zero, l_min) == 0.0
+
+
+@pytest.mark.parametrize("l_min", [2, 3, 5])
+def test_matrices_shorter_than_the_line_minimum_have_no_lines(l_min):
+    ones = np.ones((l_min - 1, l_min - 1), dtype=bool)
+    assert determinism(ones, l_min) == laminarity(ones, l_min) == 0.0
+    assert mean_diagonal_length(ones, l_min) == mean_vertical_length(ones, l_min) == 0.0

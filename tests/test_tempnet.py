@@ -7,7 +7,6 @@ from jrpnet.errors import InputError
 from jrpnet.netbuild import TemporalNetwork
 from jrpnet.tempnet import (
     FEATURE_SCHEMA_VERSION,
-    count_fastest_paths,
     feature_vector,
     reachability_and_latency,
     temporal_correlation,
@@ -79,8 +78,8 @@ def test_two_window_chain_by_hand():
 def test_parallel_relays_are_counted_separately():
     # A reaches D through B or C, both in two hops
     tn = network([[(0, 1), (0, 2)], [(1, 3), (2, 3)]], 4)
-    assert count_fastest_paths(tn, 0, 3) == 2
     report = reachability_and_latency(tn)
+    assert report.fastest_path_counts[0, 3] == 2
     assert report.latency[0, 3] == 2.0
 
 
