@@ -11,11 +11,12 @@ A data directory holds one CSV + JSON-sidecar pair per trial plus a
 - ``model_<target>_<metric>.json``: final fitted models
 - ``evaluation.json``: cross-validation report
 
-Stages compose: each one reads the upstream artifact when present and
-recomputes it in memory when not, so running stages one by one writes
-byte-for-byte what a single end-to-end run writes.  Every artifact
-embeds the config and a schema version; writes are atomic (tmp file +
-rename), so interrupted runs never leave partial artifacts behind.
+Every artifact embeds the config and a schema version.  Stages compose:
+each one reuses an upstream artifact when it is present and stamped with
+the same config, and recomputes it in memory otherwise, so running
+stages one by one writes byte-for-byte what a single end-to-end run
+writes.  Writes are atomic (tmp file + rename), so interrupted runs
+never leave partial artifacts behind.
 """
 
 from __future__ import annotations
@@ -211,14 +212,12 @@ def _embeddings_from_json(raw: dict) -> dict[str, ChannelEmbedding | None]:
 
 @dataclass(frozen=True)
 class TrialAnalysis:
-    """Everything one trial contributes to the artifact set."""
+    """Weighted graphs and binarized temporal networks of one trial."""
 
     trial_id: str
     nodes: tuple[str, ...]
-    params_json: dict
     weighted_records: list[dict]
     networks: dict[str, TemporalNetwork]
-    features: dict[str, TemporalFeatures]
 
 
 def _trial_features(
@@ -239,9 +238,8 @@ def analyze_recording(
     recording: Recording,
     config: PipelineConfig,
     embeddings: dict[str, ChannelEmbedding | None] | None = None,
-    with_features: bool = True,
 ) -> TrialAnalysis:
-    """Run the per-trial part of the pipeline on one loaded recording."""
+    """Coupling graphs per window and temporal networks of one recording."""
     if embeddings is None:
         embeddings = estimate_trial_embeddings(recording, config)
     modality_map = dict(zip(recording.channel_names, recording.modalities))
@@ -267,80 +265,89 @@ def analyze_recording(
         metric: assemble_temporal_network(merged[metric], rho=config.binarize_rho)
         for metric in config.metrics
     }
-    features = _trial_features(recording.trial_id, networks, config) if with_features else {}
-
-    nodes = networks[config.metrics[0]].nodes
     return TrialAnalysis(
         trial_id=recording.trial_id,
-        nodes=nodes,
-        params_json=_embeddings_to_json(recording, embeddings),
+        nodes=networks[config.metrics[0]].nodes,
         weighted_records=weighted_records,
         networks=networks,
-        features=features,
     )
 
 
-def _trial_task(args: tuple) -> TrialAnalysis:
-    paths, config_dict, want, params_json = args
-    config = PipelineConfig.from_dict(config_dict)
-    with _stage(want, paths.trial_id):
+# Per-trial tasks: (recording, config, stored embeddings or None) -> result.
+# analyze_recording is the analyze task.  Tasks look up the names a tracer
+# may rebind, such as analyze_recording, at call time.
+
+
+def _embed_task(recording: Recording, config: PipelineConfig, embeddings) -> dict:
+    return _embeddings_to_json(recording, estimate_trial_embeddings(recording, config))
+
+
+def _features_task(recording: Recording, config: PipelineConfig, embeddings) -> tuple:
+    analysis = analyze_recording(recording, config, embeddings)
+    return analysis.nodes, _trial_features(recording.trial_id, analysis.networks, config)
+
+
+def _trial_call(args: tuple):
+    stage, task, paths, config_dict, stored_params = args
+    with _stage(stage, paths.trial_id):
         recording = load_recording(paths.csv_path, paths.schema_path)
-        embeddings = _embeddings_from_json(params_json) if params_json is not None else None
-        if want == "embed-params":
-            embeddings = embeddings or estimate_trial_embeddings(recording, config)
-            return TrialAnalysis(
-                trial_id=recording.trial_id,
-                nodes=(),
-                params_json=_embeddings_to_json(recording, embeddings),
-                weighted_records=[],
-                networks={},
-                features={},
-            )
-        return analyze_recording(
-            recording, config, embeddings, with_features=(want == "features")
-        )
+        embeddings = None if stored_params is None else _embeddings_from_json(stored_params)
+        return task(recording, PipelineConfig.from_dict(config_dict), embeddings)
 
 
 def _run_trials(
+    stage: str,
+    task,
     trials: list[TrialPaths],
     config: PipelineConfig,
-    want: str,
-    params_by_trial: dict[str, dict] | None,
     jobs: int,
-) -> list[TrialAnalysis]:
+    params_by_trial: dict[str, dict] | None = None,
+) -> dict:
+    """``task`` over every trial, in up to ``jobs`` processes, keyed by trial id."""
     tasks = [
-        (
-            t,
-            config.to_dict(),
-            want,
-            params_by_trial.get(t.trial_id) if params_by_trial else None,
-        )
+        (stage, task, t, config.to_dict(), (params_by_trial or {}).get(t.trial_id))
         for t in trials
     ]
-    if jobs <= 1 or len(tasks) <= 1:
-        results = [_trial_task(task) for task in tasks]
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        results = [_trial_call(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_trial_task, tasks))
-    return sorted(results, key=lambda r: r.trial_id)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_trial_call, tasks))
+    return {t.trial_id: result for t, result in zip(trials, results)}
 
 
 # ---------------------------------------------------------------------------
-# artifact readers
+# artifacts
 
 
-def _read_embedding_params(out_dir: str) -> dict[str, dict] | None:
-    path = os.path.join(out_dir, "embedding_params.json")
+def _artifact(config: PipelineConfig, **fields) -> dict:
+    """The envelope of every JSON artifact and network-file header."""
+    return {"schema_version": CONFIG_SCHEMA_VERSION, "config": config.to_dict(), **fields}
+
+
+def _read_artifact(path: str, config: PipelineConfig) -> dict | None:
+    """A JSON artifact, or None if it is missing or stamped with another config."""
     if not os.path.isfile(path):
         return None
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)["trials"]
+        artifact = json.load(fh)
+    return artifact if artifact.get("config") == config.to_dict() else None
 
 
-def _read_binary_network(path: str) -> TemporalNetwork:
+def _read_embedding_params(out_dir: str, config: PipelineConfig) -> dict[str, dict] | None:
+    artifact = _read_artifact(os.path.join(out_dir, "embedding_params.json"), config)
+    return None if artifact is None else artifact["trials"]
+
+
+def _read_binary_network(path: str, config: PipelineConfig) -> TemporalNetwork | None:
+    if not os.path.isfile(path):
+        return None
     with open(path, encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
     header, records = lines[0], lines[1:]
+    if header.get("config") != config.to_dict():
+        return None
     nodes = tuple(header["nodes"])
     n = len(nodes)
     layers = np.zeros((len(records), n, n), dtype=bool)
@@ -359,15 +366,16 @@ def _read_binary_network(path: str) -> TemporalNetwork:
 def _load_networks(
     out_dir: str, trials: list[TrialPaths], config: PipelineConfig
 ) -> dict[str, dict[str, TemporalNetwork]] | None:
-    """Binarized networks from disk, or None if any file is missing."""
+    """Binarized networks from disk, or None if any file is missing or stale."""
     networks: dict[str, dict[str, TemporalNetwork]] = {}
     for t in trials:
         networks[t.trial_id] = {}
         for metric in config.metrics:
             path = os.path.join(out_dir, "networks", f"{t.trial_id}.{metric}.binary.jsonl")
-            if not os.path.isfile(path):
+            tn = _read_binary_network(path, config)
+            if tn is None:
                 return None
-            networks[t.trial_id][metric] = _read_binary_network(path)
+            networks[t.trial_id][metric] = tn
     return networks
 
 
@@ -404,33 +412,40 @@ def read_features_csv(path: str) -> tuple[dict, list[str], list[dict]]:
     return config_raw, columns, rows
 
 
-def _feature_tables(
-    path: str, labels_path: str, config: PipelineConfig
+def _labeled_tables(
+    stage: str, data_dir: str, out_dir: str, config: PipelineConfig, jobs: int
 ) -> dict[str, FeatureTable]:
-    """Per-metric feature tables with discretized labels attached."""
-    _, columns, rows = read_features_csv(path)
-    if not os.path.isfile(labels_path):
-        raise InputError(f"labels file {labels_path} does not exist")
-    labels = {rec.trial_id: rec for rec in load_labels(labels_path)}
+    """Per-metric feature tables from ``features.csv`` with discretized
+    labels attached; the stage writes that file first if it is missing or
+    stamped with another config."""
+    path = os.path.join(out_dir, "features.csv")
+    if not (os.path.isfile(path) and read_features_csv(path)[0] == config.to_dict()):
+        stage_features(data_dir, out_dir, config, jobs)
+    labels_path = os.path.join(os.fspath(data_dir), "labels.csv")
+    with _stage(stage):
+        _, columns, rows = read_features_csv(path)
+        if not os.path.isfile(labels_path):
+            raise InputError(f"labels file {labels_path} does not exist")
+        labels = {rec.trial_id: rec for rec in load_labels(labels_path)}
 
-    tables: dict[str, FeatureTable] = {}
-    for metric in config.metrics:
-        subset = [r for r in rows if r["metric"] == metric]
-        missing = [r["trial_id"] for r in subset if r["trial_id"] not in labels]
-        if missing:
-            raise InputError(f"trials without labels: {missing}")
-        classes = {
-            target: tuple(
-                discretize_score(getattr(labels[r["trial_id"]], target)) for r in subset
+        tables: dict[str, FeatureTable] = {}
+        for metric in config.metrics:
+            subset = [r for r in rows if r["metric"] == metric]
+            missing = [r["trial_id"] for r in subset if r["trial_id"] not in labels]
+            if missing:
+                raise InputError(f"trials without labels: {missing}")
+            classes = {
+                target: tuple(
+                    discretize_score(getattr(labels[r["trial_id"]], target)) for r in subset
+                )
+                for target in TARGETS
+            }
+            tables[metric] = FeatureTable(
+                trial_ids=tuple(r["trial_id"] for r in subset),
+                columns=tuple(columns),
+                X=np.array([r["values"] for r in subset], dtype=float),
+                labels=classes,
             )
-            for target in TARGETS
-        }
-        tables[metric] = FeatureTable(
-            trial_ids=tuple(r["trial_id"] for r in subset),
-            columns=tuple(columns),
-            X=np.array([r["values"] for r in subset], dtype=float),
-            labels=classes,
-        )
     return tables
 
 
@@ -445,15 +460,10 @@ def stage_embed_params(
     jobs: int = 1,
 ) -> dict:
     """Estimate and persist per-channel embedding parameters."""
-    out_dir = os.fspath(out_dir)
     trials = discover_trials(data_dir)
-    results = _run_trials(trials, config, "embed-params", None, jobs)
-    artifact = {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "config": config.to_dict(),
-        "trials": {r.trial_id: r.params_json for r in results},
-    }
-    _write_json(os.path.join(out_dir, "embedding_params.json"), artifact)
+    params = _run_trials("embed-params", _embed_task, trials, config, jobs)
+    artifact = _artifact(config, trials=params)
+    _write_json(os.path.join(os.fspath(out_dir), "embedding_params.json"), artifact)
     return artifact
 
 
@@ -466,35 +476,28 @@ def stage_analyze(
     """Write weighted graphs and binarized temporal networks per trial."""
     out_dir = os.fspath(out_dir)
     trials = discover_trials(data_dir)
-    params = _read_embedding_params(out_dir)
-    results = _run_trials(trials, config, "analyze", params, jobs)
-    for r in results:
-        header = {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            "kind": "weighted_graphs",
-            "config": config.to_dict(),
-            "trial_id": r.trial_id,
-        }
+    params = _read_embedding_params(out_dir, config)
+    for tid, r in _run_trials("analyze", analyze_recording, trials, config, jobs, params).items():
+        header = _artifact(config, kind="weighted_graphs", trial_id=tid)
         lines = [_json_line(header)] + [_json_line(rec) for rec in r.weighted_records]
         _write_text(
-            os.path.join(out_dir, "networks", f"{r.trial_id}.weighted.jsonl"),
+            os.path.join(out_dir, "networks", f"{tid}.weighted.jsonl"),
             "\n".join(lines) + "\n",
         )
         for metric, tn in r.networks.items():
-            header = {
-                "schema_version": CONFIG_SCHEMA_VERSION,
-                "kind": "temporal_network",
-                "config": config.to_dict(),
-                "trial_id": r.trial_id,
-                "metric": metric,
-                "nodes": list(tn.nodes),
-                "binarize_rule": tn.binarize_rule,
-            }
+            header = _artifact(
+                config,
+                kind="temporal_network",
+                trial_id=tid,
+                metric=metric,
+                nodes=list(tn.nodes),
+                binarize_rule=tn.binarize_rule,
+            )
             lines = [_json_line(header)] + [
                 _json_line(binary_record(tn, w)) for w in range(tn.n_layers)
             ]
             _write_text(
-                os.path.join(out_dir, "networks", f"{r.trial_id}.{metric}.binary.jsonl"),
+                os.path.join(out_dir, "networks", f"{tid}.{metric}.binary.jsonl"),
                 "\n".join(lines) + "\n",
             )
 
@@ -510,23 +513,25 @@ def stage_features(
     trials = discover_trials(data_dir)
     stored = _load_networks(out_dir, trials, config)
     if stored is not None:
-        features = {tid: _trial_features(tid, stored[tid], config) for tid in sorted(stored)}
-        nodes_by_trial = {
-            tid: stored[tid][config.metrics[0]].nodes for tid in stored
+        # Serial on purpose: temporal features are cheap next to the
+        # resident memory a worker pool would add to the run.
+        computed = {
+            tid: (networks[config.metrics[0]].nodes, _trial_features(tid, networks, config))
+            for tid, networks in stored.items()
         }
     else:
-        results = _run_trials(trials, config, "features", _read_embedding_params(out_dir), jobs)
-        features = {r.trial_id: r.features for r in results}
-        nodes_by_trial = {r.trial_id: r.nodes for r in results}
+        params = _read_embedding_params(out_dir, config)
+        computed = _run_trials("features", _features_task, trials, config, jobs, params)
 
-    trial_ids = sorted(features)
-    nodes = nodes_by_trial[trial_ids[0]]
+    trial_ids = sorted(computed)
+    nodes = computed[trial_ids[0]][0]
     for tid in trial_ids:
-        if nodes_by_trial[tid] != nodes:
+        if computed[tid][0] != nodes:
             raise InputError(
-                f"trial {tid} has modality nodes {nodes_by_trial[tid]}, "
+                f"trial {tid} has modality nodes {computed[tid][0]}, "
                 f"expected {nodes} as in trial {trial_ids[0]}"
             )
+    features = {tid: computed[tid][1] for tid in trial_ids}
 
     names = features[trial_ids[0]][config.metrics[0]].names(nodes)
     lines = [
@@ -542,10 +547,9 @@ def stage_features(
     _write_text(path, "\n".join(lines) + "\n")
 
     reach = {tid: {m: f.reachability for m, f in features[tid].items()} for tid in trial_ids}
-    report = {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "config": config.to_dict(),
-        "trials": {
+    report = _artifact(
+        config,
+        trials={
             tid: {
                 metric: {
                     "nodes": list(rep.nodes),
@@ -563,7 +567,7 @@ def stage_features(
             }
             for tid in trial_ids
         },
-    }
+    )
     _write_json(os.path.join(out_dir, "reachability.json"), report)
     return path
 
@@ -584,13 +588,9 @@ def stage_evaluate(
     jobs: int = 1,
 ) -> dict:
     """Cross-validate every (target, metric) pair and write the report."""
-    out_dir = os.fspath(out_dir)
-    features_path = os.path.join(out_dir, "features.csv")
-    if not os.path.isfile(features_path):
-        stage_features(data_dir, out_dir, config, jobs)
+    tables = _labeled_tables("evaluate", data_dir, out_dir, config, jobs)
+    results: dict[str, dict[str, dict]] = {}
     with _stage("evaluate"):
-        tables = _feature_tables(features_path, os.path.join(os.fspath(data_dir), "labels.csv"), config)
-        results: dict[str, dict[str, dict]] = {}
         for target in TARGETS:
             results[target] = {}
             for metric in config.metrics:
@@ -604,11 +604,7 @@ def stage_evaluate(
                     "mean_accuracy_per_lambda": list(cv.mean_accuracy_per_lambda),
                     "n_trials": len(tables[metric].trial_ids),
                 }
-    report = {
-        "schema_version": CONFIG_SCHEMA_VERSION,
-        "config": config.to_dict(),
-        "results": results,
-    }
+    report = _artifact(config, results=results)
     _write_json(os.path.join(out_dir, "evaluation.json"), report)
     return report
 
@@ -621,22 +617,16 @@ def stage_train(
     jobs: int = 1,
 ) -> list[str]:
     """Fit final models at the cross-validated lambda and write them."""
-    out_dir = os.fspath(out_dir)
-    features_path = os.path.join(out_dir, "features.csv")
-    if not os.path.isfile(features_path):
-        stage_features(data_dir, out_dir, config, jobs)
-    eval_path = os.path.join(out_dir, "evaluation.json")
-    selected: dict[tuple[str, str], float] = {}
-    if os.path.isfile(eval_path):
-        with open(eval_path, encoding="utf-8") as fh:
-            report = json.load(fh)
-        for target, per_metric in report.get("results", {}).items():
-            for metric, entry in per_metric.items():
-                selected[(target, metric)] = float(entry["selected_lambda"])
+    tables = _labeled_tables("train", data_dir, out_dir, config, jobs)
+    report = _read_artifact(os.path.join(out_dir, "evaluation.json"), config) or {}
+    selected = {
+        (target, metric): float(entry["selected_lambda"])
+        for target, per_metric in report.get("results", {}).items()
+        for metric, entry in per_metric.items()
+    }
 
     written = []
     with _stage("train"):
-        tables = _feature_tables(features_path, os.path.join(os.fspath(data_dir), "labels.csv"), config)
         for target in targets:
             if target not in TARGETS:
                 raise InputError(f"unknown target {target!r}; choose from {TARGETS}")
@@ -645,13 +635,9 @@ def stage_train(
                 if lam is None:
                     lam = _cv_for(tables, config, target, metric).selected_lambda
                 model = fit_lasso(tables[metric], target, lam)
-                artifact = {
-                    "schema_version": CONFIG_SCHEMA_VERSION,
-                    "config": config.to_dict(),
-                    "target": target,
-                    "metric": metric,
-                    "model": model_to_dict(model),
-                }
+                artifact = _artifact(
+                    config, target=target, metric=metric, model=model_to_dict(model)
+                )
                 path = os.path.join(out_dir, f"model_{target}_{metric}.json")
                 _write_json(path, artifact)
                 written.append(path)

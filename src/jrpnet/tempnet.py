@@ -189,9 +189,11 @@ def temporal_efficiency(tn: TemporalNetwork) -> float:
     _check(tn)
     if tn.n_nodes < 2:
         raise InputError("temporal efficiency needs at least 2 nodes")
-    latency = _latency_matrix(tn)
-    n = tn.n_nodes
-    off = ~np.eye(n, dtype=bool)
+    return _efficiency(_latency_matrix(tn))
+
+
+def _efficiency(latency: np.ndarray) -> float:
+    off = ~np.eye(len(latency), dtype=bool)
     with np.errstate(divide="ignore"):
         inv = 1.0 / latency[off]
     return float(np.where(np.isfinite(inv), inv, 0.0).mean())
@@ -245,9 +247,9 @@ def _rewire_layer(layer: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return adj
 
 
-def _mean_finite_latency(tn: TemporalNetwork) -> float:
-    latency = _latency_matrix(tn)
-    off = ~np.eye(tn.n_nodes, dtype=bool)
+def _mean_finite_latency(latency: np.ndarray) -> float:
+    """Mean finite off-diagonal latency; nan when no pair is reachable."""
+    off = ~np.eye(len(latency), dtype=bool)
     finite = latency[off][np.isfinite(latency[off])]
     return float(finite.mean()) if finite.size else float("nan")
 
@@ -269,7 +271,7 @@ def temporal_small_worldness(
         return SmallWorldness(0.0, True)
 
     _, c_value = temporal_correlation(tn)
-    l_value = _mean_finite_latency(tn)
+    l_value = _mean_finite_latency(_latency_matrix(tn))
     if not np.isfinite(l_value):
         return SmallWorldness(0.0, True)
 
@@ -282,7 +284,7 @@ def temporal_small_worldness(
             nodes=tn.nodes, layers=layers, binarize_rule=tn.binarize_rule, metric=tn.metric
         )
         _, c_nulls[k] = temporal_correlation(null)
-        l_nulls[k] = _mean_finite_latency(null)
+        l_nulls[k] = _mean_finite_latency(_latency_matrix(null))
 
     l_nulls = l_nulls[np.isfinite(l_nulls)]
     if l_nulls.size == 0:
@@ -307,15 +309,16 @@ def feature_vector(
     n = tn.n_nodes
     off = ~np.eye(n, dtype=bool)
 
-    finite = report.latency[off][np.isfinite(report.latency[off])]
-    mean_latency = float(finite.mean()) if finite.size else 0.0
+    mean_latency = _mean_finite_latency(report.latency)
+    if not np.isfinite(mean_latency):
+        mean_latency = 0.0
 
     reachable = np.isfinite(report.latency) & off
     mean_paths = (
         float(report.fastest_path_counts[reachable].mean()) if reachable.any() else 0.0
     )
 
-    efficiency = temporal_efficiency(tn) if n >= 2 else 0.0
+    efficiency = _efficiency(report.latency) if n >= 2 else 0.0
 
     if tn.n_layers >= 2:
         per_node, corr = temporal_correlation(tn)

@@ -190,3 +190,23 @@ def test_config_file_validation_error_exits_2(dataset, tmp_path, capsys):
     ])
     assert code == 2
     assert "overlap" in capsys.readouterr().err
+
+
+def test_degenerate_trial_in_a_worker_exits_3(tmp_path, capsys):
+    # t1 is long enough to embed, t2 (60 samples at 10 Hz) is not; the
+    # error crosses the process pool with its stage context intact
+    rng = np.random.default_rng(0)
+    data_dir = tmp_path / "two"
+    data_dir.mkdir()
+    for trial, n in (("t1", 600), ("t2", 60)):
+        rows = ["a,b"] + [f"{rng.normal()!r},{rng.normal()!r}" for _ in range(n)]
+        (data_dir / f"{trial}.csv").write_text("\n".join(rows) + "\n")
+        (data_dir / f"{trial}.schema.json").write_text(
+            json.dumps({"sampling_rate_hz": 10.0, "channels": {"a": "EEG", "b": "EMG"}})
+        )
+    out = tmp_path / "out"
+    code = main(["embed-params", "--in", str(data_dir), "--out", str(out), "--jobs", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage embed-params, trial t2:")
+    assert not (out / "embedding_params.json").exists()

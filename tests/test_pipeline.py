@@ -2,9 +2,11 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
+from jrpnet import pipeline
 from jrpnet.config import PipelineConfig
 from jrpnet.errors import InputError
 from jrpnet.ingest import load_recording
@@ -226,3 +228,74 @@ def test_orphan_csv_is_a_clear_error(tmp_path):
     (orphan / "t1.csv").write_text("a,b\n1.0,2.0\n")
     with pytest.raises(InputError, match="sidecar"):
         discover_trials(orphan)
+
+
+def _tree(root):
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+@pytest.mark.parametrize(
+    "stage, changed",
+    [
+        # networks from another overlap
+        (stage_features, CONFIG.replace(overlap=0.5)),
+        # embedding params scanned up to another m_max
+        (stage_analyze, CONFIG.replace(m_max=4)),
+        # features.csv with another number of small-worldness nulls
+        (stage_evaluate, CONFIG.replace(n_null=3)),
+        # evaluation.json from another lambda grid
+        (stage_train, CONFIG.replace(lambda_span=0.3)),
+    ],
+    ids=["features", "analyze", "evaluate", "train"],
+)
+def test_stale_upstream_is_recomputed(dataset, pipeline_out, tmp_path, stage, changed):
+    # every artifact of the end-to-end run is stamped with CONFIG; a stage
+    # run under another config must write what it writes with no upstream
+    out_dir, _ = pipeline_out
+    fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+    stage(dataset, fresh, changed)
+    shutil.copytree(out_dir, stale)
+    stage(dataset, stale, changed)
+    written, after = _tree(fresh), _tree(stale)
+    assert written
+    assert {name: after.get(name) for name in written} == written
+
+
+def test_pool_is_capped_at_the_trial_count(dataset, pipeline_out, tmp_path, monkeypatch):
+    out_dir, _ = pipeline_out
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialPool)
+    stage_embed_params(dataset, tmp_path, CONFIG, jobs=64)
+    assert sizes == [len(trial_ids(dataset))]
+    name = "embedding_params.json"
+    assert (tmp_path / name).read_bytes() == (out_dir / name).read_bytes()
+
+
+def test_two_jobs_write_what_one_job_writes(dataset, pipeline_out, tmp_path):
+    out_dir, _ = pipeline_out
+    pooled = tmp_path / "pooled"
+    run_pipeline(dataset, pooled, CONFIG, jobs=2)
+    assert _tree(pooled) == _tree(out_dir)
+
+    raw = tmp_path / "raw"
+    stage_features(dataset, raw, CONFIG, jobs=2)
+    for name in ("features.csv", "reachability.json"):
+        assert (raw / name).read_bytes() == (out_dir / name).read_bytes(), name
