@@ -28,6 +28,7 @@ __all__ = [
     "load_recording",
     "load_labels",
     "zscore_channels",
+    "window_geometry",
     "segment_windows",
 ]
 
@@ -241,15 +242,14 @@ def zscore_channels(recording: Recording) -> Recording:
     )
 
 
-def segment_windows(
+def window_geometry(
     recording: Recording, window_s: float, overlap_fraction: float
-) -> list[Window]:
-    """Slice a recording into uniform overlapping windows.
+) -> tuple[int, int]:
+    """Window length and stride in samples; InputError unless a window fits.
 
-    Each channel is z-scored over the whole trial first.  The window
-    covers ``round(window_s * rate)`` samples and consecutive windows
-    start ``round(window_s * (1 - overlap_fraction) * rate)`` samples
-    apart; trailing samples that do not fill a window are dropped.
+    The window covers ``round(window_s * rate)`` samples and consecutive
+    windows start ``round(window_s * (1 - overlap_fraction) * rate)``
+    samples apart.
     """
     if not 0.0 <= overlap_fraction < 1.0:
         raise InputError(f"overlap_fraction must be in [0, 1), got {overlap_fraction}")
@@ -267,7 +267,19 @@ def segment_windows(
     stride = int(round(window_s * (1.0 - overlap_fraction) * recording.sampling_rate_hz))
     if stride < 1:
         raise InputError("window stride rounds to zero samples")
+    return length, stride
 
+
+def segment_windows(
+    recording: Recording, window_s: float, overlap_fraction: float
+) -> list[Window]:
+    """Slice a recording into uniform overlapping windows.
+
+    Each channel is z-scored over the whole trial first; the windows follow
+    ``window_geometry`` and trailing samples that do not fill a window are
+    dropped.
+    """
+    length, stride = window_geometry(recording, window_s, overlap_fraction)
     normalized = zscore_channels(recording)
     windows: list[Window] = []
     start = 0

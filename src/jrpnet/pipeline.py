@@ -11,12 +11,15 @@ A data directory holds one CSV + JSON-sidecar pair per trial plus a
 - ``model_<target>_<metric>.json``: final fitted models
 - ``evaluation.json``: cross-validation report
 
-Every artifact embeds the config and a schema version.  Stages compose:
-each one reuses an upstream artifact when it is present and stamped with
-the same config, and recomputes it in memory otherwise, so running
-stages one by one writes byte-for-byte what a single end-to-end run
-writes.  Writes are atomic (tmp file + rename), so interrupted runs
-never leave partial artifacts behind.
+Every artifact embeds the config and a schema version.  Stages hand
+results to each other only through these artifacts: a stage reads its
+input from the upstream artifact when it is present and stamped with the
+same config, and otherwise first runs the upstream stage, which writes
+it.  A standalone ``features`` run therefore also leaves
+``embedding_params.json`` and ``networks/`` behind, and running stages
+one by one writes byte-for-byte what a single end-to-end run writes.
+Writes are atomic (tmp file + rename), so interrupted runs never leave
+partial artifacts behind.
 """
 
 from __future__ import annotations
@@ -31,17 +34,16 @@ import numpy as np
 
 from .config import CONFIG_SCHEMA_VERSION, PipelineConfig
 from .embedding import EmbeddingParams, embed, estimate_delay, estimate_dimension
-from .errors import InputError, JrpnetError
+from .errors import DegenerateInputError, InputError, JrpnetError
 from .ingest import (
-    CONSTANT_EPS,
     Recording,
     load_labels,
     load_recording,
     segment_windows,
+    window_geometry,
     zscore_channels,
 )
 from .learn import (
-    CrossValResult,
     FeatureTable,
     cross_validate,
     discretize_score,
@@ -62,7 +64,6 @@ from .recurrence import threshold_for_rate
 from .seeding import derive_seed
 from .tempnet import (
     FEATURE_SCHEMA_VERSION,
-    TemporalFeatures,
     feature_vector,
     reachability_and_latency,  # noqa: F401  (bound here for perfbench/tracing.py)
 )
@@ -153,27 +154,36 @@ def estimate_trial_embeddings(
 ) -> dict[str, ChannelEmbedding | None]:
     """Per-channel embedding params and recurrence threshold for one trial.
 
-    Channels that are constant over the trial come back as None and end
-    up with absent weights everywhere.  The delay search range is capped
-    so the dimension scan always keeps enough samples.
+    A channel whose delay, dimension or threshold estimate is degenerate
+    (a constant channel, one with too many coincident states) comes back
+    as None and ends up with absent weights everywhere; a trial with no
+    channel left raises.  The delay search range is capped so the
+    dimension scan always keeps enough samples.
     """
     normalized = zscore_channels(recording)
     length = recording.duration_samples
     tau_cap = max(1, (length - 2) // config.m_max)
     tau_max = min(config.tau_max or max(2, length // 4), tau_cap)
     out: dict[str, ChannelEmbedding | None] = {}
+    reasons: dict[str, str] = {}
     for name in recording.channel_names:
         x = normalized.channel(name)
-        if np.ptp(x) < CONSTANT_EPS:
-            out[name] = None
+        try:
+            tau = estimate_delay(x, tau_max=tau_max)
+            dim = estimate_dimension(x, tau, m_max=config.m_max)
+            params = EmbeddingParams(delay_tau=tau, dimension_m=dim.dimension)
+            trajectory = embed(x, params, source_channel=name)
+            epsilon = threshold_for_rate(trajectory, config.target_rr, config.norm)
+        except DegenerateInputError as exc:
+            out[name], reasons[name] = None, str(exc)
             continue
-        tau = estimate_delay(x, tau_max=tau_max)
-        dim = estimate_dimension(x, tau, m_max=config.m_max)
-        params = EmbeddingParams(delay_tau=tau, dimension_m=dim.dimension)
-        trajectory = embed(x, params, source_channel=name)
-        epsilon = threshold_for_rate(trajectory, config.target_rr, config.norm)
         out[name] = ChannelEmbedding(
             params=params, epsilon=epsilon, saturated=dim.saturated
+        )
+    if len(reasons) == len(out):
+        raise DegenerateInputError(
+            "no channel can be embedded: "
+            + "; ".join(f"{name}: {why}" for name, why in reasons.items())
         )
     return out
 
@@ -214,34 +224,16 @@ def _embeddings_from_json(raw: dict) -> dict[str, ChannelEmbedding | None]:
 class TrialAnalysis:
     """Weighted graphs and binarized temporal networks of one trial."""
 
-    trial_id: str
-    nodes: tuple[str, ...]
     weighted_records: list[dict]
     networks: dict[str, TemporalNetwork]
-
-
-def _trial_features(
-    trial_id: str, networks: dict[str, TemporalNetwork], config: PipelineConfig
-) -> dict[str, TemporalFeatures]:
-    """Features per metric of one trial, each carrying its reachability report."""
-    return {
-        metric: feature_vector(
-            tn,
-            n_null=config.n_null,
-            seed=derive_seed(config.seed, f"smallworld:{trial_id}:{metric}"),
-        )
-        for metric, tn in networks.items()
-    }
 
 
 def analyze_recording(
     recording: Recording,
     config: PipelineConfig,
-    embeddings: dict[str, ChannelEmbedding | None] | None = None,
+    embeddings: dict[str, ChannelEmbedding | None],
 ) -> TrialAnalysis:
     """Coupling graphs per window and temporal networks of one recording."""
-    if embeddings is None:
-        embeddings = estimate_trial_embeddings(recording, config)
     modality_map = dict(zip(recording.channel_names, recording.modalities))
     windows = segment_windows(recording, config.window_s, config.overlap)
 
@@ -265,26 +257,18 @@ def analyze_recording(
         metric: assemble_temporal_network(merged[metric], rho=config.binarize_rho)
         for metric in config.metrics
     }
-    return TrialAnalysis(
-        trial_id=recording.trial_id,
-        nodes=networks[config.metrics[0]].nodes,
-        weighted_records=weighted_records,
-        networks=networks,
-    )
+    return TrialAnalysis(weighted_records=weighted_records, networks=networks)
 
 
 # Per-trial tasks: (recording, config, stored embeddings or None) -> result.
 # analyze_recording is the analyze task.  Tasks look up the names a tracer
-# may rebind, such as analyze_recording, at call time.
+# may rebind, such as estimate_trial_embeddings, at call time.
 
 
 def _embed_task(recording: Recording, config: PipelineConfig, embeddings) -> dict:
+    # the window must fit before any estimate is worth making
+    window_geometry(recording, config.window_s, config.overlap)
     return _embeddings_to_json(recording, estimate_trial_embeddings(recording, config))
-
-
-def _features_task(recording: Recording, config: PipelineConfig, embeddings) -> tuple:
-    analysis = analyze_recording(recording, config, embeddings)
-    return analysis.nodes, _trial_features(recording.trial_id, analysis.networks, config)
 
 
 def _trial_call(args: tuple):
@@ -333,11 +317,6 @@ def _read_artifact(path: str, config: PipelineConfig) -> dict | None:
     with open(path, encoding="utf-8") as fh:
         artifact = json.load(fh)
     return artifact if artifact.get("config") == config.to_dict() else None
-
-
-def _read_embedding_params(out_dir: str, config: PipelineConfig) -> dict[str, dict] | None:
-    artifact = _read_artifact(os.path.join(out_dir, "embedding_params.json"), config)
-    return None if artifact is None else artifact["trials"]
 
 
 def _read_binary_network(path: str, config: PipelineConfig) -> TemporalNetwork | None:
@@ -419,11 +398,13 @@ def _labeled_tables(
     labels attached; the stage writes that file first if it is missing or
     stamped with another config."""
     path = os.path.join(out_dir, "features.csv")
-    if not (os.path.isfile(path) and read_features_csv(path)[0] == config.to_dict()):
+    parsed = read_features_csv(path) if os.path.isfile(path) else None
+    if parsed is None or parsed[0] != config.to_dict():
         stage_features(data_dir, out_dir, config, jobs)
+        parsed = read_features_csv(path)
+    _, columns, rows = parsed
     labels_path = os.path.join(os.fspath(data_dir), "labels.csv")
     with _stage(stage):
-        _, columns, rows = read_features_csv(path)
         if not os.path.isfile(labels_path):
             raise InputError(f"labels file {labels_path} does not exist")
         labels = {rec.trial_id: rec for rec in load_labels(labels_path)}
@@ -476,8 +457,11 @@ def stage_analyze(
     """Write weighted graphs and binarized temporal networks per trial."""
     out_dir = os.fspath(out_dir)
     trials = discover_trials(data_dir)
-    params = _read_embedding_params(out_dir, config)
-    for tid, r in _run_trials("analyze", analyze_recording, trials, config, jobs, params).items():
+    params = _read_artifact(os.path.join(out_dir, "embedding_params.json"), config)
+    if params is None or any(t.trial_id not in params["trials"] for t in trials):
+        params = stage_embed_params(data_dir, out_dir, config, jobs)
+    results = _run_trials("analyze", analyze_recording, trials, config, jobs, params["trials"])
+    for tid, r in results.items():
         header = _artifact(config, kind="weighted_graphs", trial_id=tid)
         lines = [_json_line(header)] + [_json_line(rec) for rec in r.weighted_records]
         _write_text(
@@ -511,29 +495,35 @@ def stage_features(
     """Write the feature CSV and the reachability audit report."""
     out_dir = os.fspath(out_dir)
     trials = discover_trials(data_dir)
-    stored = _load_networks(out_dir, trials, config)
-    if stored is not None:
-        # Serial on purpose: temporal features are cheap next to the
-        # resident memory a worker pool would add to the run.
-        computed = {
-            tid: (networks[config.metrics[0]].nodes, _trial_features(tid, networks, config))
-            for tid, networks in stored.items()
-        }
-    else:
-        params = _read_embedding_params(out_dir, config)
-        computed = _run_trials("features", _features_task, trials, config, jobs, params)
+    networks = _load_networks(out_dir, trials, config)
+    if networks is None:
+        stage_analyze(data_dir, out_dir, config, jobs)
+        networks = _load_networks(out_dir, trials, config)
 
-    trial_ids = sorted(computed)
-    nodes = computed[trial_ids[0]][0]
+    trial_ids = sorted(networks)
+    first = config.metrics[0]
+    nodes = networks[trial_ids[0]][first].nodes
     for tid in trial_ids:
-        if computed[tid][0] != nodes:
+        if networks[tid][first].nodes != nodes:
             raise InputError(
-                f"trial {tid} has modality nodes {computed[tid][0]}, "
+                f"trial {tid} has modality nodes {networks[tid][first].nodes}, "
                 f"expected {nodes} as in trial {trial_ids[0]}"
             )
-    features = {tid: computed[tid][1] for tid in trial_ids}
+    # Serial on purpose: temporal features are cheap next to the resident
+    # memory a worker pool would add to the run.
+    features = {
+        tid: {
+            metric: feature_vector(
+                tn,
+                n_null=config.n_null,
+                seed=derive_seed(config.seed, f"smallworld:{tid}:{metric}"),
+            )
+            for metric, tn in networks[tid].items()
+        }
+        for tid in trial_ids
+    }
 
-    names = features[trial_ids[0]][config.metrics[0]].names(nodes)
+    names = features[trial_ids[0]][first].names(nodes)
     lines = [
         f"# schema_version={FEATURE_SCHEMA_VERSION}",
         f"# config={_json_line(config.to_dict())}",
@@ -572,15 +562,6 @@ def stage_features(
     return path
 
 
-def _cv_for(
-    tables: dict[str, FeatureTable], config: PipelineConfig, target: str, metric: str
-) -> CrossValResult:
-    table = tables[metric]
-    grid = lambda_grid(table, target, points=config.lambda_points, span=config.lambda_span)
-    seed = derive_seed(config.seed, f"cv:{target}:{metric}")
-    return cross_validate(table, target, lambdas=grid, k=config.k_folds, seed=seed)
-
-
 def stage_evaluate(
     data_dir: str | os.PathLike,
     out_dir: str | os.PathLike,
@@ -594,7 +575,12 @@ def stage_evaluate(
         for target in TARGETS:
             results[target] = {}
             for metric in config.metrics:
-                cv = _cv_for(tables, config, target, metric)
+                table = tables[metric]
+                grid = lambda_grid(
+                    table, target, points=config.lambda_points, span=config.lambda_span
+                )
+                seed = derive_seed(config.seed, f"cv:{target}:{metric}")
+                cv = cross_validate(table, target, lambdas=grid, k=config.k_folds, seed=seed)
                 results[target][metric] = {
                     "accuracy": cv.accuracy,
                     "confusion": [[int(v) for v in row] for row in cv.confusion],
@@ -602,7 +588,7 @@ def stage_evaluate(
                     "fold_accuracies": list(cv.fold_accuracies),
                     "lambda_grid": list(cv.lambda_grid),
                     "mean_accuracy_per_lambda": list(cv.mean_accuracy_per_lambda),
-                    "n_trials": len(tables[metric].trial_ids),
+                    "n_trials": len(table.trial_ids),
                 }
     report = _artifact(config, results=results)
     _write_json(os.path.join(out_dir, "evaluation.json"), report)
@@ -617,23 +603,20 @@ def stage_train(
     jobs: int = 1,
 ) -> list[str]:
     """Fit final models at the cross-validated lambda and write them."""
-    tables = _labeled_tables("train", data_dir, out_dir, config, jobs)
-    report = _read_artifact(os.path.join(out_dir, "evaluation.json"), config) or {}
-    selected = {
-        (target, metric): float(entry["selected_lambda"])
-        for target, per_metric in report.get("results", {}).items()
-        for metric, entry in per_metric.items()
-    }
-
-    written = []
     with _stage("train"):
         for target in targets:
             if target not in TARGETS:
                 raise InputError(f"unknown target {target!r}; choose from {TARGETS}")
+    report = _read_artifact(
+        os.path.join(out_dir, "evaluation.json"), config
+    ) or stage_evaluate(data_dir, out_dir, config, jobs)
+    tables = _labeled_tables("train", data_dir, out_dir, config, jobs)
+
+    written = []
+    with _stage("train"):
+        for target in targets:
             for metric in config.metrics:
-                lam = selected.get((target, metric))
-                if lam is None:
-                    lam = _cv_for(tables, config, target, metric).selected_lambda
+                lam = float(report["results"][target][metric]["selected_lambda"])
                 model = fit_lasso(tables[metric], target, lam)
                 artifact = _artifact(
                     config, target=target, metric=metric, model=model_to_dict(model)

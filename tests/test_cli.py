@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output, flag handling."""
 
+import csv
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -209,4 +211,47 @@ def test_degenerate_trial_in_a_worker_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("error: stage embed-params, trial t2:")
+    assert not (out / "embedding_params.json").exists()
+
+
+def test_degenerate_channel_is_absent(dataset, config_file, tmp_path, capsys):
+    # m1a held at 0.5 for half the trial: too many coincident states for a
+    # recurrence threshold, so that channel is null and the rest unchanged
+    held = tmp_path / "held"
+    shutil.copytree(dataset, held)
+    path = held / "dense_000.csv"
+    rows = list(csv.reader(path.read_text().splitlines()))
+    column = rows[0].index("m1a")
+    for row in rows[1:321]:
+        row[column] = "0.5"
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    runs = {}
+    for name, data_dir in (("base", dataset), ("held", held)):
+        code = main([
+            "embed-params", "--in", str(data_dir), "--out", str(tmp_path / name),
+            "--config", str(config_file),
+        ])
+        assert code == 0
+        runs[name] = json.loads(capsys.readouterr().out)
+    base, changed = runs["base"], runs["held"]
+    assert changed["dense_000"]["m1a"] is None
+    assert base["dense_000"]["m1a"] is not None
+    del base["dense_000"]["m1a"], changed["dense_000"]["m1a"]
+    assert changed == base
+
+
+def test_short_trial_fails_at_embed_params_with_exit_2(dataset, config_file, tmp_path, capsys):
+    # 299 samples at 64 Hz: the 5 s window needs 320
+    short = tmp_path / "short"
+    shutil.copytree(dataset, short)
+    path = short / "none_001.csv"
+    path.write_text("\n".join(path.read_text().splitlines()[:300]) + "\n")
+    out = tmp_path / "out"
+    code = main([
+        "embed-params", "--in", str(short), "--out", str(out), "--config", str(config_file),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage embed-params, trial none_001:")
+    assert "exceeds" in err
     assert not (out / "embedding_params.json").exists()

@@ -162,14 +162,27 @@ def test_stagewise_run_matches_end_to_end(dataset, pipeline_out, tmp_path):
         assert (staged / name).read_bytes() == (out_dir / name).read_bytes(), name
 
 
-def test_features_stage_recomputes_missing_upstream(dataset, pipeline_out, tmp_path):
-    # no stored embeddings or networks: the stage derives everything in
-    # memory and must still write the same bytes
+@pytest.mark.parametrize(
+    "stage, written",
+    [
+        (stage_features, ["features.csv", "reachability.json"]),
+        (stage_train, ARTIFACTS[3:]),
+    ],
+    ids=["features", "train"],
+)
+def test_missing_upstream_is_recomputed(dataset, pipeline_out, tmp_path, stage, written):
+    # an empty output directory: the stage runs every upstream stage, which
+    # leaves its artifacts behind, and all of them match the end-to-end run
     out_dir, _ = pipeline_out
     solo = tmp_path / "solo"
-    stage_features(dataset, solo, CONFIG)
-    assert (solo / "features.csv").read_bytes() == (out_dir / "features.csv").read_bytes()
-    assert not (solo / "embedding_params.json").exists()
+    stage(dataset, solo, CONFIG)
+    for name in written:
+        assert (solo / name).read_bytes() == (out_dir / name).read_bytes(), name
+    upstream = ["embedding_params.json"] + [
+        f"networks/{p.name}" for p in sorted((out_dir / "networks").iterdir())
+    ]
+    for name in upstream:
+        assert (solo / name).read_bytes() == (out_dir / name).read_bytes(), name
 
 
 def test_embedding_params_artifact_matches_direct_estimation(dataset, pipeline_out):
@@ -263,6 +276,32 @@ def test_stale_upstream_is_recomputed(dataset, pipeline_out, tmp_path, stage, ch
     written, after = _tree(fresh), _tree(stale)
     assert written
     assert {name: after.get(name) for name in written} == written
+
+
+def test_trial_added_after_embed_params_is_embedded(dataset, pipeline_out, tmp_path):
+    # embedding_params.json stamped with CONFIG but lacking a trial counts
+    # as stale: analyze rewrites it for every trial
+    out_dir, _ = pipeline_out
+    grown, out = tmp_path / "grown", tmp_path / "out"
+    grown.mkdir()
+    first, *rest = discover_trials(dataset)
+    shutil.copy(first.csv_path, grown)
+    shutil.copy(first.schema_path, grown)
+    stage_embed_params(grown, out, CONFIG)
+    for t in rest:
+        shutil.copy(t.csv_path, grown)
+        shutil.copy(t.schema_path, grown)
+    stage_analyze(grown, out, CONFIG)
+    name = "embedding_params.json"
+    assert (out / name).read_bytes() == (out_dir / name).read_bytes()
+    assert _tree(out / "networks") == _tree(out_dir / "networks")
+
+
+def test_unknown_target_is_rejected_before_any_work(dataset, tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(InputError, match="unknown target 'mood'"):
+        stage_train(dataset, out, CONFIG, targets=("mood",))
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_pool_is_capped_at_the_trial_count(dataset, pipeline_out, tmp_path, monkeypatch):
