@@ -176,8 +176,11 @@ def _fnn_fraction(x: np.ndarray, m: int, tau: int, rtol: float, atol: float) -> 
     ahead = x[m * tau : m * tau + n_usable]
     tree = cKDTree(states)
     dist, idx = tree.query(states, k=2)
-    dist = dist[:, 1]
-    neighbor = idx[:, 1]
+    # with repeated states the query point itself may come second, behind
+    # a coincident copy; the nearest other point is then that copy
+    first_is_other = idx[:, 0] != np.arange(n_usable)
+    dist = np.where(first_is_other, dist[:, 0], dist[:, 1])
+    neighbor = np.where(first_is_other, idx[:, 0], idx[:, 1])
     extra = np.abs(ahead - ahead[neighbor])
     scale = x.std()
     # Exact repeats of periodic signals give dist ~ 0 with extra at float

@@ -13,9 +13,9 @@ A data directory holds one CSV + JSON-sidecar pair per trial plus a
 
 Every artifact embeds the config and a schema version.  Stages hand
 results to each other only through these artifacts: a stage reads its
-input from the upstream artifact when it is present and stamped with the
-same config, and otherwise first runs the upstream stage, which writes
-it.  A standalone ``features`` run therefore also leaves
+input from the upstream artifact when it is present, stamped with the
+same config and covering every trial of the data directory, and
+otherwise first runs the upstream stage, which writes it.  A standalone ``features`` run therefore also leaves
 ``embedding_params.json`` and ``networks/`` behind, and running stages
 one by one writes byte-for-byte what a single end-to-end run writes.
 Writes are atomic (tmp file + rename), so interrupted runs never leave
@@ -395,11 +395,16 @@ def _labeled_tables(
     stage: str, data_dir: str, out_dir: str, config: PipelineConfig, jobs: int
 ) -> dict[str, FeatureTable]:
     """Per-metric feature tables from ``features.csv`` with discretized
-    labels attached; the stage writes that file first if it is missing or
-    stamped with another config."""
+    labels attached; the stage writes that file first if it is missing,
+    stamped with another config or lacking a discovered trial."""
     path = os.path.join(out_dir, "features.csv")
     parsed = read_features_csv(path) if os.path.isfile(path) else None
-    if parsed is None or parsed[0] != config.to_dict():
+    trial_ids = {t.trial_id for t in discover_trials(data_dir)}
+    if (
+        parsed is None
+        or parsed[0] != config.to_dict()
+        or not trial_ids <= {r["trial_id"] for r in parsed[2]}
+    ):
         stage_features(data_dir, out_dir, config, jobs)
         parsed = read_features_csv(path)
     _, columns, rows = parsed
@@ -607,10 +612,15 @@ def stage_train(
         for target in targets:
             if target not in TARGETS:
                 raise InputError(f"unknown target {target!r}; choose from {TARGETS}")
-    report = _read_artifact(
-        os.path.join(out_dir, "evaluation.json"), config
-    ) or stage_evaluate(data_dir, out_dir, config, jobs)
     tables = _labeled_tables("train", data_dir, out_dir, config, jobs)
+    # an evaluation over another set of trials is stale too
+    report = _read_artifact(os.path.join(out_dir, "evaluation.json"), config)
+    if report is None or any(
+        report["results"][target][metric]["n_trials"] != len(tables[metric].trial_ids)
+        for target in TARGETS
+        for metric in config.metrics
+    ):
+        report = stage_evaluate(data_dir, out_dir, config, jobs)
 
     written = []
     with _stage("train"):

@@ -96,8 +96,11 @@ def threshold_for_rate(
     # at rate 1.0 the virtual index is the last entry and frac is 0, so
     # the upper statistic is unused; clamp it into range anyway
     lo_i, hi_i = k // 2, min((k + 1) // 2, dists.size - 1)
-    picked = np.partition(dists, (lo_i, hi_i))
-    lo, hi = picked[lo_i], picked[hi_i]
+    # hi_i is lo_i or lo_i + 1, and after an in-place partition at lo_i
+    # the next order statistic is the minimum of the tail
+    dists.partition(lo_i)
+    lo = dists[lo_i]
+    hi = dists[hi_i:].min() if hi_i > lo_i else lo
     epsilon = float(lo + frac * (hi - lo))
     if epsilon <= 0.0:
         raise DegenerateInputError(

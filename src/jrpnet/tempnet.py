@@ -218,33 +218,46 @@ def temporal_correlation(tn: TemporalNetwork) -> tuple[np.ndarray, float]:
     return per_node, float(per_node.mean())
 
 
-def _rewire_layer(layer: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Degree-preserving rewiring of one simple undirected layer."""
-    edges = [tuple(e) for e in np.argwhere(np.triu(layer, k=1))]
+def _edge_list(layer: np.ndarray) -> list[list[int]]:
+    """Upper-triangle edges [i, j], i < j, of one layer in row-major order."""
+    return np.argwhere(np.triu(layer, k=1)).tolist()
+
+
+def _rewire_layer(layer: np.ndarray, edges: list, rng: np.random.Generator) -> np.ndarray:
+    """Degree-preserving rewiring of one simple undirected layer.
+
+    ``edges`` is the layer's ``_edge_list`` and is left unmodified.  The
+    swaps run on Python lists: at modality scale NumPy call overhead
+    would dominate.
+    """
     m = len(edges)
     if m < 2:
         return layer.copy()
-    adj = layer.copy()
+    edges = list(edges)
+    adj = layer.tolist()
     attempts = 4 * m
     for _ in range(attempts):
-        k1, k2 = rng.integers(0, m, size=2)
+        # two scalar draws consume the same stream as one draw of size 2
+        k1 = rng.integers(0, m)
+        k2 = rng.integers(0, m)
         if k1 == k2:
             continue
         a, b = edges[k1]
         c, d = edges[k2]
         if rng.integers(0, 2):
             c, d = d, c
-        if len({a, b, c, d}) < 4:
+        # a != b and c != d hold for every edge
+        if a == c or a == d or b == c or b == d:
             continue
-        if adj[a, d] or adj[c, b]:
+        if adj[a][d] or adj[c][b]:
             continue
-        adj[a, b] = adj[b, a] = False
-        adj[c, d] = adj[d, c] = False
-        adj[a, d] = adj[d, a] = True
-        adj[c, b] = adj[b, c] = True
+        adj[a][b] = adj[b][a] = False
+        adj[c][d] = adj[d][c] = False
+        adj[a][d] = adj[d][a] = True
+        adj[c][b] = adj[b][c] = True
         edges[k1] = (min(a, d), max(a, d))
         edges[k2] = (min(c, b), max(c, b))
-    return adj
+    return np.array(adj, dtype=bool)
 
 
 def _mean_finite_latency(latency: np.ndarray) -> float:
@@ -275,11 +288,14 @@ def temporal_small_worldness(
     if not np.isfinite(l_value):
         return SmallWorldness(0.0, True)
 
+    edges = [_edge_list(layer) for layer in tn.layers]
     c_nulls = np.empty(n_null)
     l_nulls = np.empty(n_null)
     for k in range(n_null):
         rng = generator(seed, f"null:{k}")
-        layers = np.stack([_rewire_layer(layer, rng) for layer in tn.layers])
+        layers = np.stack(
+            [_rewire_layer(layer, e, rng) for layer, e in zip(tn.layers, edges)]
+        )
         null = TemporalNetwork(
             nodes=tn.nodes, layers=layers, binarize_rule=tn.binarize_rule, metric=tn.metric
         )

@@ -5,12 +5,15 @@ import pytest
 
 from jrpnet.embedding import (
     AMI_BINS,
+    FNN_ATOL,
+    FNN_RTOL,
     EmbeddingParams,
     ami_curve,
     embed,
     estimate_delay,
     estimate_dimension,
 )
+from jrpnet.embedding import _fnn_fraction
 from jrpnet.errors import DegenerateInputError, InputError
 
 
@@ -114,6 +117,46 @@ def test_delay_is_deterministic():
         2 * np.pi * np.arange(600) / 7.0
     )
     assert estimate_delay(x) == estimate_delay(x)
+
+
+def fnn_oracle(x, m, tau):
+    """Bounds on the Kennel false-neighbor fraction, with nearest neighbors
+    found by brute force over all other states.
+
+    A state equidistant from two copies of one state may take either as
+    its neighbor, and their futures differ; such a row counts toward the
+    upper bound if either choice is false and toward the lower bound only
+    if both are.
+    """
+    n = x.size - m * tau
+    states = np.stack([x[i * tau : i * tau + n] for i in range(m)], axis=1)
+    ahead = x[m * tau : m * tau + n]
+    d = np.sqrt(((states[:, None, :] - states[None, :, :]) ** 2).sum(axis=2))
+    np.fill_diagonal(d, np.inf)
+    dist = d.min(axis=1, keepdims=True)
+    extra = np.abs(ahead[:, None] - ahead[None, :])
+    scale = x.std()
+    crit_rel = (extra > FNN_RTOL * dist) & (extra > 1e-9 * scale)
+    crit_abs = np.sqrt(dist**2 + extra**2) > FNN_ATOL * scale
+    false = crit_rel | crit_abs
+    nearest = d == dist
+    lo = np.all(false | ~nearest, axis=1).mean()
+    hi = np.any(false & nearest, axis=1).mean()
+    return float(lo), float(hi)
+
+
+def test_fnn_fraction_never_takes_a_state_as_its_own_neighbor():
+    # one copied state pair whose futures differ is a false neighbor; a
+    # KD-tree query may return the state itself behind its copy
+    exact = 0
+    for seed in range(50):
+        x = np.random.default_rng(seed).normal(size=300)
+        x[200:203] = x[50:53]
+        for m in (1, 2, 3):
+            lo, hi = fnn_oracle(x, m, 1)
+            assert lo <= _fnn_fraction(x, m, 1, FNN_RTOL, FNN_ATOL) <= hi
+            exact += lo == hi
+    assert exact >= 100
 
 
 def test_dimension_on_clean_sine():

@@ -297,6 +297,40 @@ def test_trial_added_after_embed_params_is_embedded(dataset, pipeline_out, tmp_p
     assert _tree(out / "networks") == _tree(out_dir / "networks")
 
 
+@pytest.fixture(scope="module")
+def nine_trials(tmp_path_factory):
+    data_dir = tmp_path_factory.mktemp("nine")
+    specs, labels = three_regime_specs(n_per_regime=3, seed=11, length_samples=640)
+    write_dataset(specs, labels, data_dir)
+    out_dir = tmp_path_factory.mktemp("nine_out")
+    run_pipeline(data_dir, out_dir, CONFIG)
+    return data_dir, out_dir
+
+
+@pytest.mark.parametrize("stage", [stage_evaluate, stage_train], ids=["evaluate", "train"])
+def test_trial_added_after_features_is_learned_from(nine_trials, tmp_path, stage):
+    # features.csv and evaluation.json stamped with CONFIG but lacking a
+    # trial count as stale: the stage writes what a fresh run writes
+    data_dir, out_dir = nine_trials
+    grown, out = tmp_path / "grown", tmp_path / "out"
+    grown.mkdir()
+    *first, last = discover_trials(data_dir)
+    shutil.copy(data_dir / "labels.csv", grown)
+    for t in first:
+        shutil.copy(t.csv_path, grown)
+        shutil.copy(t.schema_path, grown)
+    run_pipeline(grown, out, CONFIG)
+    shutil.copy(last.csv_path, grown)
+    shutil.copy(last.schema_path, grown)
+    stage(grown, out, CONFIG)
+    after, fresh = _tree(out), _tree(out_dir)
+    if stage is stage_evaluate:
+        # the models of the 8-trial run are not the evaluate stage's to rewrite
+        after = {k: v for k, v in after.items() if not k.startswith("model_")}
+        fresh = {k: v for k, v in fresh.items() if not k.startswith("model_")}
+    assert after == fresh
+
+
 def test_unknown_target_is_rejected_before_any_work(dataset, tmp_path):
     out = tmp_path / "out"
     with pytest.raises(InputError, match="unknown target 'mood'"):

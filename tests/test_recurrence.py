@@ -6,6 +6,7 @@ from scipy.spatial.distance import pdist
 
 from jrpnet.errors import DegenerateInputError, InputError
 from jrpnet.recurrence import (
+    NORMS,
     joint_recurrence_plot,
     recurrence_plot,
     threshold_for_rate,
@@ -91,6 +92,35 @@ def test_threshold_for_rate_calibrates():
         eps = threshold_for_rate(states, 0.1)
         achieved = off_diagonal_rate(recurrence_plot(states, eps).bits)
         assert abs(achieved - 0.1) <= 0.02
+
+
+def sorted_threshold(states, rate, norm):
+    """The quantile by a full sort of the ordered off-diagonal distances."""
+    doubled = np.sort(np.repeat(pdist(states, metric=NORMS[norm]), 2))
+    virtual = rate * (doubled.size - 1)
+    k = int(virtual)
+    frac = virtual - k
+    lo, hi = doubled[k], doubled[min(k + 1, doubled.size - 1)]
+    return float(lo + frac * (hi - lo)), k
+
+
+def test_threshold_for_rate_equals_the_sorted_quantile():
+    rng = np.random.default_rng(8)
+    parities = set()
+    # at a few hundred states the partition sometimes leaves a larger
+    # distance next to the lower statistic
+    for n in (3, 4, 7, 10, 25, 60, 141) + (300,) * 8:
+        states = rng.normal(size=(n, 3))
+        # coarse copies put ties among the distances
+        for trajectory in (states, np.round(states, 1)):
+            for norm in NORMS:
+                for rate in (0.05, 0.1, 0.2, 1.0):
+                    want, k = sorted_threshold(trajectory, rate, norm)
+                    if want <= 0.0:
+                        continue
+                    assert threshold_for_rate(trajectory, rate, norm) == want
+                    parities.add(k % 2)
+    assert parities == {0, 1}
 
 
 def test_threshold_rate_one_connects_everything():

@@ -13,7 +13,8 @@ from jrpnet.tempnet import (
     temporal_efficiency,
     temporal_small_worldness,
 )
-from jrpnet.tempnet import _rewire_layer
+from jrpnet import tempnet
+from jrpnet.tempnet import _edge_list, _rewire_layer
 
 
 def network(edge_lists, n, names=None):
@@ -231,11 +232,91 @@ def test_rewiring_preserves_degrees_and_simplicity():
         layer = rng.random((n, n)) < float(rng.uniform(0.2, 0.6))
         layer = layer | layer.T
         np.fill_diagonal(layer, False)
-        rewired = _rewire_layer(layer, np.random.default_rng(int(rng.integers(1 << 30))))
+        rewired = _rewire_layer(
+            layer, _edge_list(layer), np.random.default_rng(int(rng.integers(1 << 30)))
+        )
         assert rewired.dtype == bool
         assert np.array_equal(rewired, rewired.T)
         assert not rewired.diagonal().any()
         assert np.array_equal(rewired.sum(axis=0), layer.sum(axis=0))
+
+
+def reference_rewire_layer(layer, rng):
+    """Degree-preserving rewiring as first written, on NumPy arrays."""
+    edges = [tuple(e) for e in np.argwhere(np.triu(layer, k=1))]
+    m = len(edges)
+    if m < 2:
+        return layer.copy()
+    adj = layer.copy()
+    attempts = 4 * m
+    for _ in range(attempts):
+        k1, k2 = rng.integers(0, m, size=2)
+        if k1 == k2:
+            continue
+        a, b = edges[k1]
+        c, d = edges[k2]
+        if rng.integers(0, 2):
+            c, d = d, c
+        if len({a, b, c, d}) < 4:
+            continue
+        if adj[a, d] or adj[c, b]:
+            continue
+        adj[a, b] = adj[b, a] = False
+        adj[c, d] = adj[d, c] = False
+        adj[a, d] = adj[d, a] = True
+        adj[c, b] = adj[b, c] = True
+        edges[k1] = (min(a, d), max(a, d))
+        edges[k2] = (min(c, b), max(c, b))
+    return adj
+
+
+def random_layers(rng, T, n, density):
+    layers = rng.random((T, n, n)) < density
+    layers = np.triu(layers, k=1)
+    return layers | layers.transpose(0, 2, 1)
+
+
+def test_rewiring_matches_the_reference_draw_for_draw():
+    rng = np.random.default_rng(47)
+    kinds = set()
+    for n in range(2, 11):
+        for density in (0.0, 0.15, 0.4, 0.7, 1.0):
+            for layer in random_layers(rng, 6, n, density):
+                seed = int(rng.integers(1 << 30))
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                edges = _edge_list(layer)
+                before = list(edges)
+                got = _rewire_layer(layer, edges, ours)
+                want = reference_rewire_layer(layer, ref)
+                assert got.dtype == want.dtype == bool
+                assert np.array_equal(got, want)
+                assert edges == before
+                assert ours.bit_generator.state == ref.bit_generator.state
+                assert ours.integers(0, 1 << 30) == ref.integers(0, 1 << 30)
+                m = len(edges)
+                kinds.add("m<2" if m < 2 else "complete" if 2 * m == n * (n - 1) else "partial")
+    assert kinds == {"m<2", "complete", "partial"}
+
+
+def test_small_worldness_matches_the_reference_rewiring(monkeypatch):
+    rng = np.random.default_rng(48)
+    networks = [complete_network(4, 3), network([[(0, 1)], [(0, 1), (2, 3)]], 4)]
+    for n in (4, 5, 8):
+        for density in (0.3, 0.6):
+            layers = random_layers(rng, 5, n, density)
+            networks.append(
+                TemporalNetwork(
+                    nodes=tuple(f"n{k}" for k in range(n)), layers=layers,
+                    binarize_rule={}, metric="JDET",
+                )
+            )
+    ours = [temporal_small_worldness(tn, n_null=6, seed=9) for tn in networks]
+    monkeypatch.setattr(
+        tempnet, "_rewire_layer", lambda layer, edges, rng: reference_rewire_layer(layer, rng)
+    )
+    want = [temporal_small_worldness(tn, n_null=6, seed=9) for tn in networks]
+    assert ours == want
+    assert any(not sw.degenerate and sw.value != 1.0 for sw in ours)
 
 
 def test_feature_vector_of_complete_network():
