@@ -14,7 +14,7 @@ import numpy as np
 
 from jrpnet.config import PipelineConfig
 from jrpnet.ingest import segment_windows, zscore_channels
-from jrpnet.netbuild import channel_graph
+from jrpnet.netbuild import channel_graphs
 from jrpnet.pipeline import estimate_trial_embeddings
 from jrpnet.synth import CouplingSpec, generate
 
@@ -44,7 +44,7 @@ for mu in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
     zscored = zscore_channels(recording)
     window = segment_windows(zscored, window_s=10.0, overlap_fraction=0.0)[0]
     embeddings = estimate_trial_embeddings(recording, config)
-    graph = channel_graph(window, embeddings, metric="JDET")
+    graph = channel_graphs(window, embeddings, ("JDET",))["JDET"]
     print(f"  {mu:.1f}   {gap:9.4f}   {graph.weights[0, 1]:8.3f}")
 
 print()

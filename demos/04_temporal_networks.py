@@ -24,7 +24,7 @@ import numpy as np
 
 from jrpnet.config import PipelineConfig
 from jrpnet.ingest import segment_windows, zscore_channels
-from jrpnet.netbuild import assemble_temporal_network, channel_graph, write_dot
+from jrpnet.netbuild import assemble_temporal_network, channel_graphs, write_dot
 from jrpnet.pipeline import estimate_trial_embeddings
 from jrpnet.synth import CouplingSpec, generate
 from jrpnet.tempnet import (
@@ -56,7 +56,7 @@ config = PipelineConfig(window_s=5.0, overlap=0.2, tau_max=16, m_max=6)
 windows = segment_windows(zscore_channels(recording), config.window_s, config.overlap)
 embeddings = estimate_trial_embeddings(recording, config)
 
-graphs = [channel_graph(w, embeddings, metric="JDET") for w in windows]
+graphs = [channel_graphs(w, embeddings, ("JDET",))["JDET"] for w in windows]
 print(f"{len(graphs)} windows, JDET weights of window 0:")
 with np.printoptions(precision=3, suppress=True):
     print(graphs[0].weights)

@@ -55,7 +55,7 @@ print("   configuration the same pipeline reaches roughly 0.8)")
 
 # The feature table: one row per (trial, metric), one column per
 # temporal-network feature.
-config_raw, columns, rows = read_features_csv(str(out_dir / "features.csv"))
+_, columns, rows = read_features_csv(str(out_dir / "features.csv"))
 print()
 print(f"features.csv: {len(rows)} rows, {len(columns)} feature columns")
 print(f"  columns: {', '.join(columns)}")

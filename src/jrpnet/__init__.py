@@ -54,7 +54,6 @@ from .netbuild import (
     TemporalNetwork,
     WeightedGraph,
     assemble_temporal_network,
-    channel_graph,
     channel_graphs,
     merge_modalities,
     write_dot,

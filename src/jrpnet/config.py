@@ -1,4 +1,4 @@
-"""Pipeline configuration: one flat record, serialized into every artifact.
+"""Pipeline configuration: one flat record, stamped into every artifact.
 
 Defaults follow the analysis parameters stated by the study this
 pipeline operationalizes (5 s windows with 20% overlap, minimum line
@@ -15,9 +15,20 @@ from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError
 
-__all__ = ["CONFIG_SCHEMA_VERSION", "PipelineConfig", "load_config"]
+__all__ = ["CONFIG_SCHEMA_VERSION", "STAGE_FIELDS", "PipelineConfig", "load_config"]
 
-CONFIG_SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 2
+
+#: The stages in order, each with the config fields its own code reads.
+#: An artifact depends on its stage's fields and on every earlier stage's;
+#: train reads nothing evaluate does not.
+STAGE_FIELDS: dict[str, tuple[str, ...]] = {
+    "embed-params": ("target_rr", "norm", "tau_max", "m_max"),
+    "analyze": ("window_s", "overlap", "l_min", "v_min", "binarize_rho", "weight_metric"),
+    "features": ("n_null", "seed"),
+    "evaluate": ("lambda_points", "lambda_span", "k_folds"),
+    "train": (),
+}
 
 _WEIGHT_METRICS = ("JDET", "JLAM", "both")
 

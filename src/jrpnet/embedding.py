@@ -176,11 +176,20 @@ def _fnn_fraction(x: np.ndarray, m: int, tau: int, rtol: float, atol: float) -> 
     ahead = x[m * tau : m * tau + n_usable]
     tree = cKDTree(states)
     dist, idx = tree.query(states, k=2)
+    rows = np.arange(n_usable)
     # with repeated states the query point itself may come second, behind
     # a coincident copy; the nearest other point is then that copy
-    first_is_other = idx[:, 0] != np.arange(n_usable)
-    dist = np.where(first_is_other, dist[:, 0], dist[:, 1])
-    neighbor = np.where(first_is_other, idx[:, 0], idx[:, 1])
+    neighbor = np.where(idx[:, 0] != rows, idx[:, 0], idx[:, 1])
+    dist = dist[:, 1]
+    if not dist.all():
+        # Exact copies of the neighbor tie with it, and the tree returns
+        # one of them in its own order; take the lowest index other than
+        # the query point, so the fraction depends on the data alone.
+        group = np.unique(states, axis=0, return_inverse=True)[1].reshape(-1)
+        order = np.lexsort((rows, group))
+        start = np.searchsorted(group[order], group)
+        lowest, second = order[start], order[np.minimum(start + 1, n_usable - 1)]
+        neighbor = np.where(lowest[neighbor] != rows, lowest[neighbor], second[neighbor])
     extra = np.abs(ahead - ahead[neighbor])
     scale = x.std()
     # Exact repeats of periodic signals give dist ~ 0 with extra at float

@@ -31,7 +31,6 @@ __all__ = [
     "ChannelEmbedding",
     "WeightedGraph",
     "TemporalNetwork",
-    "channel_graph",
     "channel_graphs",
     "merge_modalities",
     "assemble_temporal_network",
@@ -156,18 +155,6 @@ def channel_graphs(
         m: WeightedGraph(nodes=names, weights=weights[m], window_index=window.index, metric=m)
         for m in metrics
     }
-
-
-def channel_graph(
-    window: Window,
-    embeddings: dict[str, ChannelEmbedding | None],
-    metric: str = "JDET",
-    l_min: int = DEFAULT_L_MIN,
-    v_min: int = DEFAULT_V_MIN,
-    norm: str = "L1",
-) -> WeightedGraph:
-    """Single-metric convenience wrapper around :func:`channel_graphs`."""
-    return channel_graphs(window, embeddings, (metric,), l_min, v_min, norm)[metric]
 
 
 def merge_modalities(graph: WeightedGraph, modality_map: dict[str, str]) -> WeightedGraph:

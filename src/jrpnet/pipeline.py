@@ -11,11 +11,16 @@ A data directory holds one CSV + JSON-sidecar pair per trial plus a
 - ``model_<target>_<metric>.json``: final fitted models
 - ``evaluation.json``: cross-validation report
 
-Every artifact embeds the config and a schema version.  Stages hand
-results to each other only through these artifacts: a stage reads its
-input from the upstream artifact when it is present, stamped with the
-same config and covering every trial of the data directory, and
-otherwise first runs the upstream stage, which writes it.  A standalone ``features`` run therefore also leaves
+Every artifact carries a stamp of what it depends on: the config fields
+of its stage and of every earlier stage (``config.STAGE_FIELDS``), the
+exact set of trials it covers (a network file: its own trial) and the
+schema version.  Stages hand results to each other only through these
+artifacts: a stage reuses the upstream artifact when its stamp equals
+the stamp the upstream stage would write now, and otherwise first runs
+that stage, which writes it.  A learn-only change such as
+``lambda_span`` therefore reuses ``features.csv``, while an added or
+removed trial makes every artifact stamped with the whole trial set
+stale.  A standalone ``features`` run also leaves
 ``embedding_params.json`` and ``networks/`` behind, and running stages
 one by one writes byte-for-byte what a single end-to-end run writes.
 Writes are atomic (tmp file + rename), so interrupted runs never leave
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CONFIG_SCHEMA_VERSION, PipelineConfig
+from .config import CONFIG_SCHEMA_VERSION, STAGE_FIELDS, PipelineConfig
 from .embedding import EmbeddingParams, embed, estimate_delay, estimate_dimension
 from .errors import DegenerateInputError, InputError, JrpnetError
 from .ingest import (
@@ -64,6 +69,7 @@ from .recurrence import threshold_for_rate
 from .seeding import derive_seed
 from .tempnet import (
     FEATURE_SCHEMA_VERSION,
+    ReachabilityReport,
     feature_vector,
     reachability_and_latency,  # noqa: F401  (bound here for perfbench/tracing.py)
 )
@@ -118,12 +124,12 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":"))
 
 
+def _write_jsonl(path: str, header: dict, records: list[dict]) -> None:
+    _write_text(path, "".join(_json_line(obj) + "\n" for obj in [header, *records]))
+
+
 def _write_json(path: str, obj: dict) -> None:
     _write_text(path, json.dumps(obj, sort_keys=True, allow_nan=False, indent=2) + "\n")
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def discover_trials(data_dir: str | os.PathLike) -> list[TrialPaths]:
@@ -188,36 +194,27 @@ def estimate_trial_embeddings(
     return out
 
 
-def _embeddings_to_json(
-    recording: Recording, embeddings: dict[str, ChannelEmbedding | None]
-) -> dict:
-    channels = {}
-    for name in recording.channel_names:
-        emb = embeddings[name]
-        if emb is None:
-            channels[name] = None
-            continue
-        channels[name] = {
+def _embeddings_to_json(embeddings: dict[str, ChannelEmbedding | None]) -> dict:
+    return {
+        name: None if emb is None else {
             "tau": emb.params.delay_tau,
             "m": emb.params.dimension_m,
             "saturated": bool(emb.saturated),
             "epsilon": float(emb.epsilon),
         }
-    return channels
+        for name, emb in embeddings.items()
+    }
 
 
 def _embeddings_from_json(raw: dict) -> dict[str, ChannelEmbedding | None]:
-    out: dict[str, ChannelEmbedding | None] = {}
-    for name, entry in raw.items():
-        if entry is None:
-            out[name] = None
-        else:
-            out[name] = ChannelEmbedding(
-                params=EmbeddingParams(delay_tau=int(entry["tau"]), dimension_m=int(entry["m"])),
-                epsilon=float(entry["epsilon"]),
-                saturated=bool(entry.get("saturated", False)),
-            )
-    return out
+    return {
+        name: None if entry is None else ChannelEmbedding(
+            params=EmbeddingParams(delay_tau=int(entry["tau"]), dimension_m=int(entry["m"])),
+            epsilon=float(entry["epsilon"]),
+            saturated=bool(entry["saturated"]),
+        )
+        for name, entry in raw.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -268,7 +265,7 @@ def analyze_recording(
 def _embed_task(recording: Recording, config: PipelineConfig, embeddings) -> dict:
     # the window must fit before any estimate is worth making
     window_geometry(recording, config.window_s, config.overlap)
-    return _embeddings_to_json(recording, estimate_trial_embeddings(recording, config))
+    return _embeddings_to_json(estimate_trial_embeddings(recording, config))
 
 
 def _trial_call(args: tuple):
@@ -305,27 +302,46 @@ def _run_trials(
 # artifacts
 
 
-def _artifact(config: PipelineConfig, **fields) -> dict:
+def _stamp(stage: str, config: PipelineConfig, trial_ids) -> dict:
+    """What an artifact of ``stage`` over ``trial_ids`` depends on."""
+    stages = list(STAGE_FIELDS)
+    names = [k for s in stages[: stages.index(stage) + 1] for k in STAGE_FIELDS[s]]
+    values = config.to_dict()
+    return {
+        "schema_version": CONFIG_SCHEMA_VERSION,
+        "config": {k: values[k] for k in names},
+        "trials": sorted(trial_ids),
+    }
+
+
+def _is_current(stamp, stage: str, config: PipelineConfig, trial_ids) -> bool:
+    """The one staleness rule: a stored stamp must equal the one ``stage`` writes now."""
+    return stamp == _stamp(stage, config, trial_ids)
+
+
+def _artifact(stage: str, config: PipelineConfig, trial_ids, **fields) -> dict:
     """The envelope of every JSON artifact and network-file header."""
-    return {"schema_version": CONFIG_SCHEMA_VERSION, "config": config.to_dict(), **fields}
+    return {"stamp": _stamp(stage, config, trial_ids), **fields}
 
 
-def _read_artifact(path: str, config: PipelineConfig) -> dict | None:
-    """A JSON artifact, or None if it is missing or stamped with another config."""
+def _read_artifact(path: str, stage: str, config: PipelineConfig, trial_ids) -> dict | None:
+    """A JSON artifact, or None if it is missing or stale."""
     if not os.path.isfile(path):
         return None
     with open(path, encoding="utf-8") as fh:
         artifact = json.load(fh)
-    return artifact if artifact.get("config") == config.to_dict() else None
+    return artifact if _is_current(artifact.get("stamp"), stage, config, trial_ids) else None
 
 
-def _read_binary_network(path: str, config: PipelineConfig) -> TemporalNetwork | None:
+def _read_binary_network(
+    path: str, config: PipelineConfig, trial_id: str
+) -> TemporalNetwork | None:
     if not os.path.isfile(path):
         return None
     with open(path, encoding="utf-8") as fh:
         lines = [json.loads(line) for line in fh if line.strip()]
     header, records = lines[0], lines[1:]
-    if header.get("config") != config.to_dict():
+    if not _is_current(header.get("stamp"), "analyze", config, [trial_id]):
         return None
     nodes = tuple(header["nodes"])
     n = len(nodes)
@@ -351,7 +367,7 @@ def _load_networks(
         networks[t.trial_id] = {}
         for metric in config.metrics:
             path = os.path.join(out_dir, "networks", f"{t.trial_id}.{metric}.binary.jsonl")
-            tn = _read_binary_network(path, config)
+            tn = _read_binary_network(path, config, t.trial_id)
             if tn is None:
                 return None
             networks[t.trial_id][metric] = tn
@@ -359,52 +375,43 @@ def _load_networks(
 
 
 def read_features_csv(path: str) -> tuple[dict, list[str], list[dict]]:
-    """Parse a features artifact: (config, feature column names, rows)."""
+    """Parse a features artifact: (stamp, feature column names, rows)."""
     if not os.path.isfile(path):
         raise InputError(f"features file {path} does not exist")
-    config_raw: dict = {}
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    body: list[str] = []
-    for line in lines:
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            if key == "config":
-                config_raw = json.loads(value)
-            continue
-        if line:
-            body.append(line)
-    header = body[0].split(",")
+        lines = [line for line in fh.read().splitlines() if line]
+    stamps = [line.partition("=")[2] for line in lines if line.startswith("# stamp=")]
+    body = [line.split(",") for line in lines if not line.startswith("# ")]
+    header = body[0]
     if header[:2] != ["trial_id", "metric"]:
         raise InputError(f"features file {path} has unexpected columns {header[:2]}")
-    columns = header[2:]
-    rows = []
-    for line in body[1:]:
-        cells = line.split(",")
-        rows.append(
-            {
-                "trial_id": cells[0],
-                "metric": cells[1],
-                "values": [float(c) for c in cells[2:]],
-            }
-        )
-    return config_raw, columns, rows
+    rows = [
+        {"trial_id": cells[0], "metric": cells[1], "values": [float(c) for c in cells[2:]]}
+        for cells in body[1:]
+    ]
+    return (json.loads(stamps[0]) if stamps else {}), header[2:], rows
+
+
+def _reachability_json(rep: ReachabilityReport) -> dict:
+    return {
+        "nodes": list(rep.nodes),
+        "latency": [[None if np.isinf(v) else int(v) for v in row] for row in rep.latency],
+        "fastest_path_counts": [[int(v) for v in row] for row in rep.fastest_path_counts],
+        "strong_pairs": sorted(map(list, rep.strong_pairs)),
+        "weak_pairs": sorted(map(list, rep.weak_pairs)),
+    }
 
 
 def _labeled_tables(
     stage: str, data_dir: str, out_dir: str, config: PipelineConfig, jobs: int
 ) -> dict[str, FeatureTable]:
     """Per-metric feature tables from ``features.csv`` with discretized
-    labels attached; the stage writes that file first if it is missing,
-    stamped with another config or lacking a discovered trial."""
+    labels attached; the stage writes that file first if it is missing
+    or stale."""
     path = os.path.join(out_dir, "features.csv")
     parsed = read_features_csv(path) if os.path.isfile(path) else None
-    trial_ids = {t.trial_id for t in discover_trials(data_dir)}
-    if (
-        parsed is None
-        or parsed[0] != config.to_dict()
-        or not trial_ids <= {r["trial_id"] for r in parsed[2]}
-    ):
+    trial_ids = [t.trial_id for t in discover_trials(data_dir)]
+    if parsed is None or not _is_current(parsed[0], "features", config, trial_ids):
         stage_features(data_dir, out_dir, config, jobs)
         parsed = read_features_csv(path)
     _, columns, rows = parsed
@@ -448,7 +455,7 @@ def stage_embed_params(
     """Estimate and persist per-channel embedding parameters."""
     trials = discover_trials(data_dir)
     params = _run_trials("embed-params", _embed_task, trials, config, jobs)
-    artifact = _artifact(config, trials=params)
+    artifact = _artifact("embed-params", config, params, trials=params)
     _write_json(os.path.join(os.fspath(out_dir), "embedding_params.json"), artifact)
     return artifact
 
@@ -462,32 +469,35 @@ def stage_analyze(
     """Write weighted graphs and binarized temporal networks per trial."""
     out_dir = os.fspath(out_dir)
     trials = discover_trials(data_dir)
-    params = _read_artifact(os.path.join(out_dir, "embedding_params.json"), config)
-    if params is None or any(t.trial_id not in params["trials"] for t in trials):
-        params = stage_embed_params(data_dir, out_dir, config, jobs)
+    params = _read_artifact(
+        os.path.join(out_dir, "embedding_params.json"),
+        "embed-params",
+        config,
+        [t.trial_id for t in trials],
+    ) or stage_embed_params(data_dir, out_dir, config, jobs)
     results = _run_trials("analyze", analyze_recording, trials, config, jobs, params["trials"])
+    networks_dir = os.path.join(out_dir, "networks")
     for tid, r in results.items():
-        header = _artifact(config, kind="weighted_graphs", trial_id=tid)
-        lines = [_json_line(header)] + [_json_line(rec) for rec in r.weighted_records]
-        _write_text(
-            os.path.join(out_dir, "networks", f"{tid}.weighted.jsonl"),
-            "\n".join(lines) + "\n",
+        _write_jsonl(
+            os.path.join(networks_dir, f"{tid}.weighted.jsonl"),
+            _artifact("analyze", config, [tid], kind="weighted_graphs", trial_id=tid),
+            r.weighted_records,
         )
         for metric, tn in r.networks.items():
             header = _artifact(
+                "analyze",
                 config,
+                [tid],
                 kind="temporal_network",
                 trial_id=tid,
                 metric=metric,
                 nodes=list(tn.nodes),
                 binarize_rule=tn.binarize_rule,
             )
-            lines = [_json_line(header)] + [
-                _json_line(binary_record(tn, w)) for w in range(tn.n_layers)
-            ]
-            _write_text(
-                os.path.join(out_dir, "networks", f"{tid}.{metric}.binary.jsonl"),
-                "\n".join(lines) + "\n",
+            _write_jsonl(
+                os.path.join(networks_dir, f"{tid}.{metric}.binary.jsonl"),
+                header,
+                [binary_record(tn, w) for w in range(tn.n_layers)],
             )
 
 
@@ -531,39 +541,24 @@ def stage_features(
     names = features[trial_ids[0]][first].names(nodes)
     lines = [
         f"# schema_version={FEATURE_SCHEMA_VERSION}",
-        f"# config={_json_line(config.to_dict())}",
+        f"# stamp={_json_line(_stamp('features', config, trial_ids))}",
         ",".join(["trial_id", "metric"] + names),
     ]
     for tid in trial_ids:
         for metric in config.metrics:
             values = features[tid][metric].values()
-            lines.append(",".join([tid, metric] + [_fmt(v) for v in values]))
+            lines.append(",".join([tid, metric] + [repr(float(v)) for v in values]))
     path = os.path.join(out_dir, "features.csv")
     _write_text(path, "\n".join(lines) + "\n")
 
-    reach = {tid: {m: f.reachability for m, f in features[tid].items()} for tid in trial_ids}
-    report = _artifact(
-        config,
-        trials={
-            tid: {
-                metric: {
-                    "nodes": list(rep.nodes),
-                    "latency": [
-                        [None if np.isinf(v) else int(v) for v in row]
-                        for row in rep.latency
-                    ],
-                    "fastest_path_counts": [
-                        [int(v) for v in row] for row in rep.fastest_path_counts
-                    ],
-                    "strong_pairs": sorted(map(list, rep.strong_pairs)),
-                    "weak_pairs": sorted(map(list, rep.weak_pairs)),
-                }
-                for metric, rep in reach[tid].items()
-            }
-            for tid in trial_ids
-        },
+    reach = {
+        tid: {metric: _reachability_json(f.reachability) for metric, f in features[tid].items()}
+        for tid in trial_ids
+    }
+    _write_json(
+        os.path.join(out_dir, "reachability.json"),
+        _artifact("features", config, trial_ids, trials=reach),
     )
-    _write_json(os.path.join(out_dir, "reachability.json"), report)
     return path
 
 
@@ -595,7 +590,8 @@ def stage_evaluate(
                     "mean_accuracy_per_lambda": list(cv.mean_accuracy_per_lambda),
                     "n_trials": len(table.trial_ids),
                 }
-    report = _artifact(config, results=results)
+    trial_ids = tables[config.metrics[0]].trial_ids
+    report = _artifact("evaluate", config, trial_ids, results=results)
     _write_json(os.path.join(out_dir, "evaluation.json"), report)
     return report
 
@@ -613,23 +609,19 @@ def stage_train(
             if target not in TARGETS:
                 raise InputError(f"unknown target {target!r}; choose from {TARGETS}")
     tables = _labeled_tables("train", data_dir, out_dir, config, jobs)
-    # an evaluation over another set of trials is stale too
-    report = _read_artifact(os.path.join(out_dir, "evaluation.json"), config)
-    if report is None or any(
-        report["results"][target][metric]["n_trials"] != len(tables[metric].trial_ids)
-        for target in TARGETS
-        for metric in config.metrics
-    ):
-        report = stage_evaluate(data_dir, out_dir, config, jobs)
+    trial_ids = tables[config.metrics[0]].trial_ids
+    report = _read_artifact(
+        os.path.join(out_dir, "evaluation.json"), "evaluate", config, trial_ids
+    ) or stage_evaluate(data_dir, out_dir, config, jobs)
 
     written = []
     with _stage("train"):
         for target in targets:
             for metric in config.metrics:
                 lam = float(report["results"][target][metric]["selected_lambda"])
-                model = fit_lasso(tables[metric], target, lam)
+                model = model_to_dict(fit_lasso(tables[metric], target, lam))
                 artifact = _artifact(
-                    config, target=target, metric=metric, model=model_to_dict(model)
+                    "train", config, trial_ids, target=target, metric=metric, model=model
                 )
                 path = os.path.join(out_dir, f"model_{target}_{metric}.json")
                 _write_json(path, artifact)

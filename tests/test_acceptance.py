@@ -16,7 +16,7 @@ from scipy.stats import mannwhitneyu
 from jrpnet.config import PipelineConfig
 from jrpnet.ingest import Window, zscore_channels
 from jrpnet.learn import FeatureTable, cross_validate, fit_lasso, lambda_grid
-from jrpnet.netbuild import TemporalNetwork, channel_graph
+from jrpnet.netbuild import TemporalNetwork, channel_graphs
 from jrpnet.pipeline import TARGETS, estimate_trial_embeddings, run_pipeline
 from jrpnet.recurrence import joint_recurrence_plot, recurrence_plot, threshold_for_rate
 from jrpnet.rqa import determinism, laminarity
@@ -249,7 +249,7 @@ def test_coupling_raises_joint_determinism():
                 channel_names=recording.channel_names,
                 samples=zscore_channels(recording).samples,
             )
-            graph = channel_graph(window, embeddings, metric="JDET", norm=config.norm)
+            graph = channel_graphs(window, embeddings, ("JDET",), norm=config.norm)["JDET"]
             bucket.append(graph.weights[0, 1])
     p = mannwhitneyu(coupled, uncoupled, alternative="greater").pvalue
     verdict(

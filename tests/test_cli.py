@@ -19,6 +19,7 @@ from jrpnet.errors import (
     ParseError,
     SchemaError,
 )
+from jrpnet.pipeline import read_features_csv
 from jrpnet.synth import three_regime_specs, write_dataset
 
 SMALL_CONFIG = {"k_folds": 2, "n_null": 2, "lambda_points": 4, "tau_max": 8, "m_max": 6}
@@ -125,10 +126,20 @@ def test_embed_params_prints_the_artifact(dataset, config_file, tmp_path, capsys
         "dense_000", "dense_001", "none_000", "none_001", "sparse_000", "sparse_001"
     }
     artifact = json.loads((out / "embedding_params.json").read_text())
-    assert artifact["config"]["seed"] == 3
-    assert artifact["config"]["k_folds"] == 2
+    assert artifact["stamp"]["config"] == {
+        "target_rr": 0.1, "norm": "L1", "tau_max": 8, "m_max": 6
+    }
     sample = printed["dense_000"]["m1a"]
     assert set(sample) == {"tau", "m", "saturated", "epsilon"}
+    # the features stage reads the seed
+    code = main([
+        "features", "--in", str(dataset), "--out", str(out),
+        "--config", str(config_file), "--seed", "3",
+    ])
+    assert code == 0
+    stamp, _, _ = read_features_csv(out / "features.csv")
+    assert stamp["config"]["seed"] == 3
+    assert stamp["config"]["n_null"] == 2
 
 
 def test_missing_labels_exits_2(dataset, config_file, tmp_path, capsys):

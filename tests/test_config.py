@@ -1,10 +1,11 @@
 """Configuration record: defaults, validation, file loading."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
-from jrpnet.config import CONFIG_SCHEMA_VERSION, PipelineConfig, load_config
+from jrpnet.config import CONFIG_SCHEMA_VERSION, STAGE_FIELDS, PipelineConfig, load_config
 from jrpnet.errors import InputError
 
 
@@ -27,7 +28,13 @@ def test_default_values():
         "tau_max": None,
         "m_max": 10,
     }
-    assert CONFIG_SCHEMA_VERSION == 1
+    assert CONFIG_SCHEMA_VERSION == 2
+
+
+def test_every_field_belongs_to_exactly_one_stage():
+    assert list(STAGE_FIELDS) == ["embed-params", "analyze", "features", "evaluate", "train"]
+    listed = [name for own in STAGE_FIELDS.values() for name in own]
+    assert sorted(listed) == sorted(f.name for f in fields(PipelineConfig))
 
 
 def test_metrics_property():

@@ -14,7 +14,6 @@ from jrpnet.netbuild import (
     WeightedGraph,
     assemble_temporal_network,
     binary_record,
-    channel_graph,
     channel_graphs,
     merge_modalities,
     weighted_record,
@@ -107,7 +106,7 @@ def test_metrics_share_one_graph_pass():
     window = logistic_window(3, 90, seed=11)
     embeddings = simple_embeddings(window)
     both = channel_graphs(window, embeddings)
-    single = channel_graph(window, embeddings, metric="JLAM")
+    single = channel_graphs(window, embeddings, ("JLAM",))["JLAM"]
     assert np.array_equal(both["JLAM"].weights, single.weights, equal_nan=True)
     assert single.metric == "JLAM"
     assert single.window_index == window.index

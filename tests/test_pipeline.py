@@ -2,14 +2,17 @@
 
 import json
 import os
+import re
 import shutil
+from collections import Counter
 
 import pytest
 
 from jrpnet import pipeline
-from jrpnet.config import PipelineConfig
+from jrpnet.config import CONFIG_SCHEMA_VERSION, PipelineConfig
 from jrpnet.errors import InputError
 from jrpnet.ingest import load_recording
+from jrpnet.learn import CLASS_ORDER, discretize_score
 from jrpnet.pipeline import (
     TARGETS,
     discover_trials,
@@ -69,8 +72,13 @@ def test_all_artifacts_exist(dataset, pipeline_out):
 
 def test_features_csv_layout(dataset, pipeline_out):
     out_dir, _ = pipeline_out
-    config_raw, columns, rows = read_features_csv(os.fspath(out_dir / "features.csv"))
-    assert config_raw == CONFIG.to_dict()
+    stamp, columns, rows = read_features_csv(os.fspath(out_dir / "features.csv"))
+    learn_only = ("lambda_points", "lambda_span", "k_folds")
+    assert stamp == {
+        "schema_version": CONFIG_SCHEMA_VERSION,
+        "config": {k: v for k, v in CONFIG.to_dict().items() if k not in learn_only},
+        "trials": trial_ids(dataset),
+    }
     assert columns[:8] == [
         "efficiency",
         "mean_latency",
@@ -90,7 +98,7 @@ def test_features_csv_layout(dataset, pipeline_out):
 
 def test_evaluation_report_layout(pipeline_out):
     _, report = pipeline_out
-    assert report["config"] == CONFIG.to_dict()
+    assert report["stamp"]["config"] == CONFIG.to_dict()
     for target in TARGETS:
         for metric in CONFIG.metrics:
             entry = report["results"][target][metric]
@@ -276,6 +284,100 @@ def test_stale_upstream_is_recomputed(dataset, pipeline_out, tmp_path, stage, ch
     written, after = _tree(fresh), _tree(stale)
     assert written
     assert {name: after.get(name) for name in written} == written
+
+
+def test_learn_only_change_reuses_features(dataset, pipeline_out, tmp_path, monkeypatch):
+    # lambda_span is read by evaluate alone: embedding params, networks and
+    # features of the CONFIG run stay current, and only learning reruns
+    out_dir, _ = pipeline_out
+    changed = CONFIG.replace(lambda_span=0.3)
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    stage_train(dataset, fresh, changed)
+    shutil.copytree(out_dir, reused)
+
+    def features_again(*args):
+        raise AssertionError("features.csv is current and must be reused")
+
+    monkeypatch.setattr(pipeline, "stage_features", features_again)
+    stage_train(dataset, reused, changed)
+    before, after, written = _tree(out_dir), _tree(reused), _tree(fresh)
+    for name in before:
+        if name.startswith("networks/") or name in ARTIFACTS[:3]:
+            assert after[name] == before[name], name
+    for name in ARTIFACTS[3:]:
+        assert after[name] == written[name], name
+
+
+@pytest.mark.parametrize("stage", [stage_evaluate, stage_train], ids=["evaluate", "train"])
+def test_trial_removed_after_run_is_not_learned_from(nine_trials, tmp_path, stage):
+    # features.csv and evaluation.json stamped with a trial the data
+    # directory no longer holds are stale: the stage writes what a fresh
+    # run on the remaining trials writes
+    data_dir, out_dir = nine_trials
+    shrunk, out, fresh = tmp_path / "shrunk", tmp_path / "out", tmp_path / "fresh"
+    shrunk.mkdir()
+    shutil.copy(data_dir / "labels.csv", shrunk)
+    for t in discover_trials(data_dir)[:-1]:
+        shutil.copy(t.csv_path, shrunk)
+        shutil.copy(t.schema_path, shrunk)
+    shutil.copytree(out_dir, out)
+    stage(shrunk, out, CONFIG)
+    stage(shrunk, fresh, CONFIG)
+    written = ARTIFACTS[1:4] + (ARTIFACTS[4:] if stage is stage_train else [])
+    for name in written:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "name, stage",
+    [
+        ("embedding_params.json", stage_analyze),
+        ("networks/dense_000.JDET.binary.jsonl", stage_features),
+        ("features.csv", stage_evaluate),
+        ("evaluation.json", stage_train),
+    ],
+    ids=["embed-params", "analyze", "features", "evaluate"],
+)
+def test_other_schema_version_is_recomputed(dataset, pipeline_out, tmp_path, name, stage):
+    out_dir, _ = pipeline_out
+    old = tmp_path / "old"
+    shutil.copytree(out_dir, old)
+    path = old / name
+    text, n = re.subn(
+        rf'"schema_version": ?{CONFIG_SCHEMA_VERSION}\b',
+        f'"schema_version": {CONFIG_SCHEMA_VERSION - 1}',
+        path.read_text(),
+    )
+    assert n == 1
+    path.write_text(text)
+    stage(dataset, old, CONFIG)
+    assert _tree(old) == _tree(out_dir)
+
+
+def test_confusion_rows_count_each_targets_classes(dataset, pipeline_out, tmp_path):
+    # arousal classes distributed unlike valence ones: a mix-up of the two
+    # targets shows in the row sums, the true class counts of each target
+    out_dir, _ = pipeline_out
+    relabeled, out = tmp_path / "relabeled", tmp_path / "out"
+    relabeled.mkdir()
+    out.mkdir()
+    ids = trial_ids(dataset)
+    for t in discover_trials(dataset):
+        shutil.copy(t.csv_path, relabeled)
+        shutil.copy(t.schema_path, relabeled)
+    scores = {
+        "valence": dict(zip(ids, [8.0, 8.0, 2.0, 2.0, 5.0, 5.0])),
+        "arousal": dict(zip(ids, [2.0, 2.0, 2.0, 8.0, 8.0, 2.0])),
+    }
+    rows = [f"{tid},{scores['valence'][tid]!r},{scores['arousal'][tid]!r}" for tid in ids]
+    (relabeled / "labels.csv").write_text("\n".join(["trial_id,valence,arousal"] + rows) + "\n")
+    shutil.copy(out_dir / "features.csv", out)
+    report = stage_evaluate(relabeled, out, CONFIG)
+    for target in TARGETS:
+        counts = Counter(discretize_score(score) for score in scores[target].values())
+        for metric in CONFIG.metrics:
+            confusion = report["results"][target][metric]["confusion"]
+            assert [sum(row) for row in confusion] == [counts[c] for c in CLASS_ORDER]
 
 
 def test_trial_added_after_embed_params_is_embedded(dataset, pipeline_out, tmp_path):
