@@ -7,6 +7,11 @@ once per channel on the full trial, and every window of that channel
 reuses the same parameters so recurrence plots stay size-aligned across
 windows.
 
+The dimension scan only asks whether each m's false-neighbor fraction is
+below a threshold, so a rejected m's fraction is not fully counted: its
+nearest-neighbor queries stop as soon as the false neighbors found so far
+decide it.  Only the accepted m is counted over every state.
+
 AMI uses a plug-in histogram estimate over 16 equal-width bins.  Finite
 sampling biases such a histogram away from zero even for independent
 variables, so "the AMI has reached its minimum" is judged against the
@@ -17,6 +22,7 @@ basin instead of to whichever lag float jitter happens to favor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -169,36 +175,67 @@ def estimate_delay(samples, tau_max: int | None = None, bins: int = AMI_BINS) ->
     return (a + b) // 2 + 1
 
 
-def _fnn_fraction(x: np.ndarray, m: int, tau: int, rtol: float, atol: float) -> float:
-    """Kennel false-neighbor fraction when growing dimension m -> m+1."""
+def _repeated_values(x: np.ndarray) -> np.ndarray:
+    """Mask of the samples whose value occurs more than once in ``x``."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return counts[inverse.reshape(-1)] > 1
+
+
+def _false_neighbor_counts(
+    x: np.ndarray,
+    m: int,
+    tau: int,
+    rtol: float,
+    atol: float,
+    scale: float,
+    repeated: np.ndarray,
+    first: int,
+):
+    """Cumulative Kennel false-neighbor counts when growing dimension m -> m+1.
+
+    The states are queried in row chunks, ``first`` rows and then twice
+    the previous chunk each time; after each chunk this yields the number
+    of false neighbors among all rows queried so far.  The last value
+    counts every state.  ``scale`` is the signal's standard deviation and
+    ``repeated`` its :func:`_repeated_values` mask.
+    """
     n_usable = x.size - m * tau
     states = np.stack([x[i * tau : i * tau + n_usable] for i in range(m)], axis=1)
     ahead = x[m * tau : m * tau + n_usable]
     tree = cKDTree(states)
-    dist, idx = tree.query(states, k=2)
-    rows = np.arange(n_usable)
-    # with repeated states the query point itself may come second, behind
-    # a coincident copy; the nearest other point is then that copy
-    neighbor = np.where(idx[:, 0] != rows, idx[:, 0], idx[:, 1])
-    dist = dist[:, 1]
-    if not dist.all():
-        # Exact copies of the neighbor tie with it, and the tree returns
-        # one of them in its own order; take the lowest index other than
-        # the query point, so the fraction depends on the data alone.
-        group = np.unique(states, axis=0, return_inverse=True)[1].reshape(-1)
-        order = np.lexsort((rows, group))
-        start = np.searchsorted(group[order], group)
-        lowest, second = order[start], order[np.minimum(start + 1, n_usable - 1)]
-        neighbor = np.where(lowest[neighbor] != rows, lowest[neighbor], second[neighbor])
-    extra = np.abs(ahead - ahead[neighbor])
-    scale = x.std()
     # Exact repeats of periodic signals give dist ~ 0 with extra at float
     # noise; those are true recurrences, not false neighbors, so the
     # relative criterion also demands growth above machine noise.
     noise_floor = 1e-9 * scale
-    crit_rel = (extra > rtol * dist) & (extra > noise_floor)
-    crit_abs = np.sqrt(dist**2 + extra**2) > atol * scale
-    return float(np.mean(crit_rel | crit_abs))
+    lowest = second = None
+    count, start, size = 0, 0, max(1, first)
+    while start < n_usable:
+        stop = min(start + size, n_usable)
+        rows = np.arange(start, stop)
+        dist, idx = tree.query(states[start:stop], k=2)
+        # with repeated states the query point itself may come second, behind
+        # a coincident copy; the nearest other point is then that copy
+        neighbor = np.where(idx[:, 0] != rows, idx[:, 0], idx[:, 1])
+        dist = dist[:, 1]
+        # Exact copies of the neighbor tie with it, and the tree returns one
+        # of them in its own order; take the lowest index other than the
+        # query point among all states, so the count depends on the data
+        # alone.  A state with a copy starts with a repeated sample, so
+        # signals without repeated samples never group their states.
+        if repeated[neighbor].any():
+            if lowest is None:
+                all_rows = np.arange(n_usable)
+                group = np.unique(states, axis=0, return_inverse=True)[1].reshape(-1)
+                order = np.lexsort((all_rows, group))
+                at = np.searchsorted(group[order], group)
+                lowest, second = order[at], order[np.minimum(at + 1, n_usable - 1)]
+            neighbor = np.where(lowest[neighbor] != rows, lowest[neighbor], second[neighbor])
+        extra = np.abs(ahead[start:stop] - ahead[neighbor])
+        crit_rel = (extra > rtol * dist) & (extra > noise_floor)
+        crit_abs = np.sqrt(dist**2 + extra**2) > atol * scale
+        count += int(np.count_nonzero(crit_rel | crit_abs))
+        yield count
+        start, size = stop, 2 * size
 
 
 def estimate_dimension(
@@ -213,7 +250,11 @@ def estimate_dimension(
 
     Returns the smallest m in 1..m_max whose false-neighbor fraction
     falls below ``threshold``; if none does, returns m_max with the
-    saturation flag set (typical of noise-dominated signals).
+    saturation flag set (typical of noise-dominated signals).  A
+    rejected m is not fully counted: its scan stops at the first row
+    chunk whose false neighbors alone reach ``threshold`` of all states,
+    which the full count could only confirm.  The accepted m is counted
+    over every state.
     """
     x = _as_signal(samples)
     if tau < 1:
@@ -225,8 +266,13 @@ def estimate_dimension(
             f"need more than {m_max * tau + 1} samples to scan dimensions "
             f"up to {m_max} at tau={tau}, got {x.size}"
         )
+    scale, repeated = x.std(), _repeated_values(x)
     for m in range(1, m_max + 1):
-        if _fnn_fraction(x, m, tau, rtol, atol) < threshold:
+        n_usable = x.size - m * tau
+        # fewer rows than this cannot hold enough false neighbors to reject m
+        first = math.ceil(threshold * n_usable)
+        counts = _false_neighbor_counts(x, m, tau, rtol, atol, scale, repeated, first)
+        if all(count / n_usable < threshold for count in counts):
             return DimensionEstimate(dimension=m, saturated=False)
     return DimensionEstimate(dimension=m_max, saturated=True)
 

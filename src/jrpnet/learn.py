@@ -10,11 +10,13 @@ features; the penalty uses the mean-loss form
 so the same lambda means the same amount of shrinkage regardless of
 sample count.  Model selection is stratified k-fold cross-validation
 over a log-spaced lambda grid, preferring the sparser (larger) lambda on
-ties.
+ties.  Fits that spend the sweep budget without converging are logged as
+one warning per call that names the target.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -37,6 +39,8 @@ __all__ = [
     "model_to_dict",
     "model_from_dict",
 ]
+
+log = logging.getLogger(__name__)
 
 #: Canonical class order; ties in argmax resolve toward the earlier class.
 CLASS_ORDER = ("low", "medium", "high")
@@ -128,7 +132,7 @@ def _fit_binary(
     y: np.ndarray,
     lam: float,
     init: tuple[np.ndarray, float] | None = None,
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, bool]:
     """Cyclic coordinate descent for one penalized logistic regression.
 
     Outer iterations form the quadratic (working-response) approximation
@@ -138,7 +142,8 @@ def _fit_binary(
     row per feature.  ``init`` warm-starts from a nearby solution, e.g.
     the previous point on a descending lambda path.  Convergence: no
     coefficient moves by COORD_TOL or more across a full outer step, or
-    the total inner sweep budget MAX_SWEEPS is spent.
+    the total inner sweep budget MAX_SWEEPS is spent; the third value
+    returned says whether the fit converged before that.
     """
     p, n = XsT.shape
     if init is None:
@@ -199,8 +204,14 @@ def _fit_binary(
 
         z = rq + z + (y - prob) / w
         if outer_max < COORD_TOL:
-            break
-    return beta, intercept
+            return beta, intercept, True
+    return beta, intercept, False
+
+
+def _warn_unconverged(target: str, unconverged: int, fits: int) -> None:
+    if unconverged:
+        msg = "target %s: %d of %d coordinate-descent fits hit MAX_SWEEPS (%d) unconverged"
+        log.warning(msg, target, unconverged, fits, MAX_SWEEPS)
 
 
 def _target_classes(table: FeatureTable, target: str) -> list[str]:
@@ -232,9 +243,12 @@ def fit_lasso(table: FeatureTable, target: str, lam: float) -> SparseLinearModel
     labels = np.array(table.labels[target])
     weights = np.zeros((len(present), len(table.columns)))
     intercepts = np.zeros(len(present))
+    unconverged = 0
     for c, cls in enumerate(present):
         y = (labels == cls).astype(float)
-        weights[c], intercepts[c] = _fit_binary(XsT, y, lam)
+        weights[c], intercepts[c], converged = _fit_binary(XsT, y, lam)
+        unconverged += not converged
+    _warn_unconverged(target, unconverged, len(present))
     return SparseLinearModel(
         columns=table.columns,
         classes=tuple(present),
@@ -334,6 +348,7 @@ def cross_validate(
     fold_of = _stratified_folds(labels, k, seed)
 
     predictions = np.empty((len(grid), len(labels)), dtype=object)
+    fits = unconverged = 0
     for fold in range(k):
         train = fold_of != fold
         val = ~train
@@ -352,10 +367,14 @@ def cross_validate(
             W = np.zeros((len(fold_classes), len(table.columns)))
             b = np.zeros(len(fold_classes))
             for c in range(len(fold_classes)):
-                W[c], b[c] = _fit_binary(XsT, ys[c], lam, inits[c])
+                W[c], b[c], converged = _fit_binary(XsT, ys[c], lam, inits[c])
                 inits[c] = (W[c], b[c])
+                fits += 1
+                unconverged += not converged
             scores = Xval @ W.T + b
             predictions[g, val] = [fold_classes[i] for i in np.argmax(scores, axis=1)]
+
+    _warn_unconverged(target, unconverged, fits)
 
     fold_acc = np.empty((len(grid), k))
     for g in range(len(grid)):

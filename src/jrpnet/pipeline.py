@@ -14,10 +14,13 @@ A data directory holds one CSV + JSON-sidecar pair per trial plus a
 Every artifact carries a stamp of what it depends on: the config fields
 of its stage and of every earlier stage (``config.STAGE_FIELDS``), the
 exact set of trials it covers (a network file: its own trial) and the
-schema version.  Stages hand results to each other only through these
-artifacts: a stage reuses the upstream artifact when its stamp equals
-the stamp the upstream stage would write now, and otherwise first runs
-that stage, which writes it.  A learn-only change such as
+schema version.  The evaluation report and the models also carry a
+digest of every trial's discretized class per target, so relabeling a
+trial makes them stale while a rescore that keeps every class does not.
+Stages hand results to each other only through these artifacts: a stage
+reuses the upstream artifact when its stamp equals the stamp the
+upstream stage would write now, and otherwise first runs that stage,
+which writes it.  A learn-only change such as
 ``lambda_span`` therefore reuses ``features.csv``, while an added or
 removed trial makes every artifact stamped with the whole trial set
 stale.  A standalone ``features`` run also leaves
@@ -29,6 +32,7 @@ partial artifacts behind.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -302,35 +306,45 @@ def _run_trials(
 # artifacts
 
 
-def _stamp(stage: str, config: PipelineConfig, trial_ids) -> dict:
-    """What an artifact of ``stage`` over ``trial_ids`` depends on."""
+def _stamp(stage: str, config: PipelineConfig, trial_ids, classes: str | None = None) -> dict:
+    """What an artifact of ``stage`` over ``trial_ids`` depends on.
+
+    A learned artifact also depends on the labels it learned from, given
+    as the :func:`_class_digest` ``classes``.
+    """
     stages = list(STAGE_FIELDS)
     names = [k for s in stages[: stages.index(stage) + 1] for k in STAGE_FIELDS[s]]
     values = config.to_dict()
-    return {
+    stamp = {
         "schema_version": CONFIG_SCHEMA_VERSION,
         "config": {k: values[k] for k in names},
         "trials": sorted(trial_ids),
     }
+    if classes is not None:
+        stamp["classes"] = classes
+    return stamp
 
 
-def _is_current(stamp, stage: str, config: PipelineConfig, trial_ids) -> bool:
+def _is_current(stamp, stage: str, config: PipelineConfig, trial_ids, classes=None) -> bool:
     """The one staleness rule: a stored stamp must equal the one ``stage`` writes now."""
-    return stamp == _stamp(stage, config, trial_ids)
+    return stamp == _stamp(stage, config, trial_ids, classes)
 
 
-def _artifact(stage: str, config: PipelineConfig, trial_ids, **fields) -> dict:
+def _artifact(stage: str, config: PipelineConfig, trial_ids, classes=None, **fields) -> dict:
     """The envelope of every JSON artifact and network-file header."""
-    return {"stamp": _stamp(stage, config, trial_ids), **fields}
+    return {"stamp": _stamp(stage, config, trial_ids, classes), **fields}
 
 
-def _read_artifact(path: str, stage: str, config: PipelineConfig, trial_ids) -> dict | None:
+def _read_artifact(
+    path: str, stage: str, config: PipelineConfig, trial_ids, classes=None
+) -> dict | None:
     """A JSON artifact, or None if it is missing or stale."""
     if not os.path.isfile(path):
         return None
     with open(path, encoding="utf-8") as fh:
         artifact = json.load(fh)
-    return artifact if _is_current(artifact.get("stamp"), stage, config, trial_ids) else None
+    stamp = artifact.get("stamp")
+    return artifact if _is_current(stamp, stage, config, trial_ids, classes) else None
 
 
 def _read_binary_network(
@@ -400,6 +414,12 @@ def _reachability_json(rep: ReachabilityReport) -> dict:
         "strong_pairs": sorted(map(list, rep.strong_pairs)),
         "weak_pairs": sorted(map(list, rep.weak_pairs)),
     }
+
+
+def _class_digest(table: FeatureTable) -> str:
+    """sha256 of every trial's discretized class per target."""
+    classes = {target: dict(zip(table.trial_ids, table.labels[target])) for target in TARGETS}
+    return hashlib.sha256(_json_line(classes).encode()).hexdigest()
 
 
 def _labeled_tables(
@@ -590,8 +610,10 @@ def stage_evaluate(
                     "mean_accuracy_per_lambda": list(cv.mean_accuracy_per_lambda),
                     "n_trials": len(table.trial_ids),
                 }
-    trial_ids = tables[config.metrics[0]].trial_ids
-    report = _artifact("evaluate", config, trial_ids, results=results)
+    table = tables[config.metrics[0]]
+    report = _artifact(
+        "evaluate", config, table.trial_ids, _class_digest(table), results=results
+    )
     _write_json(os.path.join(out_dir, "evaluation.json"), report)
     return report
 
@@ -609,9 +631,10 @@ def stage_train(
             if target not in TARGETS:
                 raise InputError(f"unknown target {target!r}; choose from {TARGETS}")
     tables = _labeled_tables("train", data_dir, out_dir, config, jobs)
-    trial_ids = tables[config.metrics[0]].trial_ids
+    table = tables[config.metrics[0]]
+    trial_ids, classes = table.trial_ids, _class_digest(table)
     report = _read_artifact(
-        os.path.join(out_dir, "evaluation.json"), "evaluate", config, trial_ids
+        os.path.join(out_dir, "evaluation.json"), "evaluate", config, trial_ids, classes
     ) or stage_evaluate(data_dir, out_dir, config, jobs)
 
     written = []
@@ -621,7 +644,7 @@ def stage_train(
                 lam = float(report["results"][target][metric]["selected_lambda"])
                 model = model_to_dict(fit_lasso(tables[metric], target, lam))
                 artifact = _artifact(
-                    "train", config, trial_ids, target=target, metric=metric, model=model
+                    "train", config, trial_ids, classes, target=target, metric=metric, model=model
                 )
                 path = os.path.join(out_dir, f"model_{target}_{metric}.json")
                 _write_json(path, artifact)

@@ -7,13 +7,14 @@ from jrpnet.embedding import (
     AMI_BINS,
     FNN_ATOL,
     FNN_RTOL,
+    FNN_THRESHOLD,
     EmbeddingParams,
     ami_curve,
     embed,
     estimate_delay,
     estimate_dimension,
 )
-from jrpnet.embedding import _fnn_fraction
+from jrpnet.embedding import _false_neighbor_counts, _repeated_values
 from jrpnet.errors import DegenerateInputError, InputError
 
 
@@ -137,18 +138,74 @@ def fnn_oracle(x, m, tau):
     return float(np.mean(crit_rel | crit_abs))
 
 
-def test_fnn_fraction_never_takes_a_state_as_its_own_neighbor():
+def fnn_fraction(x, m, tau, first):
+    """False-neighbor fraction of the chunked scan, counted to the end."""
+    scale, repeated = x.std(), _repeated_values(x)
+    counts = list(_false_neighbor_counts(x, m, tau, FNN_RTOL, FNN_ATOL, scale, repeated, first))
+    assert counts == sorted(counts)
+    return counts[-1] / (x.size - m * tau)
+
+
+def coincident_copy_signals():
     # copied states whose futures differ: a KD-tree query may return the
     # state itself behind its copy, and a state equidistant from the
-    # copies may get either; the lowest-indexed other copy must win
+    # copies may get either
     for seed in range(50):
         x = np.random.default_rng(seed).normal(size=300)
         x[200:203] = x[50:53]
-        for m in (1, 2, 3):
-            assert _fnn_fraction(x, m, 1, FNN_RTOL, FNN_ATOL) == fnn_oracle(x, m, 1)
+        yield x.copy()
         x[120:123] = x[50:53]
+        yield x
+
+
+def test_fnn_fraction_never_takes_a_state_as_its_own_neighbor():
+    # the lowest-indexed other copy must win, also when the copies fall in
+    # chunks queried after the one that first meets a zero distance
+    for x in coincident_copy_signals():
         for m in (1, 2, 3):
-            assert _fnn_fraction(x, m, 1, FNN_RTOL, FNN_ATOL) == fnn_oracle(x, m, 1)
+            expected = fnn_oracle(x, m, 1)
+            for first in (1, 7, x.size):
+                assert fnn_fraction(x, m, 1, first) == expected
+
+
+def dimension_oracle(x, tau, m_max, threshold):
+    """The smallest m whose full oracle fraction is below ``threshold``."""
+    for m in range(1, m_max + 1):
+        if fnn_oracle(x, m, tau) < threshold:
+            return m, False
+    return m_max, True
+
+
+def noisy_sines():
+    t = np.arange(400)
+    noise = np.random.default_rng(5).normal(size=t.size)
+    for level in (0.0, 0.05, 0.1, 0.2, 0.4):
+        yield np.sin(2 * np.pi * t / 40.0) + level * noise
+
+
+def test_dimension_equals_the_full_fraction_decision():
+    # noise levels whose fractions fall on both sides of the threshold,
+    # two of them within 20% of it
+    fractions = [fnn_oracle(x, m, 10) for x in noisy_sines() for m in range(1, 7)]
+    assert sum(0.8 * FNN_THRESHOLD < f < 1.2 * FNN_THRESHOLD for f in fractions) >= 2
+    for x in noisy_sines():
+        for threshold in (0.0, FNN_THRESHOLD, 1.0):
+            est = estimate_dimension(x, 10, m_max=6, threshold=threshold)
+            assert est == dimension_oracle(x, 10, 6, threshold)
+    for x in coincident_copy_signals():
+        assert estimate_dimension(x, 1, m_max=3) == dimension_oracle(x, 1, 3, FNN_THRESHOLD)
+
+
+def test_false_count_exactly_at_the_bound_rejects():
+    # threshold = count / n of the deciding m: the scan rejects m once
+    # count / n >= threshold, so it must count to the last row and reject;
+    # one ulp higher accepts m
+    x = list(noisy_sines())[2]
+    for m in (1, 2, 3):
+        bound = fnn_oracle(x, m, 10)
+        assert estimate_dimension(x, 10, m_max=m, threshold=bound) == (m, True)
+        above = np.nextafter(bound, 1.0)
+        assert estimate_dimension(x, 10, m_max=m, threshold=above) == (m, False)
 
 
 def test_dimension_on_clean_sine():

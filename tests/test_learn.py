@@ -1,10 +1,12 @@
 """Score discretization, sparse logistic fits, cross-validation."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
 
+from jrpnet import learn
 from jrpnet.errors import InputError, NumericError
 from jrpnet.learn import (
     CLASS_ORDER,
@@ -219,6 +221,23 @@ def test_ties_prefer_the_sparser_lambda():
     result = cross_validate(table, "valence", lambdas=(1e5, 1e6), k=3, seed=0)
     assert result.selected_lambda == 1e6
     assert result.mean_accuracy_per_lambda[0] == result.mean_accuracy_per_lambda[1]
+
+
+def test_fits_that_spend_the_sweep_budget_are_reported(monkeypatch, caplog):
+    table = make_table(n=30, p=4, seed=15)
+    caplog.set_level(logging.WARNING, logger="jrpnet.learn")
+    cross_validate(table, "valence", lambdas=(0.03,), k=3, seed=0)
+    fit_lasso(table, "valence", 0.03)
+    assert not caplog.records
+
+    monkeypatch.setattr(learn, "MAX_SWEEPS", 1)
+    cross_validate(table, "valence", lambdas=(0.03,), k=3, seed=0)
+    fit_lasso(table, "valence", 0.03)
+    # one warning per call: 3 folds x 3 one-vs-rest classes, then 3 classes
+    messages = [r.getMessage() for r in caplog.records]
+    assert [r.levelno for r in caplog.records] == [logging.WARNING] * 2
+    assert "valence" in messages[0] and "9 of 9" in messages[0]
+    assert "valence" in messages[1] and "3 of 3" in messages[1]
 
 
 def test_cross_validation_input_errors():

@@ -433,6 +433,47 @@ def test_trial_added_after_features_is_learned_from(nine_trials, tmp_path, stage
     assert after == fresh
 
 
+def _rescored(data_dir, dest, arousal):
+    """A copy of ``data_dir`` with every arousal score s replaced by arousal(s)."""
+    shutil.copytree(data_dir, dest)
+    lines = (dest / "labels.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    rows = [[tid, valence, repr(arousal(float(score)))] for tid, valence, score in rows]
+    (dest / "labels.csv").write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n")
+    return dest
+
+
+def test_relabeled_trials_are_learned_from_again(nine_trials, tmp_path):
+    # evaluation.json and the models are stamped with the classes they
+    # learned from: after every arousal class changes, stage_train writes
+    # what a fresh run on the new labels writes
+    data_dir, out_dir = nine_trials
+    relabeled = _rescored(data_dir, tmp_path / "relabeled", lambda s: 10.0 - s)
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    shutil.copytree(out_dir, out)
+    stage_train(relabeled, out, CONFIG)
+    stage_train(relabeled, fresh, CONFIG)
+    for name in ARTIFACTS[3:]:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+    before = json.loads((out_dir / "evaluation.json").read_text())
+    after = json.loads((out / "evaluation.json").read_text())
+    assert after["results"]["arousal"] != before["results"]["arousal"]
+
+
+def test_rescore_that_keeps_every_class_reuses_the_report(nine_trials, tmp_path, monkeypatch):
+    data_dir, out_dir = nine_trials
+    rescored = _rescored(data_dir, tmp_path / "rescored", lambda s: s + 0.5)
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+
+    def evaluate_again(*args):
+        raise AssertionError("evaluation.json learned from the same classes")
+
+    monkeypatch.setattr(pipeline, "stage_evaluate", evaluate_again)
+    stage_train(rescored, out, CONFIG)
+    assert _tree(out) == _tree(out_dir)
+
+
 def test_unknown_target_is_rejected_before_any_work(dataset, tmp_path):
     out = tmp_path / "out"
     with pytest.raises(InputError, match="unknown target 'mood'"):
