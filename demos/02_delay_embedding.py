@@ -69,8 +69,8 @@ for name, signal, tau in [
 # sin and (almost) cos, so the embedded states trace a circle whose
 # radius wobbles only by the added measurement noise.
 tau = estimate_delay(sine)
-traj = embed(sine, EmbeddingParams(delay_tau=tau, dimension_m=2))
-radius = np.hypot(traj.states[:, 0], traj.states[:, 1])
+states = embed(sine, EmbeddingParams(delay_tau=tau, dimension_m=2))
+radius = np.hypot(states[:, 0], states[:, 1])
 print()
 print(
     f"sine embedded with tau={tau}, m=2: radius spread "

@@ -17,21 +17,17 @@ sneaks above threshold varies from window to window, and those
 transient bridges are what connects the modules at all.
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
 from jrpnet.config import PipelineConfig
 from jrpnet.ingest import segment_windows, zscore_channels
-from jrpnet.netbuild import assemble_temporal_network, channel_graphs, write_dot
+from jrpnet.netbuild import assemble_temporal_network, channel_graphs
 from jrpnet.pipeline import estimate_trial_embeddings
 from jrpnet.synth import CouplingSpec, generate
 from jrpnet.tempnet import (
     feature_vector,
     reachability_and_latency,
     temporal_correlation,
-    temporal_efficiency,
     temporal_small_worldness,
 )
 
@@ -90,7 +86,6 @@ print(f"distinct fastest a->d routes: {report.fastest_path_counts[0, 3]}")
 per_node, corr = temporal_correlation(tn)
 sw = temporal_small_worldness(tn, n_null=20, seed=0)
 print()
-print(f"temporal efficiency    {temporal_efficiency(tn):.3f}")
 print(f"temporal correlation   {corr:.3f} (per node: {np.round(per_node, 3)})")
 print(f"small-worldness        {sw.value:.3f} (degenerate: {sw.degenerate})")
 
@@ -100,8 +95,3 @@ print()
 print("feature vector:")
 for name, value in zip(features.names(tn.nodes), features.values()):
     print(f"  {name:<22} {value:8.3f}")
-
-out = Path(tempfile.mkdtemp(prefix="jrpnet_demo_")) / "window0.dot"
-write_dot(tn, 0, out)
-print()
-print(f"window 0 written as Graphviz DOT to {out}")

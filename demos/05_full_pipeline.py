@@ -25,7 +25,6 @@ import tempfile
 from pathlib import Path
 
 from jrpnet.config import PipelineConfig
-from jrpnet.learn import model_from_dict
 from jrpnet.pipeline import read_features_csv, run_pipeline
 from jrpnet.synth import three_regime_specs, write_dataset
 
@@ -62,17 +61,11 @@ print(f"  columns: {', '.join(columns)}")
 
 # Each final model is sparse by construction.  The surviving weights
 # name the features that separate the regimes.
-model = model_from_dict(
-    json.loads((out_dir / "model_valence_JDET.json").read_text())["model"]
-)
+model = json.loads((out_dir / "model_valence_JDET.json").read_text())["model"]
 print()
 print("valence/JDET model, nonzero weights per class:")
-for c, cls in enumerate(model.classes):
-    live = [
-        (model.columns[j], model.weights[c, j])
-        for j in range(len(model.columns))
-        if model.weights[c, j] != 0.0
-    ]
+for cls, weights in zip(model["classes"], model["weights"]):
+    live = [(col, w) for col, w in zip(model["columns"], weights) if w != 0.0]
     live.sort(key=lambda kv: -abs(kv[1]))
     desc = ", ".join(f"{k}={v:+.2f}" for k, v in live[:4]) or "(intercept only)"
     print(f"  {cls:<7} {desc}")

@@ -11,7 +11,6 @@ logistic regression.
 from .config import PipelineConfig, load_config
 from .embedding import (
     DimensionEstimate,
-    EmbeddedTrajectory,
     EmbeddingParams,
     ami_curve,
     embed,
@@ -45,9 +44,7 @@ from .learn import (
     discretize_score,
     fit_lasso,
     lambda_grid,
-    model_from_dict,
     model_to_dict,
-    predict,
 )
 from .netbuild import (
     ChannelEmbedding,
@@ -56,7 +53,6 @@ from .netbuild import (
     assemble_temporal_network,
     channel_graphs,
     merge_modalities,
-    write_dot,
 )
 from .pipeline import (
     analyze_recording,
@@ -73,17 +69,8 @@ from .recurrence import (
     joint_recurrence_plot,
     recurrence_plot,
     threshold_for_rate,
-    write_pbm,
 )
-from .rqa import (
-    RqaSummary,
-    determinism,
-    laminarity,
-    mean_diagonal_length,
-    mean_vertical_length,
-    recurrence_rate,
-    summarize,
-)
+from .rqa import determinism, laminarity
 from .synth import CouplingSpec, generate, three_regime_specs, write_dataset, write_recording
 from .tempnet import (
     ReachabilityReport,
@@ -91,7 +78,6 @@ from .tempnet import (
     feature_vector,
     reachability_and_latency,
     temporal_correlation,
-    temporal_efficiency,
     temporal_small_worldness,
 )
 

@@ -33,7 +33,6 @@ from .errors import DegenerateInputError, InputError
 
 __all__ = [
     "EmbeddingParams",
-    "EmbeddedTrajectory",
     "DimensionEstimate",
     "ami_curve",
     "estimate_delay",
@@ -68,19 +67,6 @@ class EmbeddingParams:
             raise InputError(f"dimension_m must be >= 1, got {self.dimension_m}")
 
 
-@dataclass(frozen=True)
-class EmbeddedTrajectory:
-    """Reconstructed state sequence of one channel.
-
-    ``states`` has shape (N, m) with N = L - (m-1)*tau; row i is
-    (s_i, s_{i+tau}, ..., s_{i+(m-1)tau}).
-    """
-
-    states: np.ndarray
-    source_channel: str
-    params: EmbeddingParams
-
-
 class DimensionEstimate(NamedTuple):
     dimension: int
     saturated: bool
@@ -93,39 +79,39 @@ def _as_signal(samples) -> np.ndarray:
     return x
 
 
-def _bin_codes(x: np.ndarray, bins: int) -> np.ndarray:
+def _bin_codes(x: np.ndarray) -> np.ndarray:
     lo = x.min()
     width = x.max() - lo
-    return np.minimum((x - lo) * (bins / width), bins - 1).astype(np.int64)
+    return np.minimum((x - lo) * (AMI_BINS / width), AMI_BINS - 1).astype(np.int64)
 
 
-def ami_curve(samples, tau_max: int, bins: int = AMI_BINS) -> np.ndarray:
+def ami_curve(samples, tau_max: int) -> np.ndarray:
     """Average mutual information (nats) between x(t) and x(t+k), k=1..tau_max.
 
-    The estimate is the plug-in MI of the joint histogram over ``bins``
-    equal-width bins spanning the sample range.
+    The estimate is the plug-in MI of the joint histogram over
+    ``AMI_BINS`` equal-width bins spanning the sample range.
     """
     x = _as_signal(samples)
     if np.ptp(x) == 0.0:
         raise DegenerateInputError("AMI of a constant signal is undefined")
     if tau_max >= x.size:
         raise InputError(f"tau_max {tau_max} must be below the signal length {x.size}")
-    codes = _bin_codes(x, bins)
+    codes = _bin_codes(x)
     out = np.empty(tau_max)
     for k in range(1, tau_max + 1):
         a = codes[:-k]
         b = codes[k:]
-        joint = np.bincount(a * bins + b, minlength=bins * bins).astype(float)
+        joint = np.bincount(a * AMI_BINS + b, minlength=AMI_BINS * AMI_BINS).astype(float)
         joint /= a.size
-        pa = joint.reshape(bins, bins).sum(axis=1)
-        pb = joint.reshape(bins, bins).sum(axis=0)
+        pa = joint.reshape(AMI_BINS, AMI_BINS).sum(axis=1)
+        pb = joint.reshape(AMI_BINS, AMI_BINS).sum(axis=0)
         denom = np.outer(pa, pb).ravel()
         nz = joint > 0.0
         out[k - 1] = float(np.sum(joint[nz] * np.log(joint[nz] / denom[nz])))
     return out
 
 
-def estimate_delay(samples, tau_max: int | None = None, bins: int = AMI_BINS) -> int:
+def estimate_delay(samples, tau_max: int | None = None) -> int:
     """Embedding delay: lag of the first local minimum of the AMI curve.
 
     Scans lags 1..tau_max (default: length/4).  A minimum that sits at
@@ -145,12 +131,12 @@ def estimate_delay(samples, tau_max: int | None = None, bins: int = AMI_BINS) ->
     if tau_max is None:
         tau_max = max(2, x.size // 4)
     tau_max = min(tau_max, x.size - 1)
-    v = ami_curve(x, tau_max, bins)
+    v = ami_curve(x, tau_max)
 
     # Independence-level AMI for this sample size (chi-square bias of the
     # plug-in histogram estimate); curves at or below twice this floor
     # carry no dependence structure worth waiting for.
-    floor = (bins - 1) ** 2 / (2.0 * (x.size - 1))
+    floor = (AMI_BINS - 1) ** 2 / (2.0 * (x.size - 1))
     if v[0] <= 2.0 * floor:
         return 1
 
@@ -185,8 +171,6 @@ def _false_neighbor_counts(
     x: np.ndarray,
     m: int,
     tau: int,
-    rtol: float,
-    atol: float,
     scale: float,
     repeated: np.ndarray,
     first: int,
@@ -231,8 +215,8 @@ def _false_neighbor_counts(
                 lowest, second = order[at], order[np.minimum(at + 1, n_usable - 1)]
             neighbor = np.where(lowest[neighbor] != rows, lowest[neighbor], second[neighbor])
         extra = np.abs(ahead[start:stop] - ahead[neighbor])
-        crit_rel = (extra > rtol * dist) & (extra > noise_floor)
-        crit_abs = np.sqrt(dist**2 + extra**2) > atol * scale
+        crit_rel = (extra > FNN_RTOL * dist) & (extra > noise_floor)
+        crit_abs = np.sqrt(dist**2 + extra**2) > FNN_ATOL * scale
         count += int(np.count_nonzero(crit_rel | crit_abs))
         yield count
         start, size = stop, 2 * size
@@ -242,8 +226,6 @@ def estimate_dimension(
     samples,
     tau: int,
     m_max: int = DEFAULT_M_MAX,
-    rtol: float = FNN_RTOL,
-    atol: float = FNN_ATOL,
     threshold: float = FNN_THRESHOLD,
 ) -> DimensionEstimate:
     """Embedding dimension via false nearest neighbors.
@@ -271,14 +253,18 @@ def estimate_dimension(
         n_usable = x.size - m * tau
         # fewer rows than this cannot hold enough false neighbors to reject m
         first = math.ceil(threshold * n_usable)
-        counts = _false_neighbor_counts(x, m, tau, rtol, atol, scale, repeated, first)
+        counts = _false_neighbor_counts(x, m, tau, scale, repeated, first)
         if all(count / n_usable < threshold for count in counts):
             return DimensionEstimate(dimension=m, saturated=False)
     return DimensionEstimate(dimension=m_max, saturated=True)
 
 
-def embed(samples, params: EmbeddingParams, source_channel: str = "") -> EmbeddedTrajectory:
-    """Reconstruct the delay-embedded trajectory of one channel."""
+def embed(samples, params: EmbeddingParams) -> np.ndarray:
+    """Delay-embedded states of one channel.
+
+    The result has shape (N, m) with N = L - (m-1)*tau; row i is
+    (s_i, s_{i+tau}, ..., s_{i+(m-1)tau}).
+    """
     x = _as_signal(samples)
     tau, m = params.delay_tau, params.dimension_m
     n_states = x.size - (m - 1) * tau
@@ -287,5 +273,4 @@ def embed(samples, params: EmbeddingParams, source_channel: str = "") -> Embedde
             f"cannot embed {x.size} samples with m={m}, tau={tau}: "
             f"would yield {n_states} states, need >= 2"
         )
-    states = np.stack([x[i * tau : i * tau + n_states] for i in range(m)], axis=1)
-    return EmbeddedTrajectory(states=states, source_channel=source_channel, params=params)
+    return np.stack([x[i * tau : i * tau + n_states] for i in range(m)], axis=1)

@@ -9,6 +9,10 @@ calibrations).  The command line layer maps the first family to exit code
 
 from __future__ import annotations
 
+__all__ = [
+    "JrpnetError", "InputError", "FormatError", "ParseError", "SchemaError",
+    "NumericError", "DegenerateInputError",
+]
 
 class JrpnetError(Exception):
     """Base class for all package-specific errors."""

@@ -55,9 +55,6 @@ class Recording:
     def channel(self, name: str) -> np.ndarray:
         return self.samples[self.channel_names.index(name)]
 
-    def modality_of(self, name: str) -> str:
-        return self.modalities[self.channel_names.index(name)]
-
 
 @dataclass(frozen=True)
 class Window:

@@ -33,11 +33,9 @@ __all__ = [
     "CrossValResult",
     "discretize_score",
     "fit_lasso",
-    "predict",
     "lambda_grid",
     "cross_validate",
     "model_to_dict",
-    "model_from_dict",
 ]
 
 log = logging.getLogger(__name__)
@@ -260,22 +258,6 @@ def fit_lasso(table: FeatureTable, target: str, lam: float) -> SparseLinearModel
     )
 
 
-def predict(model: SparseLinearModel, feature_vector: np.ndarray) -> tuple[str, dict[str, float]]:
-    """Predicted class and per-class linear scores for one feature vector.
-
-    Ties resolve toward the earlier class in canonical order.
-    """
-    x = np.asarray(feature_vector, dtype=float).ravel()
-    if x.shape != (len(model.columns),):
-        raise InputError(
-            f"feature vector has {x.size} entries, model expects {len(model.columns)}"
-        )
-    xs = (x - model.mean) / model.scale
-    scores = model.weights @ xs + model.intercepts
-    winner = model.classes[int(np.argmax(scores))]
-    return winner, {cls: float(s) for cls, s in zip(model.classes, scores)}
-
-
 def lambda_grid(
     table: FeatureTable,
     target: str,
@@ -412,21 +394,3 @@ def model_to_dict(model: SparseLinearModel) -> dict:
         "scale": [float(v) for v in model.scale],
         "lambda": float(model.lam),
     }
-
-
-def model_from_dict(raw: dict) -> SparseLinearModel:
-    """Inverse of :func:`model_to_dict`."""
-    try:
-        if raw["schema_version"] != 1:
-            raise InputError(f"unsupported model schema {raw['schema_version']}")
-        return SparseLinearModel(
-            columns=tuple(raw["columns"]),
-            classes=tuple(raw["classes"]),
-            weights=np.array(raw["weights"], dtype=float),
-            intercepts=np.array(raw["intercepts"], dtype=float),
-            mean=np.array(raw["mean"], dtype=float),
-            scale=np.array(raw["scale"], dtype=float),
-            lam=float(raw["lambda"]),
-        )
-    except KeyError as exc:
-        raise InputError(f"model JSON lacks required key {exc}") from exc

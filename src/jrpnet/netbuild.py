@@ -15,7 +15,6 @@ imputed.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "assemble_temporal_network",
     "weighted_record",
     "binary_record",
-    "write_dot",
 ]
 
 log = logging.getLogger(__name__)
@@ -95,11 +93,7 @@ class TemporalNetwork:
 
 
 def _metric_value(jrp, metric: str, l_min: int, v_min: int) -> float:
-    if metric == "JDET":
-        return determinism(jrp, l_min)
-    if metric == "JLAM":
-        return laminarity(jrp, v_min)
-    raise InputError(f"unknown weight metric {metric!r}; choose one of {METRICS}")
+    return determinism(jrp, l_min) if metric == "JDET" else laminarity(jrp, v_min)
 
 
 def channel_graphs(
@@ -136,8 +130,8 @@ def channel_graphs(
                 )
             plots[name] = None
             continue
-        traj = embed(window.channel(name), emb.params, source_channel=name)
-        plots[name] = recurrence_plot(traj, emb.epsilon, norm)
+        states = embed(window.channel(name), emb.params)
+        plots[name] = recurrence_plot(states, emb.epsilon, norm)
 
     n = len(names)
     weights = {m: np.full((n, n), np.nan) for m in metrics}
@@ -277,17 +271,3 @@ def binary_record(tn: TemporalNetwork, window_index: int) -> dict:
         "window": int(window_index),
         "edges": [[int(a), int(b)] for a, b in zip(i, j)],
     }
-
-
-def write_dot(tn: TemporalNetwork, window_index: int, path: str | os.PathLike) -> None:
-    """Write one layer as an undirected DOT graph for plotting."""
-    layer = tn.layers[window_index]
-    lines = [f"graph window_{window_index} {{"]
-    for name in tn.nodes:
-        lines.append(f'  "{name}";')
-    i, j = np.nonzero(np.triu(layer, k=1))
-    for a, b in zip(i, j):
-        lines.append(f'  "{tn.nodes[a]}" -- "{tn.nodes[b]}";')
-    lines.append("}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")

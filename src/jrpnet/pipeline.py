@@ -182,8 +182,7 @@ def estimate_trial_embeddings(
             tau = estimate_delay(x, tau_max=tau_max)
             dim = estimate_dimension(x, tau, m_max=config.m_max)
             params = EmbeddingParams(delay_tau=tau, dimension_m=dim.dimension)
-            trajectory = embed(x, params, source_channel=name)
-            epsilon = threshold_for_rate(trajectory, config.target_rr, config.norm)
+            epsilon = threshold_for_rate(embed(x, params), config.target_rr, config.norm)
         except DegenerateInputError as exc:
             out[name], reasons[name] = None, str(exc)
             continue
@@ -338,11 +337,14 @@ def _artifact(stage: str, config: PipelineConfig, trial_ids, classes=None, **fie
 def _read_artifact(
     path: str, stage: str, config: PipelineConfig, trial_ids, classes=None
 ) -> dict | None:
-    """A JSON artifact, or None if it is missing or stale."""
+    """A JSON artifact, or None if it is missing, unreadable or stale."""
     if not os.path.isfile(path):
         return None
-    with open(path, encoding="utf-8") as fh:
-        artifact = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            artifact = json.load(fh)
+    except ValueError:  # unparseable
+        return None
     stamp = artifact.get("stamp")
     return artifact if _is_current(stamp, stage, config, trial_ids, classes) else None
 
@@ -352,9 +354,11 @@ def _read_binary_network(
 ) -> TemporalNetwork | None:
     if not os.path.isfile(path):
         return None
-    with open(path, encoding="utf-8") as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    header, records = lines[0], lines[1:]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header, *records = [json.loads(line) for line in fh if line.strip()]
+    except ValueError:  # unparseable, or no header line
+        return None
     if not _is_current(header.get("stamp"), "analyze", config, [trial_id]):
         return None
     nodes = tuple(header["nodes"])
@@ -375,7 +379,8 @@ def _read_binary_network(
 def _load_networks(
     out_dir: str, trials: list[TrialPaths], config: PipelineConfig
 ) -> dict[str, dict[str, TemporalNetwork]] | None:
-    """Binarized networks from disk, or None if any file is missing or stale."""
+    """Binarized networks from disk, or None if any file is missing,
+    unreadable or stale."""
     networks: dict[str, dict[str, TemporalNetwork]] = {}
     for t in trials:
         networks[t.trial_id] = {}
@@ -396,13 +401,15 @@ def read_features_csv(path: str) -> tuple[dict, list[str], list[dict]]:
         lines = [line for line in fh.read().splitlines() if line]
     stamps = [line.partition("=")[2] for line in lines if line.startswith("# stamp=")]
     body = [line.split(",") for line in lines if not line.startswith("# ")]
-    header = body[0]
+    header = body[0] if body else []
     if header[:2] != ["trial_id", "metric"]:
         raise InputError(f"features file {path} has unexpected columns {header[:2]}")
     rows = [
         {"trial_id": cells[0], "metric": cells[1], "values": [float(c) for c in cells[2:]]}
         for cells in body[1:]
     ]
+    if any(len(r["values"]) != len(header) - 2 for r in rows):
+        raise InputError(f"features file {path} has rows of the wrong length")
     return (json.loads(stamps[0]) if stamps else {}), header[2:], rows
 
 
@@ -426,10 +433,13 @@ def _labeled_tables(
     stage: str, data_dir: str, out_dir: str, config: PipelineConfig, jobs: int
 ) -> dict[str, FeatureTable]:
     """Per-metric feature tables from ``features.csv`` with discretized
-    labels attached; the stage writes that file first if it is missing
-    or stale."""
+    labels attached; the stage writes that file first if it is missing,
+    unreadable or stale."""
     path = os.path.join(out_dir, "features.csv")
-    parsed = read_features_csv(path) if os.path.isfile(path) else None
+    try:
+        parsed = read_features_csv(path)
+    except (InputError, ValueError):  # missing or unreadable
+        parsed = None
     trial_ids = [t.trial_id for t in discover_trials(data_dir)]
     if parsed is None or not _is_current(parsed[0], "features", config, trial_ids):
         stage_features(data_dir, out_dir, config, jobs)

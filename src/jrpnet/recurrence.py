@@ -11,14 +11,12 @@ across heterogeneous modalities.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import DegenerateInputError, InputError
-from .embedding import EmbeddedTrajectory
 
 __all__ = [
     "NORMS",
@@ -26,7 +24,6 @@ __all__ = [
     "threshold_for_rate",
     "recurrence_plot",
     "joint_recurrence_plot",
-    "write_pbm",
 ]
 
 #: Supported distance norms and their scipy metric names.
@@ -57,9 +54,8 @@ def _metric(norm: str) -> str:
         raise InputError(f"unknown norm {norm!r}; choose one of {sorted(NORMS)}") from None
 
 
-def _states(trajectory: EmbeddedTrajectory | np.ndarray) -> np.ndarray:
-    states = trajectory.states if isinstance(trajectory, EmbeddedTrajectory) else trajectory
-    states = np.asarray(states, dtype=float)
+def _states(trajectory: np.ndarray) -> np.ndarray:
+    states = np.asarray(trajectory, dtype=float)
     if states.ndim == 1:
         states = states[:, None]
     if states.ndim != 2 or states.shape[0] < 2:
@@ -68,7 +64,7 @@ def _states(trajectory: EmbeddedTrajectory | np.ndarray) -> np.ndarray:
 
 
 def threshold_for_rate(
-    trajectory: EmbeddedTrajectory | np.ndarray,
+    trajectory: np.ndarray,
     target_rr: float = DEFAULT_TARGET_RR,
     norm: str = "L1",
 ) -> float:
@@ -110,7 +106,7 @@ def threshold_for_rate(
 
 
 def recurrence_plot(
-    trajectory: EmbeddedTrajectory | np.ndarray,
+    trajectory: np.ndarray,
     epsilon: float,
     norm: str = "L1",
 ) -> RecurrenceMatrix:
@@ -151,13 +147,3 @@ def joint_recurrence_plot(rp_a: RecurrenceMatrix, rp_b: RecurrenceMatrix) -> Rec
         norm=rp_a.norm,
         kind="JRP",
     )
-
-
-def write_pbm(matrix: RecurrenceMatrix, path: str | os.PathLike) -> None:
-    """Dump a matrix as a plain PBM (P1) image for visual inspection."""
-    n = matrix.size_n
-    lines = ["P1", f"{n} {n}"]
-    for row in matrix.bits.astype(np.uint8):
-        lines.append(" ".join(map(str, row)))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -16,36 +16,15 @@ the points.  Counts stay integers, so the fractions are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError
 from .recurrence import RecurrenceMatrix
 
-__all__ = [
-    "RqaSummary",
-    "determinism",
-    "laminarity",
-    "recurrence_rate",
-    "mean_diagonal_length",
-    "mean_vertical_length",
-    "summarize",
-]
+__all__ = ["determinism", "laminarity"]
 
 DEFAULT_L_MIN = 3
 DEFAULT_V_MIN = 3
-
-
-@dataclass(frozen=True)
-class RqaSummary:
-    """Determinism, laminarity and density of one recurrence matrix."""
-
-    det: float
-    lam: float
-    recurrence_rate: float
-    l_min: int
-    v_min: int
 
 
 def _off_diagonal(matrix: RecurrenceMatrix | np.ndarray) -> np.ndarray:
@@ -59,7 +38,7 @@ def _off_diagonal(matrix: RecurrenceMatrix | np.ndarray) -> np.ndarray:
 
 
 def _lines(matrix: RecurrenceMatrix | np.ndarray, length: int, diagonal: bool):
-    """Off-diagonal bits, eroded matrix and number of points on lines.
+    """Off-diagonal bits and the number of points on lines.
 
     A set cell of the eroded matrix starts ``length`` consecutive ones
     down-right (diagonal) or down (vertical).  Only starts whose run fits
@@ -82,72 +61,22 @@ def _lines(matrix: RecurrenceMatrix | np.ndarray, length: int, diagonal: bool):
     covered = np.zeros_like(bits)
     for k in range(length):
         covered[shifted(k)] |= eroded
-    return bits, eroded, np.count_nonzero(covered)
+    return bits, np.count_nonzero(covered)
 
 
 def _ratio(num: int, den: int) -> float:
     return num / den if den else 0.0
 
 
-def _mean_line_length(matrix: RecurrenceMatrix | np.ndarray, length: int, diagonal: bool) -> float:
-    """Points on lines over number of lines; a line starts at an eroded
-    cell whose predecessor along the line is not eroded."""
-    _, eroded, points = _lines(matrix, length, diagonal)
-    c = 1 if diagonal else 0
-    starts = eroded.copy()
-    starts[1:, c:] &= ~eroded[:-1, : eroded.shape[1] - c]
-    return _ratio(points, np.count_nonzero(starts))
-
-
 def determinism(matrix: RecurrenceMatrix | np.ndarray, l_min: int = DEFAULT_L_MIN) -> float:
     """Fraction of off-diagonal recurrence points on diagonal lines of
     length >= l_min; 0 when no off-diagonal points exist."""
-    bits, _, points = _lines(matrix, l_min, diagonal=True)
+    bits, points = _lines(matrix, l_min, diagonal=True)
     return _ratio(points, np.count_nonzero(bits))
 
 
 def laminarity(matrix: RecurrenceMatrix | np.ndarray, v_min: int = DEFAULT_V_MIN) -> float:
     """Fraction of off-diagonal recurrence points on vertical lines of
     length >= v_min; main-diagonal points are removed before lines form."""
-    bits, _, points = _lines(matrix, v_min, diagonal=False)
+    bits, points = _lines(matrix, v_min, diagonal=False)
     return _ratio(points, np.count_nonzero(bits))
-
-
-def recurrence_rate(matrix: RecurrenceMatrix | np.ndarray) -> float:
-    """Off-diagonal density of the matrix."""
-    bits = _off_diagonal(matrix)
-    n = len(bits)
-    return _ratio(np.count_nonzero(bits), n * n - n)
-
-
-def mean_diagonal_length(
-    matrix: RecurrenceMatrix | np.ndarray, l_min: int = DEFAULT_L_MIN
-) -> float:
-    """Mean length of diagonal lines of length >= l_min (0 if none).
-
-    Auxiliary reading of determinism as an average line length rather
-    than a point fraction.
-    """
-    return _mean_line_length(matrix, l_min, diagonal=True)
-
-
-def mean_vertical_length(
-    matrix: RecurrenceMatrix | np.ndarray, v_min: int = DEFAULT_V_MIN
-) -> float:
-    """Mean length of vertical lines of length >= v_min (0 if none)."""
-    return _mean_line_length(matrix, v_min, diagonal=False)
-
-
-def summarize(
-    matrix: RecurrenceMatrix | np.ndarray,
-    l_min: int = DEFAULT_L_MIN,
-    v_min: int = DEFAULT_V_MIN,
-) -> RqaSummary:
-    """Bundle determinism, laminarity and recurrence rate of one matrix."""
-    return RqaSummary(
-        det=determinism(matrix, l_min),
-        lam=laminarity(matrix, v_min),
-        recurrence_rate=recurrence_rate(matrix),
-        l_min=l_min,
-        v_min=v_min,
-    )

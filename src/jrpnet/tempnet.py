@@ -27,7 +27,6 @@ __all__ = [
     "TemporalFeatures",
     "SmallWorldness",
     "reachability_and_latency",
-    "temporal_efficiency",
     "temporal_correlation",
     "temporal_small_worldness",
     "feature_vector",
@@ -184,15 +183,8 @@ def reachability_and_latency(tn: TemporalNetwork) -> ReachabilityReport:
     )
 
 
-def temporal_efficiency(tn: TemporalNetwork) -> float:
-    """Mean of 1/latency over ordered node pairs (1/inf counted as 0)."""
-    _check(tn)
-    if tn.n_nodes < 2:
-        raise InputError("temporal efficiency needs at least 2 nodes")
-    return _efficiency(_latency_matrix(tn))
-
-
 def _efficiency(latency: np.ndarray) -> float:
+    """Mean of 1/latency over ordered node pairs (1/inf counted as 0)."""
     off = ~np.eye(len(latency), dtype=bool)
     with np.errstate(divide="ignore"):
         inv = 1.0 / latency[off]

@@ -21,7 +21,7 @@ from jrpnet.pipeline import TARGETS, estimate_trial_embeddings, run_pipeline
 from jrpnet.recurrence import joint_recurrence_plot, recurrence_plot, threshold_for_rate
 from jrpnet.rqa import determinism, laminarity
 from jrpnet.synth import CouplingSpec, generate, three_regime_specs, write_dataset
-from jrpnet.tempnet import reachability_and_latency, temporal_efficiency
+from jrpnet.tempnet import feature_vector, reachability_and_latency
 
 
 def verdict(ok: bool, name: str, detail: str) -> None:
@@ -211,9 +211,10 @@ def test_temporal_paths_match_exhaustive_enumeration():
     chain = np.zeros((2, 3, 3), dtype=bool)
     chain[0, 0, 1] = chain[0, 1, 0] = True
     chain[1, 1, 2] = chain[1, 2, 1] = True
-    eff = temporal_efficiency(
-        TemporalNetwork(nodes=("A", "B", "C"), layers=chain, binarize_rule={}, metric="JDET")
-    )
+    eff = feature_vector(
+        TemporalNetwork(nodes=("A", "B", "C"), layers=chain, binarize_rule={}, metric="JDET"),
+        n_null=1,
+    ).efficiency
     ok = mismatches == 0 and abs(eff - 7 / 12) <= 1e-9
     verdict(
         ok,

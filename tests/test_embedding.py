@@ -36,12 +36,12 @@ def ami_oracle(x, tau_max, bins=AMI_BINS):
 
 def test_embed_unrolled_examples():
     p = EmbeddingParams(delay_tau=1, dimension_m=2)
-    traj = embed([1.0, 2.0, 3.0, 4.0, 5.0], p)
-    assert np.array_equal(traj.states, [[1, 2], [2, 3], [3, 4], [4, 5]])
+    states = embed([1.0, 2.0, 3.0, 4.0, 5.0], p)
+    assert np.array_equal(states, [[1, 2], [2, 3], [3, 4], [4, 5]])
 
     p1 = EmbeddingParams(delay_tau=3, dimension_m=1)
     series = np.arange(7.0)
-    assert np.array_equal(embed(series, p1).states.ravel(), series)
+    assert np.array_equal(embed(series, p1).ravel(), series)
 
     with pytest.raises(InputError, match="need >= 2"):
         embed(np.arange(5.0), EmbeddingParams(delay_tau=2, dimension_m=3))
@@ -59,11 +59,11 @@ def test_embed_state_count_property():
             with pytest.raises(InputError):
                 embed(x, EmbeddingParams(delay_tau=tau, dimension_m=m))
             continue
-        traj = embed(x, EmbeddingParams(delay_tau=tau, dimension_m=m))
-        assert traj.states.shape == (n_states, m)
+        states = embed(x, EmbeddingParams(delay_tau=tau, dimension_m=m))
+        assert states.shape == (n_states, m)
         # column i is the signal shifted by i*tau
         for i in range(m):
-            assert np.array_equal(traj.states[:, i], x[i * tau : i * tau + n_states])
+            assert np.array_equal(states[:, i], x[i * tau : i * tau + n_states])
 
 
 def test_embedding_params_validate():
@@ -141,7 +141,7 @@ def fnn_oracle(x, m, tau):
 def fnn_fraction(x, m, tau, first):
     """False-neighbor fraction of the chunked scan, counted to the end."""
     scale, repeated = x.std(), _repeated_values(x)
-    counts = list(_false_neighbor_counts(x, m, tau, FNN_RTOL, FNN_ATOL, scale, repeated, first))
+    counts = list(_false_neighbor_counts(x, m, tau, scale, repeated, first))
     assert counts == sorted(counts)
     return counts[-1] / (x.size - m * tau)
 

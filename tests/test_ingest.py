@@ -54,7 +54,6 @@ def test_load_recording_roundtrip(tmp_path):
     assert rec.duration_samples == 12
     assert np.array_equal(rec.channel("a"), np.arange(12.0))
     assert np.array_equal(rec.channel("b"), 2.0 * np.arange(12.0))
-    assert rec.modality_of("b") == "EMG"
 
 
 def test_csv_columns_reordered_to_schema(tmp_path):

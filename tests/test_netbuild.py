@@ -17,7 +17,6 @@ from jrpnet.netbuild import (
     channel_graphs,
     merge_modalities,
     weighted_record,
-    write_dot,
 )
 from jrpnet.recurrence import joint_recurrence_plot, recurrence_plot
 from jrpnet.rqa import determinism, laminarity
@@ -55,10 +54,10 @@ def test_pair_weights_match_direct_recomputation():
         for j in range(i + 1, 3):
             emb_i, emb_j = embeddings[names[i]], embeddings[names[j]]
             rp_i = recurrence_plot(
-                embed(window.channel(names[i]), emb_i.params).states, emb_i.epsilon, "L2"
+                embed(window.channel(names[i]), emb_i.params), emb_i.epsilon, "L2"
             )
             rp_j = recurrence_plot(
-                embed(window.channel(names[j]), emb_j.params).states, emb_j.epsilon, "L2"
+                embed(window.channel(names[j]), emb_j.params), emb_j.epsilon, "L2"
             )
             jrp = joint_recurrence_plot(rp_i, rp_j)
             assert graphs["JDET"].weights[i, j] == determinism(jrp)
@@ -303,14 +302,3 @@ def test_binary_record_lists_sorted_edges():
     tn = assemble_temporal_network([g], rho=0.7)
     rec = binary_record(tn, 0)
     assert rec == {"window": 0, "edges": [[0, 1], [1, 2]]}
-
-
-def test_write_dot_smoke(tmp_path):
-    g = ladder_graph([0.9, 0.1, 0.1], ["EEG", "EMG", "GSR"], index=0)
-    tn = assemble_temporal_network([g], rho=0.4)
-    out = tmp_path / "layer0.dot"
-    write_dot(tn, 0, out)
-    text = out.read_text()
-    assert text.startswith("graph window_0 {")
-    assert '"EEG" -- "EMG";' in text
-    assert '"GSR";' in text

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from jrpnet import pipeline
+from jrpnet.cli import main
 from jrpnet.config import CONFIG_SCHEMA_VERSION, PipelineConfig
 from jrpnet.errors import InputError
 from jrpnet.ingest import load_recording
@@ -352,6 +353,36 @@ def test_other_schema_version_is_recomputed(dataset, pipeline_out, tmp_path, nam
     path.write_text(text)
     stage(dataset, old, CONFIG)
     assert _tree(old) == _tree(out_dir)
+
+
+def _emptied(data):
+    return b""
+
+
+@pytest.mark.parametrize(
+    "name, command, damage",
+    [
+        ("embedding_params.json", "analyze", _emptied),
+        ("networks/dense_000.JDET.binary.jsonl", "features", _emptied),
+        ("features.csv", "evaluate", _emptied),
+        ("evaluation.json", "train", _emptied),
+        # the last row loses its last cell
+        ("features.csv", "evaluate", lambda data: data[: data.rindex(b",")]),
+    ],
+    ids=["embed-params", "analyze", "features", "evaluate", "features-short-row"],
+)
+def test_damaged_artifact_is_recomputed(dataset, pipeline_out, tmp_path, name, command, damage):
+    # an unreadable artifact is stale, not a crash outside the CLI's exit codes
+    out_dir, _ = pipeline_out
+    damaged = tmp_path / "damaged"
+    shutil.copytree(out_dir, damaged)
+    path = damaged / name
+    path.write_bytes(damage(path.read_bytes()))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG.to_dict()))
+    argv = [command, "--in", str(dataset), "--out", str(damaged), "--config", str(config)]
+    assert main(argv) == 0
+    assert _tree(damaged) == _tree(out_dir)
 
 
 def test_confusion_rows_count_each_targets_classes(dataset, pipeline_out, tmp_path):

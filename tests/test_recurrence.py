@@ -10,7 +10,6 @@ from jrpnet.recurrence import (
     joint_recurrence_plot,
     recurrence_plot,
     threshold_for_rate,
-    write_pbm,
 )
 
 
@@ -192,14 +191,3 @@ def test_jrp_rejects_mismatched_norms_and_kinds():
     j = joint_recurrence_plot(a, recurrence_plot(states, 1.0, "L1"))
     with pytest.raises(InputError, match="recurrence plots"):
         joint_recurrence_plot(j, a)
-
-
-def test_write_pbm(tmp_path):
-    states = np.array([0.0, 3.0, 4.0])
-    rp = recurrence_plot(states, 1.0, "L1")
-    path = tmp_path / "rp.pbm"
-    write_pbm(rp, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "P1"
-    assert lines[1] == "3 3"
-    assert lines[2:] == ["1 0 0", "0 1 1", "0 1 1"]

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from jrpnet.errors import InputError
-from jrpnet.rqa import (
-    determinism,
-    laminarity,
-    mean_diagonal_length,
-    mean_vertical_length,
-    recurrence_rate,
-    summarize,
-)
+from jrpnet.rqa import determinism, laminarity
 
 
 def diagonal_run_lengths(bits):
@@ -116,12 +109,10 @@ def test_saturated_and_empty_matrices():
     assert laminarity(ones) == pytest.approx(126 / 132)
     assert determinism(ones) == pytest.approx(brute_det(ones, 3))
     assert laminarity(ones) == pytest.approx(brute_lam(ones, 3))
-    assert recurrence_rate(ones) == 1.0
 
     identity = np.eye(9, dtype=bool)
     assert determinism(identity) == 0.0
     assert laminarity(identity) == 0.0
-    assert recurrence_rate(identity) == 0.0
 
 
 def test_isolated_points_count_zero():
@@ -130,14 +121,12 @@ def test_isolated_points_count_zero():
     bits[1, 5] = bits[5, 1] = True
     assert determinism(bits, 2) == 0.0
     assert laminarity(bits, 2) == 0.0
-    assert recurrence_rate(bits) == pytest.approx(4 / 42)
 
 
 def test_main_diagonal_never_counts():
     # only the main diagonal is set: no off-diagonal structure at all
     bits = np.eye(20, dtype=bool)
     assert determinism(bits, 2) == 0.0
-    assert recurrence_rate(bits) == 0.0
     # adding one long diagonal line changes det to 1
     for i in range(15):
         bits[i, i + 2] = bits[i + 2, i] = True
@@ -163,28 +152,6 @@ def test_asymmetric_matrices_also_match_brute_force():
         assert laminarity(bits, 3) == pytest.approx(brute_lam(bits, 3))
 
 
-def test_mean_line_lengths_match_brute():
-    rng = np.random.default_rng(79)
-    for _ in range(25):
-        bits = random_symmetric(rng, 40, float(rng.uniform(0.1, 0.5)))
-        l_min = int(rng.integers(2, 4))
-        runs = [r for r in diagonal_run_lengths(bits) if r >= l_min]
-        want = sum(runs) / len(runs) if runs else 0.0
-        assert mean_diagonal_length(bits, l_min) == pytest.approx(want)
-        vruns = [r for r in vertical_run_lengths(bits) if r >= l_min]
-        want_v = sum(vruns) / len(vruns) if vruns else 0.0
-        assert mean_vertical_length(bits, l_min) == pytest.approx(want_v)
-
-
-def test_summarize_bundles_the_parts():
-    bits = random_symmetric(np.random.default_rng(80), 50, 0.25)
-    s = summarize(bits, l_min=3, v_min=4)
-    assert s.det == determinism(bits, 3)
-    assert s.lam == laminarity(bits, 4)
-    assert s.recurrence_rate == recurrence_rate(bits)
-    assert (s.l_min, s.v_min) == (3, 4)
-
-
 def test_line_minimum_validation():
     bits = np.eye(5, dtype=bool)
     with pytest.raises(InputError):
@@ -203,10 +170,6 @@ def test_erosion_equals_brute_force_exactly(l_min):
         bits = rng.random((n, n)) < float(rng.uniform(0.05, 0.6))
         assert determinism(bits, l_min) == brute_det(bits, l_min)
         assert laminarity(bits, l_min) == brute_lam(bits, l_min)
-        runs = [r for r in diagonal_run_lengths(bits) if r >= l_min]
-        vruns = [r for r in vertical_run_lengths(bits) if r >= l_min]
-        assert mean_diagonal_length(bits, l_min) == (sum(runs) / len(runs) if runs else 0.0)
-        assert mean_vertical_length(bits, l_min) == (sum(vruns) / len(vruns) if vruns else 0.0)
     zero = np.zeros((12, 12), dtype=bool)
     assert determinism(zero, l_min) == laminarity(zero, l_min) == 0.0
 
@@ -215,4 +178,3 @@ def test_erosion_equals_brute_force_exactly(l_min):
 def test_matrices_shorter_than_the_line_minimum_have_no_lines(l_min):
     ones = np.ones((l_min - 1, l_min - 1), dtype=bool)
     assert determinism(ones, l_min) == laminarity(ones, l_min) == 0.0
-    assert mean_diagonal_length(ones, l_min) == mean_vertical_length(ones, l_min) == 0.0

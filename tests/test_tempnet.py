@@ -10,7 +10,6 @@ from jrpnet.tempnet import (
     feature_vector,
     reachability_and_latency,
     temporal_correlation,
-    temporal_efficiency,
     temporal_small_worldness,
 )
 from jrpnet import tempnet
@@ -62,7 +61,7 @@ def test_two_window_chain_by_hand():
     report = reachability_and_latency(tn)
     want = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0], [np.inf, 2.0, 0.0]])
     assert np.array_equal(report.latency, want)
-    assert temporal_efficiency(tn) == pytest.approx(7 / 12)
+    assert feature_vector(tn, n_null=1).efficiency == pytest.approx(7 / 12)
     # every reachable pair has exactly one fastest path
     reachable = np.isfinite(report.latency) & ~np.eye(3, dtype=bool)
     assert (report.fastest_path_counts[reachable] == 1).all()
@@ -113,7 +112,7 @@ def test_efficiency_never_drops_when_an_edge_is_added():
             nodes=tuple(f"n{k}" for k in range(n)), layers=layers,
             binarize_rule={}, metric="JDET",
         )
-        before = temporal_efficiency(tn)
+        before = feature_vector(tn, n_null=1).efficiency
         t = int(rng.integers(0, T))
         i, j = rng.choice(n, size=2, replace=False)
         grown = layers.copy()
@@ -121,7 +120,7 @@ def test_efficiency_never_drops_when_an_edge_is_added():
         denser = TemporalNetwork(
             nodes=tn.nodes, layers=grown, binarize_rule={}, metric="JDET"
         )
-        assert temporal_efficiency(denser) >= before - 1e-12
+        assert feature_vector(denser, n_null=1).efficiency >= before - 1e-12
 
 
 def test_latency_is_relabel_equivariant():
@@ -154,7 +153,7 @@ def test_trailing_empty_window_changes_nothing():
     b = reachability_and_latency(padded)
     assert np.array_equal(a.latency, b.latency)
     assert np.array_equal(a.fastest_path_counts, b.fastest_path_counts)
-    assert temporal_efficiency(tn) == temporal_efficiency(padded)
+    assert feature_vector(tn, n_null=1).efficiency == feature_vector(padded, n_null=1).efficiency
 
 
 def test_temporal_correlation_hand_cases():
