@@ -23,7 +23,8 @@ upstream stage would write now, and otherwise first runs that stage,
 which writes it.  A learn-only change such as
 ``lambda_span`` therefore reuses ``features.csv``, while an added or
 removed trial makes every artifact stamped with the whole trial set
-stale.  A standalone ``features`` run also leaves
+stale.  A ``features.csv`` whose rows are not exactly one per stamped
+trial and metric is stale too.  A standalone ``features`` run also leaves
 ``embedding_params.json`` and ``networks/`` behind, and running stages
 one by one writes byte-for-byte what a single end-to-end run writes.
 Writes are atomic (tmp file + rename), so interrupted runs never leave
@@ -434,14 +435,20 @@ def _labeled_tables(
 ) -> dict[str, FeatureTable]:
     """Per-metric feature tables from ``features.csv`` with discretized
     labels attached; the stage writes that file first if it is missing,
-    unreadable or stale."""
+    unreadable or stale, or if its rows are not the ones ``stage_features``
+    writes: one per stamped trial and configured metric, in that order."""
     path = os.path.join(out_dir, "features.csv")
     try:
         parsed = read_features_csv(path)
     except (InputError, ValueError):  # missing or unreadable
         parsed = None
     trial_ids = [t.trial_id for t in discover_trials(data_dir)]
-    if parsed is None or not _is_current(parsed[0], "features", config, trial_ids):
+    keys = [(tid, metric) for tid in sorted(trial_ids) for metric in config.metrics]
+    if (
+        parsed is None
+        or not _is_current(parsed[0], "features", config, trial_ids)
+        or [(r["trial_id"], r["metric"]) for r in parsed[2]] != keys
+    ):
         stage_features(data_dir, out_dir, config, jobs)
         parsed = read_features_csv(path)
     _, columns, rows = parsed

@@ -2,9 +2,11 @@
 
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from jrpnet import learn
 from jrpnet.errors import InputError, NumericError
@@ -309,3 +311,128 @@ def test_feature_table_shape_validation():
             X=np.zeros((2, 1)),
             labels={"valence": ("low",)},
         )
+
+
+def reference_fit_binary(XsT, y, lam, init=None):
+    """Residual-update coordinate descent, the form ``learn._fit_binary``
+    had before its covariance updates, kept as the oracle; like the solver
+    it reads ``learn.MAX_SWEEPS`` at call time."""
+
+    def soft(value, threshold):
+        if value > threshold:
+            return value - threshold
+        if value < -threshold:
+            return value + threshold
+        return 0.0
+
+    p, n = XsT.shape
+    if init is None:
+        beta = np.zeros(p)
+        ybar = float(y.mean())
+        intercept = math.log(ybar / (1.0 - ybar))
+        z = XsT.T @ beta + intercept
+    else:
+        beta = init[0].copy()
+        intercept = float(init[1])
+        z = XsT.T @ beta + intercept
+
+    inv_n = 1.0 / n
+    sweeps_left = learn.MAX_SWEEPS
+    while sweeps_left > 0:
+        prob = expit(z)
+        w = prob * (1.0 - prob)
+        low = prob < learn.WEIGHT_FLOOR
+        high = prob > 1.0 - learn.WEIGHT_FLOOR
+        prob[low] = 0.0
+        prob[high] = 1.0
+        w[low | high] = learn.WEIGHT_FLOOR
+
+        rq = -(y - prob) / w
+        WX = XsT * w
+        h = (WX * XsT).sum(axis=1) * inv_n
+        h0 = w.sum() * inv_n
+        outer_max = 0.0
+
+        while sweeps_left > 0:
+            sweeps_left -= 1
+            delta_max = 0.0
+
+            step = -(w @ rq) * inv_n / h0
+            if step != 0.0:
+                intercept += step
+                rq += step
+                delta_max = abs(step)
+
+            for j in range(p):
+                if h[j] == 0.0:
+                    continue
+                g = (WX[j] @ rq) * inv_n
+                new = soft(beta[j] * h[j] - g, lam) / h[j]
+                change = new - beta[j]
+                if change != 0.0:
+                    beta[j] = new
+                    rq += change * XsT[j]
+                    if abs(change) > delta_max:
+                        delta_max = abs(change)
+
+            if delta_max > outer_max:
+                outer_max = delta_max
+            if delta_max < learn.COORD_TOL:
+                break
+
+        z = rq + z + (y - prob) / w
+        if outer_max < learn.COORD_TOL:
+            return beta, intercept, True
+    return beta, intercept, False
+
+
+def oracle_table(n, p, seed, separation):
+    """make_table plus what the benchmark's features have: an exactly
+    anti-collinear pair (like frac_strong and frac_weak) on the signal
+    column, and a constant column."""
+    table = make_table(n=n, p=p, seed=seed, separation=separation)
+    X = table.X.copy()
+    X[:, 1] = 1.0 - X[:, 0]
+    X[:, 2] = 0.5
+    return FeatureTable(table.trial_ids, table.columns, X, table.labels)
+
+
+ORACLE_TABLES = [
+    # (n, p, seed, separation): n > p, n < p, and a nearly separable class
+    (30, 4, 20, 2.0),
+    (12, 20, 21, 1.0),
+    (45, 12, 22, 2.0),
+    (24, 6, 23, 12.0),
+]
+
+
+@pytest.mark.parametrize("max_sweeps", [1, 7, learn.MAX_SWEEPS])
+@pytest.mark.parametrize("shape", ORACLE_TABLES, ids=lambda s: "n{}-p{}".format(*s))
+def test_covariance_updates_match_the_residual_form(monkeypatch, shape, max_sweeps):
+    monkeypatch.setattr(learn, "MAX_SWEEPS", max_sweeps)
+    table = oracle_table(*shape)
+    Xs, _, _ = learn._standardize(table.X)
+    assert not Xs[:, 2].any()  # the constant column: zero curvature, skipped
+    XsT = np.ascontiguousarray(Xs.T)
+    labels = np.array(table.labels["valence"])
+    grid = lambda_grid(table, "valence", points=8, span=1e-3)
+    for cls in CLASS_ORDER:
+        y = (labels == cls).astype(float)
+        init = ref_init = None
+        for lam in grid:  # warm starts down a descending grid
+            beta, intercept, converged = learn._fit_binary(XsT, y, lam, init)
+            ref_beta, ref_intercept, ref_converged = reference_fit_binary(XsT, y, lam, ref_init)
+            assert converged == ref_converged
+            assert abs(intercept - ref_intercept) <= 1e-10
+            assert np.max(np.abs(beta - ref_beta)) <= 1e-10
+            init, ref_init = (beta, intercept), (ref_beta, ref_intercept)
+
+
+@pytest.mark.parametrize("shape", ORACLE_TABLES, ids=lambda s: "n{}-p{}".format(*s))
+def test_cross_validation_matches_the_residual_form(monkeypatch, shape):
+    table = oracle_table(*shape)
+    got = cross_validate(table, "valence", k=3, seed=5)
+    monkeypatch.setattr(learn, "_fit_binary", reference_fit_binary)
+    want = cross_validate(table, "valence", k=3, seed=5)
+    for field, value in vars(got).items():
+        assert np.array_equal(value, getattr(want, field)), field

@@ -359,6 +359,22 @@ def _emptied(data):
     return b""
 
 
+def _rows_cut(data):
+    # a row boundary: the file parses, with the last trial's two rows gone
+    return b"".join(data.splitlines(keepends=True)[:-2])
+
+
+def _row_duplicated(data):
+    lines = data.splitlines(keepends=True)
+    return b"".join(lines + lines[-1:])
+
+
+def _row_replaced(data):
+    # as many rows as the stamp asks for, one of them twice
+    lines = data.splitlines(keepends=True)
+    return b"".join(lines[:-1] + lines[-2:-1])
+
+
 @pytest.mark.parametrize(
     "name, command, damage",
     [
@@ -368,8 +384,20 @@ def _emptied(data):
         ("evaluation.json", "train", _emptied),
         # the last row loses its last cell
         ("features.csv", "evaluate", lambda data: data[: data.rindex(b",")]),
+        ("features.csv", "evaluate", _rows_cut),
+        ("features.csv", "evaluate", _row_duplicated),
+        ("features.csv", "evaluate", _row_replaced),
     ],
-    ids=["embed-params", "analyze", "features", "evaluate", "features-short-row"],
+    ids=[
+        "embed-params",
+        "analyze",
+        "features",
+        "evaluate",
+        "features-short-row",
+        "features-rows-cut",
+        "features-row-duplicated",
+        "features-row-replaced",
+    ],
 )
 def test_damaged_artifact_is_recomputed(dataset, pipeline_out, tmp_path, name, command, damage):
     # an unreadable artifact is stale, not a crash outside the CLI's exit codes
