@@ -42,9 +42,9 @@ for mu in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
     # One full-trial window, embedding parameters estimated per channel
     # from the data, then the joint-determinism edge weight.
     zscored = zscore_channels(recording)
-    window = segment_windows(zscored, window_s=10.0, overlap_fraction=0.0)[0]
+    windows = segment_windows(zscored, window_s=10.0, overlap_fraction=0.0)
     embeddings = estimate_trial_embeddings(recording, config)
-    graph = channel_graphs(window, embeddings, ("JDET",))["JDET"]
+    graph = channel_graphs(windows, embeddings, ("JDET",))[0]["JDET"]
     print(f"  {mu:.1f}   {gap:9.4f}   {graph.weights[0, 1]:8.3f}")
 
 print()

@@ -52,7 +52,9 @@ config = PipelineConfig(window_s=5.0, overlap=0.2, tau_max=16, m_max=6)
 windows = segment_windows(zscore_channels(recording), config.window_s, config.overlap)
 embeddings = estimate_trial_embeddings(recording, config)
 
-graphs = [channel_graphs(w, embeddings, ("JDET",))["JDET"] for w in windows]
+# One call per trial: each window's recurrence plots reuse the rows they
+# share with the window before.
+graphs = [g["JDET"] for g in channel_graphs(windows, embeddings, ("JDET",))]
 print(f"{len(graphs)} windows, JDET weights of window 0:")
 with np.printoptions(precision=3, suppress=True):
     print(graphs[0].weights)

@@ -18,7 +18,6 @@ from .config import PipelineConfig, load_config
 from .errors import InputError, JrpnetError
 from .pipeline import (
     TARGETS,
-    discover_trials,
     run_pipeline,
     stage_analyze,
     stage_embed_params,
@@ -116,9 +115,8 @@ def _cmd_embed_params(args: argparse.Namespace) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
     config = _config_from(args)
-    stage_analyze(args.data_dir, args.out, config, args.jobs)
-    n = len(discover_trials(args.data_dir))
-    print(f"analyzed {n} trials into {args.out}/networks")
+    analyzed = stage_analyze(args.data_dir, args.out, config, args.jobs)
+    print(f"analyzed {len(analyzed)} trials into {args.out}/networks")
 
 
 def _cmd_features(args: argparse.Namespace) -> None:

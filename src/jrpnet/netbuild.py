@@ -1,11 +1,14 @@
 """From windowed joint recurrence structure to temporal networks.
 
-For each window, every unordered channel pair gets a coupling weight
-(joint determinism or joint laminarity of the pair's JRP).  Channels are
-then merged into modality nodes by averaging the weights of every edge
-spanning (or staying inside) a modality pair.  Finally the per-window
-modality graphs are binarized with a proportional threshold and stacked
-into a temporal network.
+For each window of a trial, every unordered channel pair gets a coupling
+weight (joint determinism or joint laminarity of the pair's JRP).  The
+graphs are built per trial, window after window: overlapping windows
+share most of their states, so each channel's recurrence plot keeps the
+rows it shares with the window before and computes only the rows of its
+new states.  Channels are then merged into modality nodes by averaging
+the weights of every edge spanning (or staying inside) a modality pair.
+Finally the per-window modality graphs are binarized with a proportional
+threshold and stacked into a temporal network.
 
 Weights are kept in [0, 1]; absent weights (degenerate channels, single
 channel modalities) are marked NaN and treated as non-edges, never
@@ -22,7 +25,7 @@ import numpy as np
 from .embedding import EmbeddingParams, embed
 from .errors import InputError
 from .ingest import CONSTANT_EPS, Window
-from .recurrence import joint_recurrence_plot, recurrence_plot
+from .recurrence import RecurrenceMatrix, joint_recurrence_plot, recurrence_plot
 from .rqa import DEFAULT_L_MIN, DEFAULT_V_MIN, determinism, laminarity
 
 __all__ = [
@@ -96,59 +99,86 @@ def _metric_value(jrp, metric: str, l_min: int, v_min: int) -> float:
     return determinism(jrp, l_min) if metric == "JDET" else laminarity(jrp, v_min)
 
 
-def channel_graphs(
+def _window_plot(
     window: Window,
+    name: str,
+    emb: ChannelEmbedding | None,
+    norm: str,
+    earlier: Window | None,
+    earlier_plot: RecurrenceMatrix | None,
+) -> RecurrenceMatrix | None:
+    """One channel's plot in one window, None if absent or constant.
+
+    The earlier window's plot is handed on when this window, starting
+    ``shift`` samples after it, repeats its samples from ``shift`` on;
+    ``recurrence_plot`` then decides whether the rows can be shared.
+    """
+    x = window.channel(name)
+    if emb is None or np.ptp(x) < CONSTANT_EPS:
+        if emb is not None:
+            log.warning("window %d: channel %s is constant, weights set absent", window.index, name)
+        return None
+    shift = 0 if earlier is None else window.start_sample - earlier.start_sample
+    if earlier_plot is not None:
+        overlap = earlier.channel(name)[shift:]
+        if not np.array_equal(overlap, x[: len(overlap)]):
+            earlier_plot = None
+    return recurrence_plot(embed(x, emb.params), emb.epsilon, norm, earlier_plot, shift)
+
+
+def channel_graphs(
+    windows: list[Window],
     embeddings: dict[str, ChannelEmbedding | None],
     metrics: tuple[str, ...] = METRICS,
     l_min: int = DEFAULT_L_MIN,
     v_min: int = DEFAULT_V_MIN,
     norm: str = "L1",
-) -> dict[str, WeightedGraph]:
-    """Pairwise joint-RQA graphs of one window, one per requested metric.
+) -> list[dict[str, WeightedGraph]]:
+    """Pairwise joint-RQA graphs of one trial's windows, in window order:
+    one ``{metric: graph}`` per window.
 
     All metrics share the same joint recurrence plots, so asking for both
-    costs one JRP pass.  Channels marked None in ``embeddings``, or
-    constant within the window, contribute absent weights and a warning.
+    costs one JRP pass.  A channel's plot shares the rows it has in common
+    with its plot in the window before, so overlapping windows compute
+    only their new states' distances.  Channels marked None in
+    ``embeddings``, or constant within a window, contribute absent
+    weights, the constant ones with a warning.
     """
-    names = window.channel_names
-    missing = [n for n in names if n not in embeddings]
-    if missing:
-        raise InputError(f"no embedding provided for channels {missing}")
     for metric in metrics:
         if metric not in METRICS:
             raise InputError(f"unknown weight metric {metric!r}; choose one of {METRICS}")
 
-    plots: dict[str, object] = {}
-    for name in names:
-        emb = embeddings[name]
-        if emb is None or np.ptp(window.channel(name)) < CONSTANT_EPS:
-            if emb is not None:
-                log.warning(
-                    "window %d: channel %s is constant, weights set absent",
-                    window.index,
-                    name,
-                )
-            plots[name] = None
-            continue
-        states = embed(window.channel(name), emb.params)
-        plots[name] = recurrence_plot(states, emb.epsilon, norm)
+    out: list[dict[str, WeightedGraph]] = []
+    earlier: Window | None = None
+    plots: dict[str, RecurrenceMatrix | None] = {}
+    for window in windows:
+        names = window.channel_names
+        missing = [n for n in names if n not in embeddings]
+        if missing:
+            raise InputError(f"no embedding provided for channels {missing}")
+        plots = {
+            name: _window_plot(window, name, embeddings[name], norm, earlier, plots.get(name))
+            for name in names
+        }
+        earlier = window
 
-    n = len(names)
-    weights = {m: np.full((n, n), np.nan) for m in metrics}
-    for i in range(n):
-        for j in range(i + 1, n):
-            rp_i, rp_j = plots[names[i]], plots[names[j]]
-            if rp_i is None or rp_j is None:
-                continue
-            jrp = joint_recurrence_plot(rp_i, rp_j)
-            for m in metrics:
-                value = _metric_value(jrp, m, l_min, v_min)
-                weights[m][i, j] = value
-                weights[m][j, i] = value
-    return {
-        m: WeightedGraph(nodes=names, weights=weights[m], window_index=window.index, metric=m)
-        for m in metrics
-    }
+        n = len(names)
+        weights = {m: np.full((n, n), np.nan) for m in metrics}
+        for i in range(n):
+            for j in range(i + 1, n):
+                rp_i, rp_j = plots[names[i]], plots[names[j]]
+                if rp_i is None or rp_j is None:
+                    continue
+                jrp = joint_recurrence_plot(rp_i, rp_j)
+                for m in metrics:
+                    value = _metric_value(jrp, m, l_min, v_min)
+                    weights[m][i, j] = value
+                    weights[m][j, i] = value
+        out.append({
+            m: WeightedGraph(nodes=names, weights=weights[m], window_index=window.index, metric=m)
+            for m in metrics
+        })
+    return out
 
 
 def merge_modalities(graph: WeightedGraph, modality_map: dict[str, str]) -> WeightedGraph:

@@ -23,10 +23,15 @@ upstream stage would write now, and otherwise first runs that stage,
 which writes it.  A learn-only change such as
 ``lambda_span`` therefore reuses ``features.csv``, while an added or
 removed trial makes every artifact stamped with the whole trial set
-stale.  A ``features.csv`` whose rows are not exactly one per stamped
-trial and metric is stale too.  A standalone ``features`` run also leaves
-``embedding_params.json`` and ``networks/`` behind, and running stages
-one by one writes byte-for-byte what a single end-to-end run writes.
+stale.  Network files are stamped per trial, so a ``features`` run that
+finds a trial added analyzes only that trial and any trial whose
+re-estimated embedding parameters changed.  A stamp does not cover a
+trial's data, so ``analyze`` and ``run`` re-analyze every trial.  A
+``features.csv`` whose rows are not exactly one per
+stamped trial and metric is stale too.  A standalone ``features`` run
+also leaves ``embedding_params.json`` and ``networks/`` behind, and
+running stages one by one writes byte-for-byte what a single end-to-end
+run writes.
 Writes are atomic (tmp file + rename), so interrupted runs never leave
 partial artifacts behind.
 """
@@ -237,18 +242,18 @@ def analyze_recording(
     """Coupling graphs per window and temporal networks of one recording."""
     modality_map = dict(zip(recording.channel_names, recording.modalities))
     windows = segment_windows(recording, config.window_s, config.overlap)
+    per_window = channel_graphs(
+        windows,
+        embeddings,
+        metrics=config.metrics,
+        l_min=config.l_min,
+        v_min=config.v_min,
+        norm=config.norm,
+    )
 
     weighted_records: list[dict] = []
     merged: dict[str, list] = {m: [] for m in config.metrics}
-    for window in windows:
-        graphs = channel_graphs(
-            window,
-            embeddings,
-            metrics=config.metrics,
-            l_min=config.l_min,
-            v_min=config.v_min,
-            norm=config.norm,
-        )
+    for graphs in per_window:
         for metric in config.metrics:
             graph = merge_modalities(graphs[metric], modality_map)
             merged[metric].append(graph)
@@ -335,19 +340,32 @@ def _artifact(stage: str, config: PipelineConfig, trial_ids, classes=None, **fie
     return {"stamp": _stamp(stage, config, trial_ids, classes), **fields}
 
 
-def _read_artifact(
-    path: str, stage: str, config: PipelineConfig, trial_ids, classes=None
-) -> dict | None:
-    """A JSON artifact, or None if it is missing, unreadable or stale."""
+def _read_json(path: str) -> dict | None:
+    """A JSON artifact as stored, or None if it is missing or unreadable."""
     if not os.path.isfile(path):
         return None
     try:
         with open(path, encoding="utf-8") as fh:
-            artifact = json.load(fh)
+            return json.load(fh)
     except ValueError:  # unparseable
+        return None
+
+
+def _read_artifact(
+    path: str, stage: str, config: PipelineConfig, trial_ids, classes=None
+) -> dict | None:
+    """A JSON artifact, or None if it is missing, unreadable or stale."""
+    artifact = _read_json(path)
+    if artifact is None:
         return None
     stamp = artifact.get("stamp")
     return artifact if _is_current(stamp, stage, config, trial_ids, classes) else None
+
+
+def _network_paths(out_dir: str, trial_id: str, config: PipelineConfig) -> dict[str, str]:
+    """A trial's network files: weighted graphs, and binarized per metric."""
+    kinds = {"weighted": "weighted", **{m: f"{m}.binary" for m in config.metrics}}
+    return {k: os.path.join(out_dir, "networks", f"{trial_id}.{v}.jsonl") for k, v in kinds.items()}
 
 
 def _read_binary_network(
@@ -379,19 +397,19 @@ def _read_binary_network(
 
 def _load_networks(
     out_dir: str, trials: list[TrialPaths], config: PipelineConfig
-) -> dict[str, dict[str, TemporalNetwork]] | None:
-    """Binarized networks from disk, or None if any file is missing,
-    unreadable or stale."""
+) -> tuple[dict[str, dict[str, TemporalNetwork]], list[str]]:
+    """Binarized networks from disk, and the ids of the trials left out
+    because one of their files is missing, unreadable or stale."""
     networks: dict[str, dict[str, TemporalNetwork]] = {}
+    stale: list[str] = []
     for t in trials:
-        networks[t.trial_id] = {}
-        for metric in config.metrics:
-            path = os.path.join(out_dir, "networks", f"{t.trial_id}.{metric}.binary.jsonl")
-            tn = _read_binary_network(path, config, t.trial_id)
-            if tn is None:
-                return None
-            networks[t.trial_id][metric] = tn
-    return networks
+        paths = _network_paths(out_dir, t.trial_id, config)
+        loaded = {m: _read_binary_network(paths[m], config, t.trial_id) for m in config.metrics}
+        if any(tn is None for tn in loaded.values()):
+            stale.append(t.trial_id)
+        else:
+            networks[t.trial_id] = loaded
+    return networks, stale
 
 
 def read_features_csv(path: str) -> tuple[dict, list[str], list[dict]]:
@@ -502,21 +520,33 @@ def stage_analyze(
     out_dir: str | os.PathLike,
     config: PipelineConfig,
     jobs: int = 1,
-) -> None:
-    """Write weighted graphs and binarized temporal networks per trial."""
+    trial_ids: list[str] | None = None,
+) -> list[str]:
+    """Write weighted graphs and binarized temporal networks per trial;
+    returns the ids of the trials analyzed.
+
+    ``trial_ids`` limits the analysis to those trials (default: every
+    trial), and to every other trial whose embedding parameters change
+    when a stale ``embedding_params.json`` is re-estimated here.
+    """
     out_dir = os.fspath(out_dir)
     trials = discover_trials(data_dir)
-    params = _read_artifact(
-        os.path.join(out_dir, "embedding_params.json"),
-        "embed-params",
-        config,
-        [t.trial_id for t in trials],
-    ) or stage_embed_params(data_dir, out_dir, config, jobs)
-    results = _run_trials("analyze", analyze_recording, trials, config, jobs, params["trials"])
-    networks_dir = os.path.join(out_dir, "networks")
+    ids = [t.trial_id for t in trials]
+    stored = _read_json(os.path.join(out_dir, "embedding_params.json")) or {}
+    if _is_current(stored.get("stamp"), "embed-params", config, ids):
+        params = stored
+    else:
+        params = stage_embed_params(data_dir, out_dir, config, jobs)
+        if trial_ids is not None:
+            before = stored.get("trials", {})
+            changed = [tid for tid in ids if before.get(tid) != params["trials"][tid]]
+            trial_ids = [*trial_ids, *changed]
+    todo = trials if trial_ids is None else [t for t in trials if t.trial_id in trial_ids]
+    results = _run_trials("analyze", analyze_recording, todo, config, jobs, params["trials"])
     for tid, r in results.items():
+        paths = _network_paths(out_dir, tid, config)
         _write_jsonl(
-            os.path.join(networks_dir, f"{tid}.weighted.jsonl"),
+            paths["weighted"],
             _artifact("analyze", config, [tid], kind="weighted_graphs", trial_id=tid),
             r.weighted_records,
         )
@@ -532,10 +562,11 @@ def stage_analyze(
                 binarize_rule=tn.binarize_rule,
             )
             _write_jsonl(
-                os.path.join(networks_dir, f"{tid}.{metric}.binary.jsonl"),
+                paths[metric],
                 header,
                 [binary_record(tn, w) for w in range(tn.n_layers)],
             )
+    return list(results)
 
 
 def stage_features(
@@ -547,10 +578,12 @@ def stage_features(
     """Write the feature CSV and the reachability audit report."""
     out_dir = os.fspath(out_dir)
     trials = discover_trials(data_dir)
-    networks = _load_networks(out_dir, trials, config)
-    if networks is None:
-        stage_analyze(data_dir, out_dir, config, jobs)
-        networks = _load_networks(out_dir, trials, config)
+    networks, stale = _load_networks(out_dir, trials, config)
+    if stale:
+        analyzed = set(stage_analyze(data_dir, out_dir, config, jobs, stale))
+        networks.update(
+            _load_networks(out_dir, [t for t in trials if t.trial_id in analyzed], config)[0]
+        )
 
     trial_ids = sorted(networks)
     first = config.metrics[0]

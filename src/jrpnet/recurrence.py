@@ -7,6 +7,12 @@ common size when different embedding parameters trim the trajectories to
 different lengths.  Thresholds are picked per channel so that every plot
 hits the same target recurrence rate, which keeps densities comparable
 across heterogeneous modalities.
+
+A channel's threshold holds for the whole trial, so the plots of two
+overlapping windows agree on their shared states: a window's plot can
+take the previous window's overlap block and compute only the rows of its
+new states.  ``recurrence_plot`` builds every plot's bits, whole or from
+shared rows.
 """
 
 from __future__ import annotations
@@ -109,15 +115,42 @@ def recurrence_plot(
     trajectory: np.ndarray,
     epsilon: float,
     norm: str = "L1",
+    previous: RecurrenceMatrix | None = None,
+    shift: int = 0,
 ) -> RecurrenceMatrix:
     """Recurrence plot: bits[i, j] = 1 iff the states i and j lie within
-    ``epsilon`` of each other (closed ball) under ``norm``."""
+    ``epsilon`` of each other (closed ball) under ``norm``.
+
+    ``previous`` may be the plot of a trajectory whose states from index
+    ``shift`` on are this trajectory's first states, such as the window
+    ``shift`` samples earlier.  When both plots have n states, the same
+    threshold and norm, and 0 < shift < n, its block ``[shift:, shift:]``
+    is reused and only the new states' distances to all n are computed,
+    mirrored into the new columns; every norm is symmetric, so the bits
+    equal a full rebuild.  Otherwise the plot is built from scratch.
+    """
     if not epsilon > 0.0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
     states = _states(trajectory)
-    bits = cdist(states, states, metric=_metric(norm)) <= epsilon
+    n = states.shape[0]
+    metric = _metric(norm)
+    if (
+        previous is not None
+        and previous.size_n == n
+        and previous.epsilon == epsilon
+        and previous.norm == norm
+        and 0 < shift < n
+    ):
+        kept = n - shift
+        new_rows = cdist(states[kept:], states, metric=metric) <= epsilon
+        bits = np.empty((n, n), dtype=bool)
+        bits[:kept, :kept] = previous.bits[shift:, shift:]
+        bits[kept:] = new_rows
+        bits[:kept, kept:] = new_rows[:, :kept].T
+    else:
+        bits = cdist(states, states, metric=metric) <= epsilon
     return RecurrenceMatrix(
-        size_n=states.shape[0],
+        size_n=n,
         bits=bits,
         epsilon=float(epsilon),
         norm=norm,

@@ -250,7 +250,7 @@ def test_coupling_raises_joint_determinism():
                 channel_names=recording.channel_names,
                 samples=zscore_channels(recording).samples,
             )
-            graph = channel_graphs(window, embeddings, ("JDET",), norm=config.norm)["JDET"]
+            graph = channel_graphs([window], embeddings, ("JDET",), norm=config.norm)[0]["JDET"]
             bucket.append(graph.weights[0, 1])
     p = mannwhitneyu(coupled, uncoupled, alternative="greater").pvalue
     verdict(

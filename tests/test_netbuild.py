@@ -2,13 +2,15 @@
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from jrpnet import netbuild
 from jrpnet.embedding import EmbeddingParams, embed
 from jrpnet.errors import InputError
-from jrpnet.ingest import Window
+from jrpnet.ingest import CONSTANT_EPS, Window, segment_windows, window_geometry, zscore_channels
 from jrpnet.netbuild import (
     ChannelEmbedding,
     WeightedGraph,
@@ -18,8 +20,9 @@ from jrpnet.netbuild import (
     merge_modalities,
     weighted_record,
 )
-from jrpnet.recurrence import joint_recurrence_plot, recurrence_plot
+from jrpnet.recurrence import NORMS, joint_recurrence_plot, recurrence_plot, threshold_for_rate
 from jrpnet.rqa import determinism, laminarity
+from jrpnet.synth import CouplingSpec, generate
 
 
 def logistic_window(n_channels, length, seed, index=0):
@@ -48,7 +51,7 @@ def simple_embeddings(window, epsilon=0.5, delay=1, dim=2):
 def test_pair_weights_match_direct_recomputation():
     window = logistic_window(3, 120, seed=5)
     embeddings = simple_embeddings(window, epsilon=0.4, delay=2, dim=3)
-    graphs = channel_graphs(window, embeddings, norm="L2")
+    graphs = channel_graphs([window], embeddings, norm="L2")[0]
     names = window.channel_names
     for i in range(3):
         for j in range(i + 1, 3):
@@ -74,7 +77,7 @@ def test_unequal_embeddings_give_unequal_jrps_with_exact_weights():
         name: ChannelEmbedding(params=EmbeddingParams(delay_tau=tau, dimension_m=m), epsilon=1.5)
         for name, (tau, m) in zip(names, shapes)
     }
-    graphs = channel_graphs(window, embeddings, l_min=2, v_min=4)
+    graphs = channel_graphs([window], embeddings, l_min=2, v_min=4)[0]
     rps = [
         recurrence_plot(embed(window.channel(name), embeddings[name].params), 1.5)
         for name in names
@@ -90,7 +93,7 @@ def test_unequal_embeddings_give_unequal_jrps_with_exact_weights():
 
 def test_six_channels_fill_all_fifteen_pairs():
     window = logistic_window(6, 100, seed=9)
-    graphs = channel_graphs(window, simple_embeddings(window))
+    graphs = channel_graphs([window], simple_embeddings(window))[0]
     for g in graphs.values():
         w = g.weights
         assert w.shape == (6, 6)
@@ -104,8 +107,8 @@ def test_six_channels_fill_all_fifteen_pairs():
 def test_metrics_share_one_graph_pass():
     window = logistic_window(3, 90, seed=11)
     embeddings = simple_embeddings(window)
-    both = channel_graphs(window, embeddings)
-    single = channel_graphs(window, embeddings, ("JLAM",))["JLAM"]
+    both = channel_graphs([window], embeddings)[0]
+    single = channel_graphs([window], embeddings, ("JLAM",))[0]["JLAM"]
     assert np.array_equal(both["JLAM"].weights, single.weights, equal_nan=True)
     assert single.metric == "JLAM"
     assert single.window_index == window.index
@@ -116,7 +119,7 @@ def test_constant_channel_gets_absent_weights(caplog):
     window.samples[1, :] = 0.7
     embeddings = simple_embeddings(window)
     with caplog.at_level(logging.WARNING):
-        graphs = channel_graphs(window, embeddings)
+        graphs = channel_graphs([window], embeddings)[0]
     assert "ch1 is constant" in caplog.text
     w = graphs["JDET"].weights
     assert np.isnan(w[0, 1]) and np.isnan(w[1, 2])
@@ -128,7 +131,7 @@ def test_none_embedding_gets_absent_weights_silently(caplog):
     embeddings = simple_embeddings(window)
     embeddings["ch2"] = None
     with caplog.at_level(logging.WARNING):
-        graphs = channel_graphs(window, embeddings)
+        graphs = channel_graphs([window], embeddings)[0]
     assert "constant" not in caplog.text
     w = graphs["JLAM"].weights
     assert np.isnan(w[0, 2]) and np.isnan(w[1, 2])
@@ -140,9 +143,85 @@ def test_channel_graph_input_errors():
     embeddings = simple_embeddings(window)
     incomplete = {"ch0": embeddings["ch0"]}
     with pytest.raises(InputError, match="no embedding"):
-        channel_graphs(window, incomplete)
+        channel_graphs([window], incomplete)
     with pytest.raises(InputError, match="weight metric"):
-        channel_graphs(window, embeddings, metrics=("DET",))
+        channel_graphs([window], embeddings, metrics=("DET",))
+
+
+def oracle_graphs(windows, embeddings, norm):
+    """Per-window weights recomputed from scratch, window by window."""
+    out = []
+    for window in windows:
+        plots = []
+        for name in window.channel_names:
+            emb, x = embeddings[name], window.channel(name)
+            if emb is None or np.ptp(x) < CONSTANT_EPS:
+                plots.append(None)
+            else:
+                plots.append(recurrence_plot(embed(x, emb.params), emb.epsilon, norm))
+        n = len(plots)
+        jdet, jlam = np.full((n, n), np.nan), np.full((n, n), np.nan)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if plots[i] is not None and plots[j] is not None:
+                    jrp = joint_recurrence_plot(plots[i], plots[j])
+                    jdet[i, j] = jdet[j, i] = determinism(jrp)
+                    jlam[i, j] = jlam[j, i] = laminarity(jrp)
+        out.append({"JDET": jdet, "JLAM": jlam})
+    return out
+
+
+@pytest.mark.parametrize("norm", sorted(NORMS))
+@pytest.mark.parametrize("overlap", [0.0, 0.2, 0.5, 0.9])
+def test_shared_window_rows_equal_per_window_recomputation(overlap, norm, monkeypatch):
+    spec = CouplingSpec(
+        n_channels=4,
+        modality_map={"a": "EEG", "b": "EEG", "c": "EMG", "d": "EMG"},
+        coupling_matrix=np.full((4, 4), 0.1) - 0.1 * np.eye(4),
+        noise_sd=0.05,
+        length_samples=640,
+        sampling_rate_hz=64.0,
+        seed=17,
+    )
+    recording = generate(spec)
+    window_s = 2.0
+    length, stride = window_geometry(recording, window_s, overlap)
+    n_windows = (recording.duration_samples - length) // stride + 1
+    # channel c is constant over exactly one middle window: its chain of
+    # shared rows breaks there and restarts from scratch after it
+    middle = n_windows // 2 * stride
+    recording.samples[2, middle : middle + length] = 0.3
+    windows = segment_windows(recording, window_s, overlap)
+    assert len(windows) == n_windows
+    normalized = zscore_channels(recording)
+    shapes = {"a": (1, 2), "b": (2, 3), "c": (3, 2), "d": (1, 4)}
+    embeddings = {}
+    for name, (tau, m) in shapes.items():
+        params = EmbeddingParams(delay_tau=tau, dimension_m=m)
+        epsilon = threshold_for_rate(embed(normalized.channel(name), params), 0.1, norm)
+        embeddings[name] = ChannelEmbedding(params=params, epsilon=epsilon)
+
+    shared = []
+
+    def spy(states, epsilon, norm, previous=None, shift=0):
+        shared.append(previous is not None and 0 < shift < len(states))
+        return recurrence_plot(states, epsilon, norm, previous, shift)
+
+    monkeypatch.setattr(netbuild, "recurrence_plot", spy)
+    # every window in order, a list with uneven gaps (1 and 2 strides), and
+    # one whose second window does not repeat its neighbours' samples
+    uneven = [w for k, w in enumerate(windows) if k % 3 != 2]
+    rescaled = [windows[0], replace(windows[1], samples=1.5 * windows[1].samples), *windows[2:]]
+    for subset in (windows, uneven, rescaled):
+        graphs = channel_graphs(subset, embeddings, norm=norm)
+        assert [g["JDET"].window_index for g in graphs] == [w.index for w in subset]
+        for got, want in zip(graphs, oracle_graphs(subset, embeddings, norm)):
+            for metric in ("JDET", "JLAM"):
+                assert got[metric].weights.tobytes() == want[metric].tobytes()
+        for g, w in zip(graphs, subset):
+            assert np.isnan(g["JDET"].weights[2]).all() == (w.start_sample == middle)
+    # overlapping windows share rows, disjoint ones are built from scratch
+    assert any(shared) == (overlap > 0.0)
 
 
 def graph_from(weights, nodes, index=0, metric="JDET"):

@@ -16,6 +16,7 @@ from jrpnet.ingest import load_recording
 from jrpnet.learn import CLASS_ORDER, discretize_score
 from jrpnet.pipeline import (
     TARGETS,
+    analyze_recording,
     discover_trials,
     estimate_trial_embeddings,
     read_features_csv,
@@ -490,6 +491,102 @@ def test_trial_added_after_features_is_learned_from(nine_trials, tmp_path, stage
         after = {k: v for k, v in after.items() if not k.startswith("model_")}
         fresh = {k: v for k, v in fresh.items() if not k.startswith("model_")}
     assert after == fresh
+
+
+def test_trial_added_after_analyze_is_the_only_one_analyzed(nine_trials, tmp_path, monkeypatch):
+    # network files are stamped per trial: the 8 trials analyzed before
+    # keep theirs, and the stage writes what a fresh 9-trial run writes
+    data_dir, out_dir = nine_trials
+    grown, out = tmp_path / "grown", tmp_path / "out"
+    grown.mkdir()
+    *first, last = discover_trials(data_dir)
+    shutil.copy(data_dir / "labels.csv", grown)
+    for t in first:
+        shutil.copy(t.csv_path, grown)
+        shutil.copy(t.schema_path, grown)
+    run_pipeline(grown, out, CONFIG)
+    shutil.copy(last.csv_path, grown)
+    shutil.copy(last.schema_path, grown)
+    analyzed = []
+    monkeypatch.setattr(pipeline, "analyze_recording", _counted(analyzed))
+    stage_features(grown, out, CONFIG)
+    assert analyzed == [last.trial_id]
+    _assert_features_outputs_match(out, out_dir, n_trials=9)
+
+
+def _counted(calls):
+    """``analyze_recording`` that first appends the trial id to ``calls``."""
+
+    def counted(recording, *args):
+        calls.append(recording.trial_id)
+        return analyze_recording(recording, *args)
+
+    return counted
+
+
+def _assert_features_outputs_match(out, fresh_dir, n_trials):
+    """The networks and the artifacts up to the features stage in ``out``
+    equal those of ``fresh_dir``."""
+    after, fresh = _tree(out), _tree(fresh_dir)
+    written = [k for k in fresh if k.startswith("networks/") or k in ARTIFACTS[:3]]
+    assert len(written) == 3 + 3 * n_trials
+    assert {k: after.get(k) for k in written} == {k: fresh[k] for k in written}
+
+
+@pytest.fixture(scope="module")
+def rerecorded(nine_trials, tmp_path_factory):
+    """``nine_trials`` with its first trial's recording replaced by other
+    data under the same id, and a fresh run on that data."""
+    data_dir, _ = nine_trials
+    other, edited = tmp_path_factory.mktemp("other"), tmp_path_factory.mktemp("edited")
+    specs, labels = three_regime_specs(n_per_regime=3, seed=12, length_samples=640)
+    write_dataset(specs, labels, other)
+    shutil.copytree(data_dir, edited, dirs_exist_ok=True)
+    changed = discover_trials(data_dir)[0].trial_id
+    for suffix in (".csv", ".schema.json"):
+        shutil.copy(other / f"{changed}{suffix}", edited)
+    fresh = tmp_path_factory.mktemp("edited_out")
+    run_pipeline(edited, fresh, CONFIG)
+    return edited, fresh, changed
+
+
+def test_rerun_after_a_recording_changes_matches_a_fresh_run(nine_trials, rerecorded, tmp_path):
+    # a network stamp does not cover the trial's data, so run re-analyzes
+    # every trial instead of keeping the networks of the old recording
+    _, out_dir = nine_trials
+    edited, fresh, changed = rerecorded
+    name = f"networks/{changed}.JDET.binary.jsonl"
+    assert _tree(fresh)[name] != _tree(out_dir)[name]
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    run_pipeline(edited, out, CONFIG)
+    assert _tree(out) == _tree(fresh)
+
+
+def test_trial_whose_parameters_change_with_an_added_one_is_reanalyzed(
+    nine_trials, rerecorded, tmp_path, monkeypatch
+):
+    # adding a trial re-estimates every trial's embedding parameters; a
+    # trial whose parameters came out different is analyzed again too
+    data_dir, _ = nine_trials
+    edited, fresh, changed = rerecorded
+    grown, out = tmp_path / "grown", tmp_path / "out"
+    grown.mkdir()
+    *first, last = discover_trials(data_dir)
+    shutil.copy(data_dir / "labels.csv", grown)
+    for t in first:
+        shutil.copy(t.csv_path, grown)
+        shutil.copy(t.schema_path, grown)
+    run_pipeline(grown, out, CONFIG)
+    for t in discover_trials(edited):
+        if t.trial_id in (changed, last.trial_id):
+            shutil.copy(t.csv_path, grown)
+            shutil.copy(t.schema_path, grown)
+    analyzed = []
+    monkeypatch.setattr(pipeline, "analyze_recording", _counted(analyzed))
+    stage_features(grown, out, CONFIG)
+    assert sorted(analyzed) == sorted([changed, last.trial_id])
+    _assert_features_outputs_match(out, fresh, n_trials=9)
 
 
 def _rescored(data_dir, dest, arousal):

@@ -172,9 +172,24 @@ def test_erosion_equals_brute_force_exactly(l_min):
         assert laminarity(bits, l_min) == brute_lam(bits, l_min)
     zero = np.zeros((12, 12), dtype=bool)
     assert determinism(zero, l_min) == laminarity(zero, l_min) == 0.0
+    # at n = l - 1, l, l + 1 the (l + 1)-fold erosion is empty or one cell
+    for n in (l_min - 1, l_min, l_min + 1):
+        inputs = [np.ones((n, n), dtype=bool), np.eye(n, dtype=bool)]
+        inputs += [rng.random((n, n)) < density for density in (0.3, 0.6, 0.9)]
+        for bits in inputs:
+            assert determinism(bits, l_min) == brute_det(bits, l_min)
+            assert laminarity(bits, l_min) == brute_lam(bits, l_min)
 
 
 @pytest.mark.parametrize("l_min", [2, 3, 5])
 def test_matrices_shorter_than_the_line_minimum_have_no_lines(l_min):
     ones = np.ones((l_min - 1, l_min - 1), dtype=bool)
     assert determinism(ones, l_min) == laminarity(ones, l_min) == 0.0
+    # at n = l the longest off-main diagonal and every column's runs either
+    # side of the cleared diagonal still fall one short of l
+    ones = np.ones((l_min, l_min), dtype=bool)
+    assert determinism(ones, l_min) == laminarity(ones, l_min) == 0.0
+    # at n = l + 1 the two first off-diagonals and the first and last
+    # columns hold one line of exactly l points each: 2l of (l + 1) l points
+    ones = np.ones((l_min + 1, l_min + 1), dtype=bool)
+    assert determinism(ones, l_min) == laminarity(ones, l_min) == 2 / (l_min + 1)
