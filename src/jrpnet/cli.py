@@ -115,8 +115,8 @@ def _cmd_embed_params(args: argparse.Namespace) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> None:
     config = _config_from(args)
-    analyzed = stage_analyze(args.data_dir, args.out, config, args.jobs)
-    print(f"analyzed {len(analyzed)} trials into {args.out}/networks")
+    networks = stage_analyze(args.data_dir, args.out, config, args.jobs)
+    print(f"networks of {len(networks)} trials in {args.out}/networks")
 
 
 def _cmd_features(args: argparse.Namespace) -> None:

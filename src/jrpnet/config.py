@@ -17,7 +17,7 @@ from .errors import InputError
 
 __all__ = ["CONFIG_SCHEMA_VERSION", "STAGE_FIELDS", "PipelineConfig", "load_config"]
 
-CONFIG_SCHEMA_VERSION = 2
+CONFIG_SCHEMA_VERSION = 3
 
 #: The stages in order, each with the config fields its own code reads.
 #: An artifact depends on its stage's fields and on every earlier stage's;

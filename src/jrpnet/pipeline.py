@@ -13,25 +13,25 @@ A data directory holds one CSV + JSON-sidecar pair per trial plus a
 
 Every artifact carries a stamp of what it depends on: the config fields
 of its stage and of every earlier stage (``config.STAGE_FIELDS``), the
-exact set of trials it covers (a network file: its own trial) and the
-schema version.  The evaluation report and the models also carry a
-digest of every trial's discretized class per target, so relabeling a
-trial makes them stale while a rescore that keeps every class does not.
-Stages hand results to each other only through these artifacts: a stage
-reuses the upstream artifact when its stamp equals the stamp the
-upstream stage would write now, and otherwise first runs that stage,
-which writes it.  A learn-only change such as
-``lambda_span`` therefore reuses ``features.csv``, while an added or
-removed trial makes every artifact stamped with the whole trial set
-stale.  Network files are stamped per trial, so a ``features`` run that
-finds a trial added analyzes only that trial and any trial whose
-re-estimated embedding parameters changed.  A stamp does not cover a
-trial's data, so ``analyze`` and ``run`` re-analyze every trial.  A
-``features.csv`` whose rows are not exactly one per
-stamped trial and metric is stale too.  A standalone ``features`` run
-also leaves ``embedding_params.json`` and ``networks/`` behind, and
-running stages one by one writes byte-for-byte what a single end-to-end
-run writes.
+schema version, and a map from each trial it covers to the sha256 of
+that trial's CSV and sidecar bytes.  The evaluation report and the
+models also carry a digest of every trial's discretized class per
+target, so relabeling a trial makes them stale while a rescore that
+keeps every class does not.
+
+One rule decides reuse: a piece is current when its stamp equals the
+stamp its stage would write now.  ``stage_embed_params`` and
+``stage_analyze`` keep one piece per trial (its entry in
+``embedding_params.json``, current when the slice of the file's stamp
+for that trial is, and its network files) and compute exactly the
+trials whose piece is stale, whoever calls them.  ``features.csv``,
+``reachability.json``, ``evaluation.json`` and the models are current
+or stale as a whole; so is a ``features.csv`` whose rows are not one
+per stamped trial and metric.  A stage runs the per-trial stage before
+it, and a whole-set stage only when that one's artifact is stale, so a
+learn-only change such as ``lambda_span`` reuses ``features.csv``, and
+running stages one by one writes byte-for-byte what one end-to-end run
+writes.
 Writes are atomic (tmp file + rename), so interrupted runs never leave
 partial artifacts behind.
 """
@@ -311,8 +311,22 @@ def _run_trials(
 # artifacts
 
 
-def _stamp(stage: str, config: PipelineConfig, trial_ids, classes: str | None = None) -> dict:
-    """What an artifact of ``stage`` over ``trial_ids`` depends on.
+def _trial_digests(trials: list[TrialPaths]) -> dict[str, str]:
+    """sha256 of each trial's length-prefixed CSV and sidecar bytes, by trial id."""
+    digests = {}
+    for t in trials:
+        h = hashlib.sha256()
+        for path in (t.csv_path, t.schema_path):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            h.update(len(data).to_bytes(8, "big") + data)
+        digests[t.trial_id] = h.hexdigest()
+    return digests
+
+
+def _stamp(stage: str, config: PipelineConfig, digests: dict, classes: str | None = None) -> dict:
+    """What an artifact of ``stage`` over the trials in :func:`_trial_digests`
+    ``digests`` depends on.
 
     A learned artifact also depends on the labels it learned from, given
     as the :func:`_class_digest` ``classes``.
@@ -323,43 +337,47 @@ def _stamp(stage: str, config: PipelineConfig, trial_ids, classes: str | None = 
     stamp = {
         "schema_version": CONFIG_SCHEMA_VERSION,
         "config": {k: values[k] for k in names},
-        "trials": sorted(trial_ids),
+        "trials": dict(digests),
     }
     if classes is not None:
         stamp["classes"] = classes
     return stamp
 
 
-def _is_current(stamp, stage: str, config: PipelineConfig, trial_ids, classes=None) -> bool:
+def _is_current(stamp, stage: str, config: PipelineConfig, digests: dict, classes=None) -> bool:
     """The one staleness rule: a stored stamp must equal the one ``stage`` writes now."""
-    return stamp == _stamp(stage, config, trial_ids, classes)
+    return stamp == _stamp(stage, config, digests, classes)
 
 
-def _artifact(stage: str, config: PipelineConfig, trial_ids, classes=None, **fields) -> dict:
+def _trial_slice(stamp, trial_id: str) -> dict | None:
+    """The stamp a whole-set ``stamp`` holds for one of its trials."""
+    try:
+        return {**stamp, "trials": {trial_id: stamp["trials"][trial_id]}}
+    except (TypeError, KeyError):  # not a stamp, or not one covering the trial
+        return None
+
+
+def _artifact(stage: str, config: PipelineConfig, digests: dict, classes=None, **fields) -> dict:
     """The envelope of every JSON artifact and network-file header."""
-    return {"stamp": _stamp(stage, config, trial_ids, classes), **fields}
+    return {"stamp": _stamp(stage, config, digests, classes), **fields}
 
 
 def _read_json(path: str) -> dict | None:
     """A JSON artifact as stored, or None if it is missing or unreadable."""
-    if not os.path.isfile(path):
-        return None
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError:  # unparseable
+            artifact = json.load(fh)
+    except (OSError, ValueError):  # missing or unparseable
         return None
+    return artifact if isinstance(artifact, dict) else None
 
 
 def _read_artifact(
-    path: str, stage: str, config: PipelineConfig, trial_ids, classes=None
+    path: str, stage: str, config: PipelineConfig, digests: dict, classes=None
 ) -> dict | None:
     """A JSON artifact, or None if it is missing, unreadable or stale."""
-    artifact = _read_json(path)
-    if artifact is None:
-        return None
-    stamp = artifact.get("stamp")
-    return artifact if _is_current(stamp, stage, config, trial_ids, classes) else None
+    artifact = _read_json(path) or {}
+    return artifact if _is_current(artifact.get("stamp"), stage, config, digests, classes) else None
 
 
 def _network_paths(out_dir: str, trial_id: str, config: PipelineConfig) -> dict[str, str]:
@@ -368,18 +386,20 @@ def _network_paths(out_dir: str, trial_id: str, config: PipelineConfig) -> dict[
     return {k: os.path.join(out_dir, "networks", f"{trial_id}.{v}.jsonl") for k, v in kinds.items()}
 
 
-def _read_binary_network(
-    path: str, config: PipelineConfig, trial_id: str
-) -> TemporalNetwork | None:
-    if not os.path.isfile(path):
-        return None
+def _read_jsonl(path: str, stamp: dict) -> list | None:
+    """A network file's header and records, or None if it is missing,
+    unreadable or stamped other than ``stamp``."""
     try:
         with open(path, encoding="utf-8") as fh:
             header, *records = [json.loads(line) for line in fh if line.strip()]
-    except ValueError:  # unparseable, or no header line
+    except (OSError, ValueError):  # missing, unparseable, or no header line
         return None
-    if not _is_current(header.get("stamp"), "analyze", config, [trial_id]):
+    if not isinstance(header, dict) or header.get("stamp") != stamp:
         return None
+    return [header, *records]
+
+
+def _binary_network(header: dict, *records: dict) -> TemporalNetwork:
     nodes = tuple(header["nodes"])
     n = len(nodes)
     layers = np.zeros((len(records), n, n), dtype=bool)
@@ -395,21 +415,17 @@ def _read_binary_network(
     )
 
 
-def _load_networks(
-    out_dir: str, trials: list[TrialPaths], config: PipelineConfig
-) -> tuple[dict[str, dict[str, TemporalNetwork]], list[str]]:
-    """Binarized networks from disk, and the ids of the trials left out
-    because one of their files is missing, unreadable or stale."""
-    networks: dict[str, dict[str, TemporalNetwork]] = {}
-    stale: list[str] = []
-    for t in trials:
-        paths = _network_paths(out_dir, t.trial_id, config)
-        loaded = {m: _read_binary_network(paths[m], config, t.trial_id) for m in config.metrics}
-        if any(tn is None for tn in loaded.values()):
-            stale.append(t.trial_id)
-        else:
-            networks[t.trial_id] = loaded
-    return networks, stale
+def _read_networks(
+    out_dir: str, trial_id: str, config: PipelineConfig, digest: str
+) -> dict[str, TemporalNetwork] | None:
+    """A trial's binarized networks from disk, or None if one of its
+    network files is missing, unreadable or stale."""
+    stamp = _stamp("analyze", config, {trial_id: digest})
+    paths = _network_paths(out_dir, trial_id, config)
+    files = {kind: _read_jsonl(path, stamp) for kind, path in paths.items()}
+    if any(lines is None for lines in files.values()):
+        return None
+    return {m: _binary_network(*files[m]) for m in config.metrics}
 
 
 def read_features_csv(path: str) -> tuple[dict, list[str], list[dict]]:
@@ -450,21 +466,22 @@ def _class_digest(table: FeatureTable) -> str:
 
 def _labeled_tables(
     stage: str, data_dir: str, out_dir: str, config: PipelineConfig, jobs: int
-) -> dict[str, FeatureTable]:
+) -> tuple[dict[str, FeatureTable], dict[str, str]]:
     """Per-metric feature tables from ``features.csv`` with discretized
-    labels attached; the stage writes that file first if it is missing,
-    unreadable or stale, or if its rows are not the ones ``stage_features``
-    writes: one per stamped trial and configured metric, in that order."""
+    labels attached, and the trial digests they were stamped with; the
+    stage writes that file first if it is missing, unreadable or stale,
+    or if its rows are not the ones ``stage_features`` writes: one per
+    stamped trial and configured metric, in that order."""
     path = os.path.join(out_dir, "features.csv")
     try:
         parsed = read_features_csv(path)
     except (InputError, ValueError):  # missing or unreadable
         parsed = None
-    trial_ids = [t.trial_id for t in discover_trials(data_dir)]
-    keys = [(tid, metric) for tid in sorted(trial_ids) for metric in config.metrics]
+    digests = _trial_digests(discover_trials(data_dir))
+    keys = [(tid, metric) for tid in sorted(digests) for metric in config.metrics]
     if (
         parsed is None
-        or not _is_current(parsed[0], "features", config, trial_ids)
+        or not _is_current(parsed[0], "features", config, digests)
         or [(r["trial_id"], r["metric"]) for r in parsed[2]] != keys
     ):
         stage_features(data_dir, out_dir, config, jobs)
@@ -494,7 +511,7 @@ def _labeled_tables(
                 X=np.array([r["values"] for r in subset], dtype=float),
                 labels=classes,
             )
-    return tables
+    return tables, digests
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +524,24 @@ def stage_embed_params(
     config: PipelineConfig,
     jobs: int = 1,
 ) -> dict:
-    """Estimate and persist per-channel embedding parameters."""
+    """Estimate and persist per-channel embedding parameters of every
+    trial whose entry is not current; current entries are kept."""
     trials = discover_trials(data_dir)
-    params = _run_trials("embed-params", _embed_task, trials, config, jobs)
-    artifact = _artifact("embed-params", config, params, trials=params)
-    _write_json(os.path.join(os.fspath(out_dir), "embedding_params.json"), artifact)
+    digests = _trial_digests(trials)
+    path = os.path.join(os.fspath(out_dir), "embedding_params.json")
+    stored = _read_json(path) or {}
+    kept = {
+        tid: stored["trials"][tid]
+        for tid, digest in digests.items()
+        if tid in stored.get("trials", {})
+        and _is_current(
+            _trial_slice(stored.get("stamp"), tid), "embed-params", config, {tid: digest}
+        )
+    }
+    todo = [t for t in trials if t.trial_id not in kept]
+    params = {**kept, **_run_trials("embed-params", _embed_task, todo, config, jobs)}
+    artifact = _artifact("embed-params", config, digests, trials=params)
+    _write_json(path, artifact)
     return artifact
 
 
@@ -520,53 +550,32 @@ def stage_analyze(
     out_dir: str | os.PathLike,
     config: PipelineConfig,
     jobs: int = 1,
-    trial_ids: list[str] | None = None,
-) -> list[str]:
-    """Write weighted graphs and binarized temporal networks per trial;
-    returns the ids of the trials analyzed.
+) -> dict[str, dict[str, TemporalNetwork]]:
+    """Binarized temporal networks of every trial, by trial id and metric.
 
-    ``trial_ids`` limits the analysis to those trials (default: every
-    trial), and to every other trial whose embedding parameters change
-    when a stale ``embedding_params.json`` is re-estimated here.
+    Only the trials whose network files are not current are analyzed and
+    their files written; the others are read back from their files.
     """
     out_dir = os.fspath(out_dir)
     trials = discover_trials(data_dir)
-    ids = [t.trial_id for t in trials]
-    stored = _read_json(os.path.join(out_dir, "embedding_params.json")) or {}
-    if _is_current(stored.get("stamp"), "embed-params", config, ids):
-        params = stored
-    else:
-        params = stage_embed_params(data_dir, out_dir, config, jobs)
-        if trial_ids is not None:
-            before = stored.get("trials", {})
-            changed = [tid for tid in ids if before.get(tid) != params["trials"][tid]]
-            trial_ids = [*trial_ids, *changed]
-    todo = trials if trial_ids is None else [t for t in trials if t.trial_id in trial_ids]
-    results = _run_trials("analyze", analyze_recording, todo, config, jobs, params["trials"])
+    embedded = stage_embed_params(data_dir, out_dir, config, jobs)
+    digests = embedded["stamp"]["trials"]
+    networks = {
+        t.trial_id: _read_networks(out_dir, t.trial_id, config, digests[t.trial_id])
+        for t in trials
+    }
+    todo = [t for t in trials if networks[t.trial_id] is None]
+    results = _run_trials("analyze", analyze_recording, todo, config, jobs, embedded["trials"])
     for tid, r in results.items():
         paths = _network_paths(out_dir, tid, config)
-        _write_jsonl(
-            paths["weighted"],
-            _artifact("analyze", config, [tid], kind="weighted_graphs", trial_id=tid),
-            r.weighted_records,
-        )
+        envelope = _artifact("analyze", config, {tid: digests[tid]}, trial_id=tid)
+        _write_jsonl(paths["weighted"], {**envelope, "kind": "weighted_graphs"}, r.weighted_records)
         for metric, tn in r.networks.items():
-            header = _artifact(
-                "analyze",
-                config,
-                [tid],
-                kind="temporal_network",
-                trial_id=tid,
-                metric=metric,
-                nodes=list(tn.nodes),
-                binarize_rule=tn.binarize_rule,
-            )
-            _write_jsonl(
-                paths[metric],
-                header,
-                [binary_record(tn, w) for w in range(tn.n_layers)],
-            )
-    return list(results)
+            header = {**envelope, "kind": "temporal_network", "metric": metric}
+            header.update(nodes=list(tn.nodes), binarize_rule=tn.binarize_rule)
+            _write_jsonl(paths[metric], header, [binary_record(tn, w) for w in range(tn.n_layers)])
+        networks[tid] = r.networks
+    return networks
 
 
 def stage_features(
@@ -577,14 +586,8 @@ def stage_features(
 ) -> str:
     """Write the feature CSV and the reachability audit report."""
     out_dir = os.fspath(out_dir)
-    trials = discover_trials(data_dir)
-    networks, stale = _load_networks(out_dir, trials, config)
-    if stale:
-        analyzed = set(stage_analyze(data_dir, out_dir, config, jobs, stale))
-        networks.update(
-            _load_networks(out_dir, [t for t in trials if t.trial_id in analyzed], config)[0]
-        )
-
+    networks = stage_analyze(data_dir, out_dir, config, jobs)
+    digests = _trial_digests(discover_trials(data_dir))
     trial_ids = sorted(networks)
     first = config.metrics[0]
     nodes = networks[trial_ids[0]][first].nodes
@@ -611,7 +614,7 @@ def stage_features(
     names = features[trial_ids[0]][first].names(nodes)
     lines = [
         f"# schema_version={FEATURE_SCHEMA_VERSION}",
-        f"# stamp={_json_line(_stamp('features', config, trial_ids))}",
+        f"# stamp={_json_line(_stamp('features', config, digests))}",
         ",".join(["trial_id", "metric"] + names),
     ]
     for tid in trial_ids:
@@ -627,7 +630,7 @@ def stage_features(
     }
     _write_json(
         os.path.join(out_dir, "reachability.json"),
-        _artifact("features", config, trial_ids, trials=reach),
+        _artifact("features", config, digests, trials=reach),
     )
     return path
 
@@ -639,7 +642,7 @@ def stage_evaluate(
     jobs: int = 1,
 ) -> dict:
     """Cross-validate every (target, metric) pair and write the report."""
-    tables = _labeled_tables("evaluate", data_dir, out_dir, config, jobs)
+    tables, digests = _labeled_tables("evaluate", data_dir, out_dir, config, jobs)
     results: dict[str, dict[str, dict]] = {}
     with _stage("evaluate"):
         for target in TARGETS:
@@ -660,10 +663,8 @@ def stage_evaluate(
                     "mean_accuracy_per_lambda": list(cv.mean_accuracy_per_lambda),
                     "n_trials": len(table.trial_ids),
                 }
-    table = tables[config.metrics[0]]
-    report = _artifact(
-        "evaluate", config, table.trial_ids, _class_digest(table), results=results
-    )
+    classes = _class_digest(tables[config.metrics[0]])
+    report = _artifact("evaluate", config, digests, classes, results=results)
     _write_json(os.path.join(out_dir, "evaluation.json"), report)
     return report
 
@@ -680,11 +681,10 @@ def stage_train(
         for target in targets:
             if target not in TARGETS:
                 raise InputError(f"unknown target {target!r}; choose from {TARGETS}")
-    tables = _labeled_tables("train", data_dir, out_dir, config, jobs)
-    table = tables[config.metrics[0]]
-    trial_ids, classes = table.trial_ids, _class_digest(table)
+    tables, digests = _labeled_tables("train", data_dir, out_dir, config, jobs)
+    classes = _class_digest(tables[config.metrics[0]])
     report = _read_artifact(
-        os.path.join(out_dir, "evaluation.json"), "evaluate", config, trial_ids, classes
+        os.path.join(out_dir, "evaluation.json"), "evaluate", config, digests, classes
     ) or stage_evaluate(data_dir, out_dir, config, jobs)
 
     written = []
@@ -694,7 +694,7 @@ def stage_train(
                 lam = float(report["results"][target][metric]["selected_lambda"])
                 model = model_to_dict(fit_lasso(tables[metric], target, lam))
                 artifact = _artifact(
-                    "train", config, trial_ids, classes, target=target, metric=metric, model=model
+                    "train", config, digests, classes, target=target, metric=metric, model=model
                 )
                 path = os.path.join(out_dir, f"model_{target}_{metric}.json")
                 _write_json(path, artifact)

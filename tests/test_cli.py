@@ -266,3 +266,22 @@ def test_short_trial_fails_at_embed_params_with_exit_2(dataset, config_file, tmp
     assert err.startswith("error: stage embed-params, trial none_001:")
     assert "exceeds" in err
     assert not (out / "embedding_params.json").exists()
+
+
+def test_window_too_long_for_embedded_trials_fails_at_analyze_with_exit_2(
+    dataset, tmp_path, capsys
+):
+    # window_s is no embed-params field, so the embedding entries of the
+    # 10 s trials stay current and the 20 s window first meets them in analyze
+    out = tmp_path / "out"
+    codes = []
+    for command, window_s in (("embed-params", 5.0), ("analyze", 20.0)):
+        config = tmp_path / f"{command}.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "window_s": window_s}))
+        argv = [command, "--in", str(dataset), "--out", str(out), "--config", str(config)]
+        codes.append(main(argv))
+    assert codes == [0, 2]
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage analyze, trial dense_000:")
+    assert "exceeds" in err
+    assert not (out / "networks").exists()

@@ -1,5 +1,6 @@
 """End-to-end pipeline: artifacts, reruns, stage composition."""
 
+import hashlib
 import json
 import os
 import re
@@ -62,6 +63,19 @@ def trial_ids(dataset):
     return [t.trial_id for t in discover_trials(dataset)]
 
 
+def trial_digests(dataset):
+    """sha256 of each trial's length-prefixed CSV and sidecar bytes."""
+    digests = {}
+    for t in discover_trials(dataset):
+        h = hashlib.sha256()
+        for path in (t.csv_path, t.schema_path):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            h.update(len(data).to_bytes(8, "big") + data)
+        digests[t.trial_id] = h.hexdigest()
+    return digests
+
+
 def test_all_artifacts_exist(dataset, pipeline_out):
     out_dir, _ = pipeline_out
     for name in ARTIFACTS:
@@ -79,7 +93,7 @@ def test_features_csv_layout(dataset, pipeline_out):
     assert stamp == {
         "schema_version": CONFIG_SCHEMA_VERSION,
         "config": {k: v for k, v in CONFIG.to_dict().items() if k not in learn_only},
-        "trials": trial_ids(dataset),
+        "trials": trial_digests(dataset),
     }
     assert columns[:8] == [
         "efficiency",
@@ -370,6 +384,11 @@ def _row_duplicated(data):
     return b"".join(lines + lines[-1:])
 
 
+def _header_replaced(data):
+    # a header that parses, but to a list
+    return b"".join([b"[1]\n"] + data.splitlines(keepends=True)[1:])
+
+
 def _row_replaced(data):
     # as many rows as the stamp asks for, one of them twice
     lines = data.splitlines(keepends=True)
@@ -388,6 +407,10 @@ def _row_replaced(data):
         ("features.csv", "evaluate", _rows_cut),
         ("features.csv", "evaluate", _row_duplicated),
         ("features.csv", "evaluate", _row_replaced),
+        # JSON that parses to something other than an object
+        ("embedding_params.json", "analyze", lambda data: b"[0]\n"),
+        ("evaluation.json", "train", lambda data: b'"x"\n'),
+        ("networks/dense_000.JDET.binary.jsonl", "features", _header_replaced),
     ],
     ids=[
         "embed-params",
@@ -398,6 +421,9 @@ def _row_replaced(data):
         "features-rows-cut",
         "features-row-duplicated",
         "features-row-replaced",
+        "embed-params-list",
+        "evaluate-string",
+        "analyze-list-header",
     ],
 )
 def test_damaged_artifact_is_recomputed(dataset, pipeline_out, tmp_path, name, command, damage):
@@ -441,8 +467,9 @@ def test_confusion_rows_count_each_targets_classes(dataset, pipeline_out, tmp_pa
 
 
 def test_trial_added_after_embed_params_is_embedded(dataset, pipeline_out, tmp_path):
-    # embedding_params.json stamped with CONFIG but lacking a trial counts
-    # as stale: analyze rewrites it for every trial
+    # embedding_params.json holds a current entry for the first trial and
+    # none for the others: analyze embeds those, keeps the first one's, and
+    # writes what a run on every trial writes
     out_dir, _ = pipeline_out
     grown, out = tmp_path / "grown", tmp_path / "out"
     grown.mkdir()
@@ -494,8 +521,9 @@ def test_trial_added_after_features_is_learned_from(nine_trials, tmp_path, stage
 
 
 def test_trial_added_after_analyze_is_the_only_one_analyzed(nine_trials, tmp_path, monkeypatch):
-    # network files are stamped per trial: the 8 trials analyzed before
-    # keep theirs, and the stage writes what a fresh 9-trial run writes
+    # embedding entries and network files are stamped per trial: the 8
+    # trials of the earlier run keep theirs, and the stage writes what a
+    # fresh 9-trial run writes
     data_dir, out_dir = nine_trials
     grown, out = tmp_path / "grown", tmp_path / "out"
     grown.mkdir()
@@ -507,21 +535,42 @@ def test_trial_added_after_analyze_is_the_only_one_analyzed(nine_trials, tmp_pat
     run_pipeline(grown, out, CONFIG)
     shutil.copy(last.csv_path, grown)
     shutil.copy(last.schema_path, grown)
-    analyzed = []
-    monkeypatch.setattr(pipeline, "analyze_recording", _counted(analyzed))
+    embedded, analyzed = _count_trial_work(monkeypatch)
     stage_features(grown, out, CONFIG)
+    assert embedded == [last.trial_id]
     assert analyzed == [last.trial_id]
     _assert_features_outputs_match(out, out_dir, n_trials=9)
 
 
-def _counted(calls):
-    """``analyze_recording`` that first appends the trial id to ``calls``."""
+def test_unchanged_rerun_reuses_every_trial(nine_trials, tmp_path, monkeypatch):
+    data_dir, out_dir = nine_trials
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    embedded, analyzed = _count_trial_work(monkeypatch)
+    run_pipeline(data_dir, out, CONFIG)
+    assert embedded == analyzed == []
+    assert _tree(out) == _tree(out_dir)
+
+
+def _counted(calls, task):
+    """``task`` that first appends the trial id of its recording to ``calls``."""
 
     def counted(recording, *args):
         calls.append(recording.trial_id)
-        return analyze_recording(recording, *args)
+        return task(recording, *args)
 
     return counted
+
+
+def _count_trial_work(monkeypatch):
+    """Lists of the trials that then run ``estimate_trial_embeddings`` and
+    ``analyze_recording``, in call order."""
+    embedded, analyzed = [], []
+    monkeypatch.setattr(
+        pipeline, "estimate_trial_embeddings", _counted(embedded, estimate_trial_embeddings)
+    )
+    monkeypatch.setattr(pipeline, "analyze_recording", _counted(analyzed, analyze_recording))
+    return embedded, analyzed
 
 
 def _assert_features_outputs_match(out, fresh_dir, n_trials):
@@ -550,24 +599,40 @@ def rerecorded(nine_trials, tmp_path_factory):
     return edited, fresh, changed
 
 
-def test_rerun_after_a_recording_changes_matches_a_fresh_run(nine_trials, rerecorded, tmp_path):
-    # a network stamp does not cover the trial's data, so run re-analyzes
-    # every trial instead of keeping the networks of the old recording
+@pytest.mark.parametrize(
+    "stage", [run_pipeline, stage_features, stage_evaluate], ids=["run", "features", "evaluate"]
+)
+def test_rerun_after_a_recording_changes_matches_a_fresh_run(
+    nine_trials, rerecorded, tmp_path, monkeypatch, stage
+):
+    # every stamp maps each trial to a digest of its recording: the stage
+    # embeds and analyzes the rewritten trial alone, keeps the other
+    # trials' entries and networks, and writes what a fresh run writes
     _, out_dir = nine_trials
     edited, fresh, changed = rerecorded
     name = f"networks/{changed}.JDET.binary.jsonl"
     assert _tree(fresh)[name] != _tree(out_dir)[name]
     out = tmp_path / "out"
     shutil.copytree(out_dir, out)
-    run_pipeline(edited, out, CONFIG)
-    assert _tree(out) == _tree(fresh)
+    embedded, analyzed = _count_trial_work(monkeypatch)
+    stage(edited, out, CONFIG)
+    assert embedded == analyzed == [changed]
+    if stage is stage_features:
+        _assert_features_outputs_match(out, fresh, n_trials=9)
+        return
+    after, expected = _tree(out), _tree(fresh)
+    if stage is stage_evaluate:
+        # the models of the earlier run are not the evaluate stage's to rewrite
+        after = {k: v for k, v in after.items() if not k.startswith("model_")}
+        expected = {k: v for k, v in expected.items() if not k.startswith("model_")}
+    assert after == expected
 
 
-def test_trial_whose_parameters_change_with_an_added_one_is_reanalyzed(
+def test_rerecorded_trial_is_reanalyzed_with_an_added_one(
     nine_trials, rerecorded, tmp_path, monkeypatch
 ):
-    # adding a trial re-estimates every trial's embedding parameters; a
-    # trial whose parameters came out different is analyzed again too
+    # one trial added and another's recording rewritten: their digests are
+    # new, so those two are embedded and analyzed, and no other
     data_dir, _ = nine_trials
     edited, fresh, changed = rerecorded
     grown, out = tmp_path / "grown", tmp_path / "out"
@@ -582,8 +647,7 @@ def test_trial_whose_parameters_change_with_an_added_one_is_reanalyzed(
         if t.trial_id in (changed, last.trial_id):
             shutil.copy(t.csv_path, grown)
             shutil.copy(t.schema_path, grown)
-    analyzed = []
-    monkeypatch.setattr(pipeline, "analyze_recording", _counted(analyzed))
+    _, analyzed = _count_trial_work(monkeypatch)
     stage_features(grown, out, CONFIG)
     assert sorted(analyzed) == sorted([changed, last.trial_id])
     _assert_features_outputs_match(out, fresh, n_trials=9)
