@@ -20,18 +20,17 @@ target, so relabeling a trial makes them stale while a rescore that
 keeps every class does not.
 
 One rule decides reuse: a piece is current when its stamp equals the
-stamp its stage would write now.  ``stage_embed_params`` and
-``stage_analyze`` keep one piece per trial (its entry in
-``embedding_params.json``, current when the slice of the file's stamp
-for that trial is, and its network files) and compute exactly the
-trials whose piece is stale, whoever calls them.  ``features.csv``,
-``reachability.json``, ``evaluation.json`` and the models are current
-or stale as a whole; so is a ``features.csv`` whose rows are not one
-per stamped trial and metric.  A stage runs the per-trial stage before
-it, and a whole-set stage only when that one's artifact is stale, so a
-learn-only change such as ``lambda_span`` reuses ``features.csv``, and
-running stages one by one writes byte-for-byte what one end-to-end run
-writes.
+stamp its stage would write now.  Each stage runs the stage before it,
+returns its own artifact if that is current, and otherwise computes and
+writes it; so each check sits in the stage that writes the artifact,
+and a command first brings every earlier stage up to date.  The
+per-trial pieces are a trial's network files and its entry in
+``embedding_params.json`` (current when the slice of the file's stamp
+for that trial is, and the entry is a channel map).  ``features.csv`` with
+``reachability.json``, ``evaluation.json`` and each model are current
+or stale as a whole; so is a ``features.csv`` whose rows are not one per
+stamped trial and metric.  An unchanged rerun computes and writes
+nothing, and running stages one by one writes what one run writes.
 Writes are atomic (tmp file + rename), so interrupted runs never leave
 partial artifacts behind.
 """
@@ -349,14 +348,6 @@ def _is_current(stamp, stage: str, config: PipelineConfig, digests: dict, classe
     return stamp == _stamp(stage, config, digests, classes)
 
 
-def _trial_slice(stamp, trial_id: str) -> dict | None:
-    """The stamp a whole-set ``stamp`` holds for one of its trials."""
-    try:
-        return {**stamp, "trials": {trial_id: stamp["trials"][trial_id]}}
-    except (TypeError, KeyError):  # not a stamp, or not one covering the trial
-        return None
-
-
 def _artifact(stage: str, config: PipelineConfig, digests: dict, classes=None, **fields) -> dict:
     """The envelope of every JSON artifact and network-file header."""
     return {"stamp": _stamp(stage, config, digests, classes), **fields}
@@ -464,31 +455,28 @@ def _class_digest(table: FeatureTable) -> str:
     return hashlib.sha256(_json_line(classes).encode()).hexdigest()
 
 
-def _labeled_tables(
-    stage: str, data_dir: str, out_dir: str, config: PipelineConfig, jobs: int
-) -> tuple[dict[str, FeatureTable], dict[str, str]]:
-    """Per-metric feature tables from ``features.csv`` with discretized
-    labels attached, and the trial digests they were stamped with; the
-    stage writes that file first if it is missing, unreadable or stale,
-    or if its rows are not the ones ``stage_features`` writes: one per
-    stamped trial and configured metric, in that order."""
-    path = os.path.join(out_dir, "features.csv")
+def _features_current(path: str, config: PipelineConfig, digests: dict) -> bool:
+    """Whether ``features.csv`` is current and holds the rows
+    ``stage_features`` writes: one per stamped trial and configured
+    metric, in that order."""
     try:
-        parsed = read_features_csv(path)
+        stamp, _, rows = read_features_csv(path)
     except (InputError, ValueError):  # missing or unreadable
-        parsed = None
-    digests = _trial_digests(discover_trials(data_dir))
+        return False
     keys = [(tid, metric) for tid in sorted(digests) for metric in config.metrics]
-    if (
-        parsed is None
-        or not _is_current(parsed[0], "features", config, digests)
-        or [(r["trial_id"], r["metric"]) for r in parsed[2]] != keys
-    ):
-        stage_features(data_dir, out_dir, config, jobs)
-        parsed = read_features_csv(path)
-    _, columns, rows = parsed
+    return _is_current(stamp, "features", config, digests) and [
+        (r["trial_id"], r["metric"]) for r in rows
+    ] == keys
+
+
+def _labeled_tables(
+    data_dir: str, out_dir: str, config: PipelineConfig
+) -> tuple[dict[str, FeatureTable], dict[str, str]]:
+    """Per-metric feature tables from the current ``features.csv`` with
+    discretized labels attached, and the trial digests of its stamp."""
+    stamp, columns, rows = read_features_csv(os.path.join(out_dir, "features.csv"))
     labels_path = os.path.join(os.fspath(data_dir), "labels.csv")
-    with _stage(stage):
+    with _stage("evaluate"):
         if not os.path.isfile(labels_path):
             raise InputError(f"labels file {labels_path} does not exist")
         labels = {rec.trial_id: rec for rec in load_labels(labels_path)}
@@ -511,7 +499,20 @@ def _labeled_tables(
                 X=np.array([r["values"] for r in subset], dtype=float),
                 labels=classes,
             )
-    return tables, digests
+    return tables, stamp["trials"]
+
+
+def _current_entry(stored: dict, trial_id: str, config: PipelineConfig, digest: str):
+    """A trial's entry in a stored ``embedding_params.json``, or None if
+    the slice of the file's stamp for that trial is stale or the entry is
+    not a map of channel embeddings."""
+    try:
+        stamp = {**stored["stamp"], "trials": {trial_id: stored["stamp"]["trials"][trial_id]}}
+        entry = stored["trials"][trial_id]
+        _embeddings_from_json(entry)
+    except (AttributeError, KeyError, TypeError, ValueError):  # no such slice or entry
+        return None
+    return entry if _is_current(stamp, "embed-params", config, {trial_id: digest}) else None
 
 
 # ---------------------------------------------------------------------------
@@ -525,23 +526,18 @@ def stage_embed_params(
     jobs: int = 1,
 ) -> dict:
     """Estimate and persist per-channel embedding parameters of every
-    trial whose entry is not current; current entries are kept."""
+    trial whose entry is not current; current entries are kept, and an
+    unchanged file is not rewritten."""
     trials = discover_trials(data_dir)
     digests = _trial_digests(trials)
     path = os.path.join(os.fspath(out_dir), "embedding_params.json")
     stored = _read_json(path) or {}
-    kept = {
-        tid: stored["trials"][tid]
-        for tid, digest in digests.items()
-        if tid in stored.get("trials", {})
-        and _is_current(
-            _trial_slice(stored.get("stamp"), tid), "embed-params", config, {tid: digest}
-        )
-    }
-    todo = [t for t in trials if t.trial_id not in kept]
-    params = {**kept, **_run_trials("embed-params", _embed_task, todo, config, jobs)}
+    params = {tid: _current_entry(stored, tid, config, d) for tid, d in digests.items()}
+    todo = [t for t in trials if params[t.trial_id] is None]
+    params.update(_run_trials("embed-params", _embed_task, todo, config, jobs))
     artifact = _artifact("embed-params", config, digests, trials=params)
-    _write_json(path, artifact)
+    if artifact != stored:
+        _write_json(path, artifact)
     return artifact
 
 
@@ -557,14 +553,10 @@ def stage_analyze(
     their files written; the others are read back from their files.
     """
     out_dir = os.fspath(out_dir)
-    trials = discover_trials(data_dir)
     embedded = stage_embed_params(data_dir, out_dir, config, jobs)
     digests = embedded["stamp"]["trials"]
-    networks = {
-        t.trial_id: _read_networks(out_dir, t.trial_id, config, digests[t.trial_id])
-        for t in trials
-    }
-    todo = [t for t in trials if networks[t.trial_id] is None]
+    networks = {tid: _read_networks(out_dir, tid, config, d) for tid, d in digests.items()}
+    todo = [t for t in discover_trials(data_dir) if networks[t.trial_id] is None]
     results = _run_trials("analyze", analyze_recording, todo, config, jobs, embedded["trials"])
     for tid, r in results.items():
         paths = _network_paths(out_dir, tid, config)
@@ -584,10 +576,17 @@ def stage_features(
     config: PipelineConfig,
     jobs: int = 1,
 ) -> str:
-    """Write the feature CSV and the reachability audit report."""
+    """Write the feature CSV and the reachability audit report, unless
+    both are current."""
     out_dir = os.fspath(out_dir)
     networks = stage_analyze(data_dir, out_dir, config, jobs)
-    digests = _trial_digests(discover_trials(data_dir))
+    digests = _read_json(os.path.join(out_dir, "embedding_params.json"))["stamp"]["trials"]
+    path = os.path.join(out_dir, "features.csv")
+    reach_path = os.path.join(out_dir, "reachability.json")
+    if _features_current(path, config, digests) and _read_artifact(
+        reach_path, "features", config, digests
+    ):
+        return path
     trial_ids = sorted(networks)
     first = config.metrics[0]
     nodes = networks[trial_ids[0]][first].nodes
@@ -621,17 +620,13 @@ def stage_features(
         for metric in config.metrics:
             values = features[tid][metric].values()
             lines.append(",".join([tid, metric] + [repr(float(v)) for v in values]))
-    path = os.path.join(out_dir, "features.csv")
     _write_text(path, "\n".join(lines) + "\n")
 
     reach = {
         tid: {metric: _reachability_json(f.reachability) for metric, f in features[tid].items()}
         for tid in trial_ids
     }
-    _write_json(
-        os.path.join(out_dir, "reachability.json"),
-        _artifact("features", config, digests, trials=reach),
-    )
+    _write_json(reach_path, _artifact("features", config, digests, trials=reach))
     return path
 
 
@@ -641,8 +636,16 @@ def stage_evaluate(
     config: PipelineConfig,
     jobs: int = 1,
 ) -> dict:
-    """Cross-validate every (target, metric) pair and write the report."""
-    tables, digests = _labeled_tables("evaluate", data_dir, out_dir, config, jobs)
+    """Cross-validate every (target, metric) pair and write the report,
+    unless it is current."""
+    out_dir = os.fspath(out_dir)
+    stage_features(data_dir, out_dir, config, jobs)
+    tables, digests = _labeled_tables(data_dir, out_dir, config)
+    classes = _class_digest(tables[config.metrics[0]])
+    path = os.path.join(out_dir, "evaluation.json")
+    report = _read_artifact(path, "evaluate", config, digests, classes)
+    if report is not None:
+        return report
     results: dict[str, dict[str, dict]] = {}
     with _stage("evaluate"):
         for target in TARGETS:
@@ -663,9 +666,8 @@ def stage_evaluate(
                     "mean_accuracy_per_lambda": list(cv.mean_accuracy_per_lambda),
                     "n_trials": len(table.trial_ids),
                 }
-    classes = _class_digest(tables[config.metrics[0]])
     report = _artifact("evaluate", config, digests, classes, results=results)
-    _write_json(os.path.join(out_dir, "evaluation.json"), report)
+    _write_json(path, report)
     return report
 
 
@@ -676,28 +678,30 @@ def stage_train(
     targets: tuple[str, ...] = TARGETS,
     jobs: int = 1,
 ) -> list[str]:
-    """Fit final models at the cross-validated lambda and write them."""
+    """Fit final models at the cross-validated lambda and write those
+    that are not current."""
     with _stage("train"):
         for target in targets:
             if target not in TARGETS:
                 raise InputError(f"unknown target {target!r}; choose from {TARGETS}")
-    tables, digests = _labeled_tables("train", data_dir, out_dir, config, jobs)
+    out_dir = os.fspath(out_dir)
+    report = stage_evaluate(data_dir, out_dir, config, jobs)
+    tables, digests = _labeled_tables(data_dir, out_dir, config)
     classes = _class_digest(tables[config.metrics[0]])
-    report = _read_artifact(
-        os.path.join(out_dir, "evaluation.json"), "evaluate", config, digests, classes
-    ) or stage_evaluate(data_dir, out_dir, config, jobs)
 
     written = []
     with _stage("train"):
         for target in targets:
             for metric in config.metrics:
-                lam = float(report["results"][target][metric]["selected_lambda"])
-                model = model_to_dict(fit_lasso(tables[metric], target, lam))
-                artifact = _artifact(
-                    "train", config, digests, classes, target=target, metric=metric, model=model
-                )
                 path = os.path.join(out_dir, f"model_{target}_{metric}.json")
-                _write_json(path, artifact)
+                stored = _read_artifact(path, "train", config, digests, classes) or {}
+                if (stored.get("target"), stored.get("metric")) != (target, metric):
+                    lam = float(report["results"][target][metric]["selected_lambda"])
+                    model = model_to_dict(fit_lasso(tables[metric], target, lam))
+                    artifact = _artifact(
+                        "train", config, digests, classes, target=target, metric=metric, model=model
+                    )
+                    _write_json(path, artifact)
                 written.append(path)
     return written
 
@@ -708,10 +712,6 @@ def run_pipeline(
     config: PipelineConfig,
     jobs: int = 1,
 ) -> dict:
-    """All stages in order; returns the evaluation report."""
-    stage_embed_params(data_dir, out_dir, config, jobs)
-    stage_analyze(data_dir, out_dir, config, jobs)
-    stage_features(data_dir, out_dir, config, jobs)
-    report = stage_evaluate(data_dir, out_dir, config, jobs)
+    """Every stage, through the last one's chain; returns the evaluation report."""
     stage_train(data_dir, out_dir, config, TARGETS, jobs)
-    return report
+    return _read_json(os.path.join(os.fspath(out_dir), "evaluation.json"))

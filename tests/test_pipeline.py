@@ -310,12 +310,9 @@ def test_learn_only_change_reuses_features(dataset, pipeline_out, tmp_path, monk
     fresh, reused = tmp_path / "fresh", tmp_path / "reused"
     stage_train(dataset, fresh, changed)
     shutil.copytree(out_dir, reused)
-
-    def features_again(*args):
-        raise AssertionError("features.csv is current and must be reused")
-
-    monkeypatch.setattr(pipeline, "stage_features", features_again)
+    calls = _count_calls(monkeypatch, "feature_vector")
     stage_train(dataset, reused, changed)
+    assert not calls, "features.csv is current and must be reused"
     before, after, written = _tree(out_dir), _tree(reused), _tree(fresh)
     for name in before:
         if name.startswith("networks/") or name in ARTIFACTS[:3]:
@@ -411,6 +408,11 @@ def _row_replaced(data):
         ("embedding_params.json", "analyze", lambda data: b"[0]\n"),
         ("evaluation.json", "train", lambda data: b'"x"\n'),
         ("networks/dense_000.JDET.binary.jsonl", "features", _header_replaced),
+        # each stage checks its own artifact, whichever command runs it
+        ("reachability.json", "evaluate", _emptied),
+        ("model_valence_JDET.json", "train", _emptied),
+        # a current stamp on a model that names another target
+        ("model_arousal_JDET.json", "train", lambda data: data.replace(b'"arousal"', b'"valence"')),
     ],
     ids=[
         "embed-params",
@@ -424,6 +426,9 @@ def _row_replaced(data):
         "embed-params-list",
         "evaluate-string",
         "analyze-list-header",
+        "features-reachability",
+        "train",
+        "train-other-target",
     ],
 )
 def test_damaged_artifact_is_recomputed(dataset, pipeline_out, tmp_path, name, command, damage):
@@ -433,11 +438,31 @@ def test_damaged_artifact_is_recomputed(dataset, pipeline_out, tmp_path, name, c
     shutil.copytree(out_dir, damaged)
     path = damaged / name
     path.write_bytes(damage(path.read_bytes()))
+    assert _cli(command, dataset, damaged, tmp_path) == 0
+    assert _tree(damaged) == _tree(out_dir)
+
+
+def test_embedding_entry_that_is_not_a_channel_map_is_reembedded(dataset, pipeline_out, tmp_path):
+    # the entry's stamp slice is current, but the entry is no channel
+    # map: the trial is embedded and analyzed again, not a crash
+    out_dir, _ = pipeline_out
+    damaged = tmp_path / "damaged"
+    shutil.copytree(out_dir, damaged)
+    path = damaged / "embedding_params.json"
+    artifact = json.loads(path.read_text())
+    artifact["trials"]["dense_000"] = 5
+    path.write_text(json.dumps(artifact))
+    for network in (damaged / "networks").glob("dense_000.*"):
+        network.unlink()
+    assert _cli("analyze", dataset, damaged, tmp_path) == 0
+    assert _tree(damaged) == _tree(out_dir)
+
+
+def _cli(command, data_dir, out_dir, tmp_path):
+    """Exit code of ``jrpnet command`` on ``data_dir`` under CONFIG."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG.to_dict()))
-    argv = [command, "--in", str(dataset), "--out", str(damaged), "--config", str(config)]
-    assert main(argv) == 0
-    assert _tree(damaged) == _tree(out_dir)
+    return main([command, "--in", str(data_dir), "--out", str(out_dir), "--config", str(config)])
 
 
 def test_confusion_rows_count_each_targets_classes(dataset, pipeline_out, tmp_path):
@@ -542,14 +567,41 @@ def test_trial_added_after_analyze_is_the_only_one_analyzed(nine_trials, tmp_pat
     _assert_features_outputs_match(out, out_dir, n_trials=9)
 
 
-def test_unchanged_rerun_reuses_every_trial(nine_trials, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "stage",
+    [run_pipeline, stage_features, stage_evaluate, stage_train],
+    ids=["run", "features", "evaluate", "train"],
+)
+def test_unchanged_rerun_reuses_every_trial(nine_trials, tmp_path, monkeypatch, stage):
+    # every artifact of the earlier run is current: the stage and every
+    # stage before it compute nothing and write no file
     data_dir, out_dir = nine_trials
     out = tmp_path / "out"
     shutil.copytree(out_dir, out)
     embedded, analyzed = _count_trial_work(monkeypatch)
-    run_pipeline(data_dir, out, CONFIG)
+    calls = _count_calls(
+        monkeypatch, "feature_vector", "cross_validate", "fit_lasso", "_write_text"
+    )
+    stage(data_dir, out, CONFIG)
     assert embedded == analyzed == []
+    assert not calls
     assert _tree(out) == _tree(out_dir)
+
+
+def _count_calls(monkeypatch, *names):
+    """A Counter of the calls then made to each of the ``pipeline`` functions ``names``."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(pipeline, name, counted(name, getattr(pipeline, name)))
+    return calls
 
 
 def _counted(calls, task):
@@ -685,12 +737,9 @@ def test_rescore_that_keeps_every_class_reuses_the_report(nine_trials, tmp_path,
     rescored = _rescored(data_dir, tmp_path / "rescored", lambda s: s + 0.5)
     out = tmp_path / "out"
     shutil.copytree(out_dir, out)
-
-    def evaluate_again(*args):
-        raise AssertionError("evaluation.json learned from the same classes")
-
-    monkeypatch.setattr(pipeline, "stage_evaluate", evaluate_again)
+    calls = _count_calls(monkeypatch, "cross_validate")
     stage_train(rescored, out, CONFIG)
+    assert not calls, "evaluation.json learned from the same classes"
     assert _tree(out) == _tree(out_dir)
 
 
