@@ -203,7 +203,6 @@ def merge_modalities(graph: WeightedGraph, modality_map: dict[str, str]) -> Weig
             modalities.append(m)
     if not modalities:
         raise InputError("modality map is empty")
-    index = {m: k for k, m in enumerate(modalities)}
     groups = [[i for i, c in enumerate(graph.nodes) if modality_map[c] == m] for m in modalities]
     if any(not g for g in groups):
         raise InputError("every modality must contain at least one channel")

@@ -11,26 +11,31 @@ A data directory holds one CSV + JSON-sidecar pair per trial plus a
 - ``model_<target>_<metric>.json``: final fitted models
 - ``evaluation.json``: cross-validation report
 
-Every artifact carries a stamp of what it depends on: the config fields
-of its stage and of every earlier stage (``config.STAGE_FIELDS``), the
-schema version, and a map from each trial it covers to the sha256 of
-that trial's CSV and sidecar bytes.  The evaluation report and the
-models also carry a digest of every trial's discretized class per
-target, so relabeling a trial makes them stale while a rescore that
-keeps every class does not.
+Every artifact carries an envelope: a stamp of what it depends on (the
+config fields of its stage and of every earlier stage, as in
+``config.STAGE_FIELDS``, the schema version, and a map from each trial
+it covers to the sha256 of that trial's CSV and sidecar bytes), and the
+fields that name it (trial, kind, metric, target).  The stamps of the
+evaluation report and the models also carry a digest of every trial's
+discretized class per target, so relabeling a trial makes them stale
+while a rescore that keeps every class does not.
 
-One rule decides reuse: a piece is current when its stamp equals the
-stamp its stage would write now.  Each stage runs the stage before it,
-returns its own artifact if that is current, and otherwise computes and
-writes it; so each check sits in the stage that writes the artifact,
-and a command first brings every earlier stage up to date.  The
-per-trial pieces are a trial's network files and its entry in
-``embedding_params.json`` (current when the slice of the file's stamp
-for that trial is, and the entry is a channel map).  ``features.csv`` with
-``reachability.json``, ``evaluation.json`` and each model are current
-or stale as a whole; so is a ``features.csv`` whose rows are not one per
-stamped trial and metric.  An unchanged rerun computes and writes
-nothing, and running stages one by one writes what one run writes.
+One rule decides reuse: a stored artifact is current when it holds
+every field of the envelope its stage would write now, and the part of
+its payload that a later step reads decodes.  Each stage runs the stage
+before it, returns its own artifact if that is current, and otherwise
+computes and writes it; so a command first brings every earlier stage
+up to date.  The per-trial pieces are a trial's network files, current
+only all together and while its binarized networks decode, and its
+entry in ``embedding_params.json`` (current when the slice of the
+file's stamp for that trial is, and the entry is a channel map).
+``features.csv`` (rows one per stamped trial and metric) with
+``reachability.json``, ``evaluation.json`` (a numeric accuracy and
+selected lambda per target and metric) and each model are current or
+stale as a whole.  Networks reach the features stage only through their
+files: a freshly analyzed trial is read back as a reused one is.  An
+unchanged rerun computes and writes nothing, and running stages one by
+one writes what one run writes.
 Writes are atomic (tmp file + rename), so interrupted runs never leave
 partial artifacts behind.
 """
@@ -225,20 +230,18 @@ def _embeddings_from_json(raw: dict) -> dict[str, ChannelEmbedding | None]:
     }
 
 
-@dataclass(frozen=True)
-class TrialAnalysis:
-    """Weighted graphs and binarized temporal networks of one trial."""
-
-    weighted_records: list[dict]
-    networks: dict[str, TemporalNetwork]
-
-
 def analyze_recording(
     recording: Recording,
     config: PipelineConfig,
     embeddings: dict[str, ChannelEmbedding | None],
-) -> TrialAnalysis:
-    """Coupling graphs per window and temporal networks of one recording."""
+) -> dict[str, tuple[dict, list[dict]]]:
+    """The network files of one recording by kind: header fields and records.
+
+    Kind ``"weighted"`` holds the merged coupling graphs per window and
+    metric, and each metric's kind its binarized temporal network.  The
+    analyze stage writes these files and reads the networks back from
+    them, so networks reach the features stage only through their files.
+    """
     modality_map = dict(zip(recording.channel_names, recording.modalities))
     windows = segment_windows(recording, config.window_s, config.overlap)
     per_window = channel_graphs(
@@ -258,11 +261,12 @@ def analyze_recording(
             merged[metric].append(graph)
             weighted_records.append(weighted_record(graph))
 
-    networks = {
-        metric: assemble_temporal_network(merged[metric], rho=config.binarize_rho)
-        for metric in config.metrics
-    }
-    return TrialAnalysis(weighted_records=weighted_records, networks=networks)
+    files = {"weighted": ({}, weighted_records)}
+    for metric in config.metrics:
+        tn = assemble_temporal_network(merged[metric], rho=config.binarize_rho)
+        fields = {"nodes": list(tn.nodes), "binarize_rule": tn.binarize_rule}
+        files[metric] = (fields, [binary_record(tn, w) for w in range(tn.n_layers)])
+    return files
 
 
 # Per-trial tasks: (recording, config, stored embeddings or None) -> result.
@@ -277,11 +281,11 @@ def _embed_task(recording: Recording, config: PipelineConfig, embeddings) -> dic
 
 
 def _trial_call(args: tuple):
-    stage, task, paths, config_dict, stored_params = args
+    stage, task, paths, config, stored_params = args
     with _stage(stage, paths.trial_id):
         recording = load_recording(paths.csv_path, paths.schema_path)
         embeddings = None if stored_params is None else _embeddings_from_json(stored_params)
-        return task(recording, PipelineConfig.from_dict(config_dict), embeddings)
+        return task(recording, config, embeddings)
 
 
 def _run_trials(
@@ -294,7 +298,7 @@ def _run_trials(
 ) -> dict:
     """``task`` over every trial, in up to ``jobs`` processes, keyed by trial id."""
     tasks = [
-        (stage, task, t, config.to_dict(), (params_by_trial or {}).get(t.trial_id))
+        (stage, task, t, config, (params_by_trial or {}).get(t.trial_id))
         for t in trials
     ]
     workers = min(jobs, len(tasks))
@@ -323,34 +327,29 @@ def _trial_digests(trials: list[TrialPaths]) -> dict[str, str]:
     return digests
 
 
-def _stamp(stage: str, config: PipelineConfig, digests: dict, classes: str | None = None) -> dict:
-    """What an artifact of ``stage`` over the trials in :func:`_trial_digests`
-    ``digests`` depends on.
-
-    A learned artifact also depends on the labels it learned from, given
-    as the :func:`_class_digest` ``classes``.
-    """
+def _envelope(stage: str, config: PipelineConfig, digests: dict, classes=None, **names) -> dict:
+    """What an artifact of ``stage`` over the :func:`_trial_digests`
+    ``digests`` is written with and checked against: the stamp of what it
+    depends on (for a learned artifact also the :func:`_class_digest`
+    ``classes``), and ``names`` that name it (``trial_id``, ``kind``,
+    ``metric``, ``target``)."""
     stages = list(STAGE_FIELDS)
-    names = [k for s in stages[: stages.index(stage) + 1] for k in STAGE_FIELDS[s]]
+    fields = [k for s in stages[: stages.index(stage) + 1] for k in STAGE_FIELDS[s]]
     values = config.to_dict()
     stamp = {
         "schema_version": CONFIG_SCHEMA_VERSION,
-        "config": {k: values[k] for k in names},
+        "config": {k: values[k] for k in fields},
         "trials": dict(digests),
     }
     if classes is not None:
         stamp["classes"] = classes
-    return stamp
+    return {"stamp": stamp, **names}
 
 
-def _is_current(stamp, stage: str, config: PipelineConfig, digests: dict, classes=None) -> bool:
-    """The one staleness rule: a stored stamp must equal the one ``stage`` writes now."""
-    return stamp == _stamp(stage, config, digests, classes)
-
-
-def _artifact(stage: str, config: PipelineConfig, digests: dict, classes=None, **fields) -> dict:
-    """The envelope of every JSON artifact and network-file header."""
-    return {"stamp": _stamp(stage, config, digests, classes), **fields}
+def _current(stored, envelope: dict) -> bool:
+    """The one reuse check: a stored artifact, or network-file header,
+    holds every field of the envelope its stage writes now."""
+    return isinstance(stored, dict) and all(stored.get(k) == v for k, v in envelope.items())
 
 
 def _read_json(path: str) -> dict | None:
@@ -363,31 +362,20 @@ def _read_json(path: str) -> dict | None:
     return artifact if isinstance(artifact, dict) else None
 
 
-def _read_artifact(
-    path: str, stage: str, config: PipelineConfig, digests: dict, classes=None
-) -> dict | None:
-    """A JSON artifact, or None if it is missing, unreadable or stale."""
-    artifact = _read_json(path) or {}
-    return artifact if _is_current(artifact.get("stamp"), stage, config, digests, classes) else None
+def _network_files(
+    out_dir: str, trial_id: str, config: PipelineConfig, digest: str
+) -> dict[str, tuple[str, dict]]:
+    """A trial's network files by kind, weighted graphs and the binarized
+    network of each metric: path and envelope."""
 
+    def file(suffix: str, **names) -> tuple[str, dict]:
+        path = os.path.join(out_dir, "networks", f"{trial_id}.{suffix}.jsonl")
+        return path, _envelope("analyze", config, {trial_id: digest}, trial_id=trial_id, **names)
 
-def _network_paths(out_dir: str, trial_id: str, config: PipelineConfig) -> dict[str, str]:
-    """A trial's network files: weighted graphs, and binarized per metric."""
-    kinds = {"weighted": "weighted", **{m: f"{m}.binary" for m in config.metrics}}
-    return {k: os.path.join(out_dir, "networks", f"{trial_id}.{v}.jsonl") for k, v in kinds.items()}
-
-
-def _read_jsonl(path: str, stamp: dict) -> list | None:
-    """A network file's header and records, or None if it is missing,
-    unreadable or stamped other than ``stamp``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            header, *records = [json.loads(line) for line in fh if line.strip()]
-    except (OSError, ValueError):  # missing, unparseable, or no header line
-        return None
-    if not isinstance(header, dict) or header.get("stamp") != stamp:
-        return None
-    return [header, *records]
+    files = {"weighted": file("weighted", kind="weighted_graphs")}
+    for metric in config.metrics:
+        files[metric] = file(f"{metric}.binary", kind="temporal_network", metric=metric)
+    return files
 
 
 def _binary_network(header: dict, *records: dict) -> TemporalNetwork:
@@ -409,14 +397,21 @@ def _binary_network(header: dict, *records: dict) -> TemporalNetwork:
 def _read_networks(
     out_dir: str, trial_id: str, config: PipelineConfig, digest: str
 ) -> dict[str, TemporalNetwork] | None:
-    """A trial's binarized networks from disk, or None if one of its
-    network files is missing, unreadable or stale."""
-    stamp = _stamp("analyze", config, {trial_id: digest})
-    paths = _network_paths(out_dir, trial_id, config)
-    files = {kind: _read_jsonl(path, stamp) for kind, path in paths.items()}
-    if any(lines is None for lines in files.values()):
-        return None
-    return {m: _binary_network(*files[m]) for m in config.metrics}
+    """A trial's binarized networks by metric, read back from its files; or
+    None unless all of its network files are current and decode."""
+    networks = {}
+    for kind, (path, envelope) in _network_files(out_dir, trial_id, config, digest).items():
+        try:
+            with open(path, encoding="utf-8") as fh:
+                header, *records = [json.loads(line) for line in fh if line.strip()]
+            if not _current(header, envelope):
+                return None
+            if kind != "weighted":
+                networks[kind] = _binary_network(header, *records)
+        # missing, unparseable, no header line, or records that build no network
+        except (OSError, IndexError, KeyError, TypeError, ValueError):
+            return None
+    return networks
 
 
 def read_features_csv(path: str) -> tuple[dict, list[str], list[dict]]:
@@ -455,18 +450,33 @@ def _class_digest(table: FeatureTable) -> str:
     return hashlib.sha256(_json_line(classes).encode()).hexdigest()
 
 
-def _features_current(path: str, config: PipelineConfig, digests: dict) -> bool:
-    """Whether ``features.csv`` is current and holds the rows
-    ``stage_features`` writes: one per stamped trial and configured
-    metric, in that order."""
+def _features_current(path: str, envelope: dict, metrics: tuple[str, ...]) -> bool:
+    """Whether ``features.csv`` is current: its stamp is the envelope's,
+    and it holds the rows ``stage_features`` writes, one per stamped trial
+    and configured metric, in that order."""
     try:
         stamp, _, rows = read_features_csv(path)
     except (InputError, ValueError):  # missing or unreadable
         return False
-    keys = [(tid, metric) for tid in sorted(digests) for metric in config.metrics]
-    return _is_current(stamp, "features", config, digests) and [
+    keys = [(tid, metric) for tid in sorted(envelope["stamp"]["trials"]) for metric in metrics]
+    return _current({"stamp": stamp}, envelope) and [
         (r["trial_id"], r["metric"]) for r in rows
     ] == keys
+
+
+def _selected_lambdas(report: dict, config: PipelineConfig) -> dict | None:
+    """Each (target, metric)'s selected lambda in an evaluation report, or
+    None unless every entry holds a numeric accuracy and selected lambda."""
+    try:
+        entries = {(t, m): report["results"][t][m] for t in TARGETS for m in config.metrics}
+        numeric = all(
+            isinstance(e[k], (int, float))
+            for e in entries.values()
+            for k in ("accuracy", "selected_lambda")
+        )
+    except (KeyError, TypeError):  # an entry missing or not a map
+        return None
+    return {key: float(e["selected_lambda"]) for key, e in entries.items()} if numeric else None
 
 
 def _labeled_tables(
@@ -512,7 +522,8 @@ def _current_entry(stored: dict, trial_id: str, config: PipelineConfig, digest: 
         _embeddings_from_json(entry)
     except (AttributeError, KeyError, TypeError, ValueError):  # no such slice or entry
         return None
-    return entry if _is_current(stamp, "embed-params", config, {trial_id: digest}) else None
+    envelope = _envelope("embed-params", config, {trial_id: digest})
+    return entry if _current({"stamp": stamp}, envelope) else None
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +546,7 @@ def stage_embed_params(
     params = {tid: _current_entry(stored, tid, config, d) for tid, d in digests.items()}
     todo = [t for t in trials if params[t.trial_id] is None]
     params.update(_run_trials("embed-params", _embed_task, todo, config, jobs))
-    artifact = _artifact("embed-params", config, digests, trials=params)
+    artifact = {**_envelope("embed-params", config, digests), "trials": params}
     if artifact != stored:
         _write_json(path, artifact)
     return artifact
@@ -550,7 +561,8 @@ def stage_analyze(
     """Binarized temporal networks of every trial, by trial id and metric.
 
     Only the trials whose network files are not current are analyzed and
-    their files written; the others are read back from their files.
+    their files written.  Every trial's networks, fresh or reused, are
+    read back from its files.
     """
     out_dir = os.fspath(out_dir)
     embedded = stage_embed_params(data_dir, out_dir, config, jobs)
@@ -558,15 +570,11 @@ def stage_analyze(
     networks = {tid: _read_networks(out_dir, tid, config, d) for tid, d in digests.items()}
     todo = [t for t in discover_trials(data_dir) if networks[t.trial_id] is None]
     results = _run_trials("analyze", analyze_recording, todo, config, jobs, embedded["trials"])
-    for tid, r in results.items():
-        paths = _network_paths(out_dir, tid, config)
-        envelope = _artifact("analyze", config, {tid: digests[tid]}, trial_id=tid)
-        _write_jsonl(paths["weighted"], {**envelope, "kind": "weighted_graphs"}, r.weighted_records)
-        for metric, tn in r.networks.items():
-            header = {**envelope, "kind": "temporal_network", "metric": metric}
-            header.update(nodes=list(tn.nodes), binarize_rule=tn.binarize_rule)
-            _write_jsonl(paths[metric], header, [binary_record(tn, w) for w in range(tn.n_layers)])
-        networks[tid] = r.networks
+    for tid, files in results.items():
+        for kind, (path, envelope) in _network_files(out_dir, tid, config, digests[tid]).items():
+            fields, records = files[kind]
+            _write_jsonl(path, {**envelope, **fields}, records)
+        networks[tid] = _read_networks(out_dir, tid, config, digests[tid])
     return networks
 
 
@@ -583,8 +591,9 @@ def stage_features(
     digests = _read_json(os.path.join(out_dir, "embedding_params.json"))["stamp"]["trials"]
     path = os.path.join(out_dir, "features.csv")
     reach_path = os.path.join(out_dir, "reachability.json")
-    if _features_current(path, config, digests) and _read_artifact(
-        reach_path, "features", config, digests
+    envelope = _envelope("features", config, digests)
+    if _features_current(path, envelope, config.metrics) and _current(
+        _read_json(reach_path), envelope
     ):
         return path
     trial_ids = sorted(networks)
@@ -613,7 +622,7 @@ def stage_features(
     names = features[trial_ids[0]][first].names(nodes)
     lines = [
         f"# schema_version={FEATURE_SCHEMA_VERSION}",
-        f"# stamp={_json_line(_stamp('features', config, digests))}",
+        f"# stamp={_json_line(envelope['stamp'])}",
         ",".join(["trial_id", "metric"] + names),
     ]
     for tid in trial_ids:
@@ -626,7 +635,7 @@ def stage_features(
         tid: {metric: _reachability_json(f.reachability) for metric, f in features[tid].items()}
         for tid in trial_ids
     }
-    _write_json(reach_path, _artifact("features", config, digests, trials=reach))
+    _write_json(reach_path, {**envelope, "trials": reach})
     return path
 
 
@@ -641,10 +650,10 @@ def stage_evaluate(
     out_dir = os.fspath(out_dir)
     stage_features(data_dir, out_dir, config, jobs)
     tables, digests = _labeled_tables(data_dir, out_dir, config)
-    classes = _class_digest(tables[config.metrics[0]])
+    envelope = _envelope("evaluate", config, digests, _class_digest(tables[config.metrics[0]]))
     path = os.path.join(out_dir, "evaluation.json")
-    report = _read_artifact(path, "evaluate", config, digests, classes)
-    if report is not None:
+    report = _read_json(path)
+    if _current(report, envelope) and _selected_lambdas(report, config):
         return report
     results: dict[str, dict[str, dict]] = {}
     with _stage("evaluate"):
@@ -666,7 +675,7 @@ def stage_evaluate(
                     "mean_accuracy_per_lambda": list(cv.mean_accuracy_per_lambda),
                     "n_trials": len(table.trial_ids),
                 }
-    report = _artifact("evaluate", config, digests, classes, results=results)
+    report = {**envelope, "results": results}
     _write_json(path, report)
     return report
 
@@ -685,7 +694,7 @@ def stage_train(
             if target not in TARGETS:
                 raise InputError(f"unknown target {target!r}; choose from {TARGETS}")
     out_dir = os.fspath(out_dir)
-    report = stage_evaluate(data_dir, out_dir, config, jobs)
+    lambdas = _selected_lambdas(stage_evaluate(data_dir, out_dir, config, jobs), config)
     tables, digests = _labeled_tables(data_dir, out_dir, config)
     classes = _class_digest(tables[config.metrics[0]])
 
@@ -694,14 +703,12 @@ def stage_train(
         for target in targets:
             for metric in config.metrics:
                 path = os.path.join(out_dir, f"model_{target}_{metric}.json")
-                stored = _read_artifact(path, "train", config, digests, classes) or {}
-                if (stored.get("target"), stored.get("metric")) != (target, metric):
-                    lam = float(report["results"][target][metric]["selected_lambda"])
-                    model = model_to_dict(fit_lasso(tables[metric], target, lam))
-                    artifact = _artifact(
-                        "train", config, digests, classes, target=target, metric=metric, model=model
-                    )
-                    _write_json(path, artifact)
+                envelope = _envelope(
+                    "train", config, digests, classes, target=target, metric=metric
+                )
+                if not _current(_read_json(path), envelope):
+                    model = fit_lasso(tables[metric], target, lambdas[target, metric])
+                    _write_json(path, {**envelope, "model": model_to_dict(model)})
                 written.append(path)
     return written
 

@@ -35,6 +35,18 @@ __all__ = [
 #: Bump when the feature layout below changes.
 FEATURE_SCHEMA_VERSION = 1
 
+#: The scalar feature columns in order; a ``corr_<node>`` column per node follows.
+SCALAR_FEATURES = (
+    "efficiency",
+    "mean_latency",
+    "mean_fastest_paths",
+    "temporal_correlation",
+    "small_worldness",
+    "small_worldness_degenerate",
+    "frac_strong",
+    "frac_weak",
+)
+
 DEFAULT_N_NULL = 20
 
 
@@ -77,30 +89,11 @@ class TemporalFeatures:
     reachability: ReachabilityReport = field(compare=False, repr=False)
 
     def names(self, nodes: tuple[str, ...]) -> list[str]:
-        return [
-            "efficiency",
-            "mean_latency",
-            "mean_fastest_paths",
-            "temporal_correlation",
-            "small_worldness",
-            "small_worldness_degenerate",
-            "frac_strong",
-            "frac_weak",
-            *[f"corr_{name}" for name in nodes],
-        ]
+        return [*SCALAR_FEATURES, *[f"corr_{name}" for name in nodes]]
 
     def values(self) -> list[float]:
-        return [
-            self.efficiency,
-            self.mean_latency,
-            self.mean_fastest_paths,
-            self.temporal_correlation,
-            self.small_worldness,
-            float(self.small_worldness_degenerate),
-            self.frac_strong,
-            self.frac_weak,
-            *self.per_node_correlation,
-        ]
+        scalars = [float(getattr(self, name)) for name in SCALAR_FEATURES]
+        return scalars + list(self.per_node_correlation)
 
 
 def _check(tn: TemporalNetwork) -> None:

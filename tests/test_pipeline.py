@@ -392,52 +392,108 @@ def _row_replaced(data):
     return b"".join(lines[:-1] + lines[-2:-1])
 
 
-@pytest.mark.parametrize(
-    "name, command, damage",
-    [
-        ("embedding_params.json", "analyze", _emptied),
-        ("networks/dense_000.JDET.binary.jsonl", "features", _emptied),
-        ("features.csv", "evaluate", _emptied),
-        ("evaluation.json", "train", _emptied),
-        # the last row loses its last cell
-        ("features.csv", "evaluate", lambda data: data[: data.rindex(b",")]),
-        ("features.csv", "evaluate", _rows_cut),
-        ("features.csv", "evaluate", _row_duplicated),
-        ("features.csv", "evaluate", _row_replaced),
-        # JSON that parses to something other than an object
-        ("embedding_params.json", "analyze", lambda data: b"[0]\n"),
-        ("evaluation.json", "train", lambda data: b'"x"\n'),
-        ("networks/dense_000.JDET.binary.jsonl", "features", _header_replaced),
-        # each stage checks its own artifact, whichever command runs it
-        ("reachability.json", "evaluate", _emptied),
-        ("model_valence_JDET.json", "train", _emptied),
-        # a current stamp on a model that names another target
-        ("model_arousal_JDET.json", "train", lambda data: data.replace(b'"arousal"', b'"valence"')),
-    ],
-    ids=[
-        "embed-params",
-        "analyze",
-        "features",
-        "evaluate",
-        "features-short-row",
-        "features-rows-cut",
-        "features-row-duplicated",
-        "features-row-replaced",
-        "embed-params-list",
-        "evaluate-string",
-        "analyze-list-header",
-        "features-reachability",
+def _report_edited(edit):
+    """A damage that applies ``edit`` to an evaluation report's results."""
+
+    def damage(data):
+        report = json.loads(data)
+        edit(report["results"])
+        return json.dumps(report).encode()
+
+    return damage
+
+
+# (file, command that must recompute it, damage): a function of the file's
+# bytes, or the name of the file copied over it
+DAMAGES = [
+    pytest.param("embedding_params.json", "analyze", _emptied, id="embed-params"),
+    pytest.param("networks/dense_000.JDET.binary.jsonl", "features", _emptied, id="analyze"),
+    pytest.param("features.csv", "evaluate", _emptied, id="features"),
+    pytest.param("evaluation.json", "train", _emptied, id="evaluate"),
+    # the last row loses its last cell
+    pytest.param(
+        "features.csv", "evaluate", lambda data: data[: data.rindex(b",")], id="features-short-row"
+    ),
+    pytest.param("features.csv", "evaluate", _rows_cut, id="features-rows-cut"),
+    pytest.param("features.csv", "evaluate", _row_duplicated, id="features-row-duplicated"),
+    pytest.param("features.csv", "evaluate", _row_replaced, id="features-row-replaced"),
+    # JSON that parses to something other than an object
+    pytest.param("embedding_params.json", "analyze", lambda data: b"[0]\n", id="embed-params-list"),
+    pytest.param("evaluation.json", "train", lambda data: b'"x"\n', id="evaluate-string"),
+    pytest.param(
+        "networks/dense_000.JDET.binary.jsonl", "features", _header_replaced, id="analyze-list-header"
+    ),
+    # each stage checks its own artifact, whichever command runs it
+    pytest.param("reachability.json", "evaluate", _emptied, id="features-reachability"),
+    pytest.param("model_valence_JDET.json", "train", _emptied, id="train"),
+    # a current stamp on a model that names another target
+    pytest.param(
+        "model_arousal_JDET.json",
         "train",
-        "train-other-target",
-    ],
-)
+        lambda data: data.replace(b'"arousal"', b'"valence"'),
+        id="train-other-target",
+    ),
+    # a current stamp on a network file of another kind or metric
+    pytest.param(
+        "networks/dense_000.JDET.binary.jsonl",
+        "features",
+        "networks/dense_000.weighted.jsonl",
+        id="analyze-weighted-as-binary",
+    ),
+    pytest.param(
+        "networks/dense_000.JLAM.binary.jsonl",
+        "features",
+        "networks/dense_000.JDET.binary.jsonl",
+        id="analyze-other-metric",
+    ),
+    # a current header over a record that builds no network: node 9 of 4
+    pytest.param(
+        "networks/dense_000.JDET.binary.jsonl",
+        "features",
+        lambda data: data[: data.rindex(b"{")] + b'{"edges":[[0,9]],"window":0}\n',
+        id="analyze-record-out-of-range",
+    ),
+    # a current stamp on a report whose entries a later step cannot read
+    pytest.param(
+        "evaluation.json",
+        "train",
+        _report_edited(lambda results: results["valence"].pop("JLAM")),
+        id="evaluate-entry-missing",
+    ),
+    pytest.param(
+        "evaluation.json",
+        "evaluate",
+        _report_edited(lambda results: results["valence"]["JDET"].update(accuracy="x")),
+        id="evaluate-accuracy-string",
+    ),
+    # every network file of a trial is checked, not only the binarized ones
+    pytest.param("networks/dense_000.weighted.jsonl", "analyze", _emptied, id="analyze-weighted"),
+]
+
+
+def _kind(name):
+    """The kind of an output file: its name without trial id or model name."""
+    return "model" if name.startswith("model_") else re.sub(r"^networks/[^.]+", "networks/*", name)
+
+
+def test_every_artifact_kind_has_a_damage_case(pipeline_out):
+    out_dir, _ = pipeline_out
+    kinds = {_kind(name) for name in _tree(out_dir)}
+    assert len(kinds) == 8
+    assert kinds <= {_kind(case.values[0]) for case in DAMAGES}
+
+
+@pytest.mark.parametrize("name, command, damage", DAMAGES)
 def test_damaged_artifact_is_recomputed(dataset, pipeline_out, tmp_path, name, command, damage):
     # an unreadable artifact is stale, not a crash outside the CLI's exit codes
     out_dir, _ = pipeline_out
     damaged = tmp_path / "damaged"
     shutil.copytree(out_dir, damaged)
     path = damaged / name
-    path.write_bytes(damage(path.read_bytes()))
+    if callable(damage):
+        path.write_bytes(damage(path.read_bytes()))
+    else:
+        shutil.copy(damaged / damage, path)
     assert _cli(command, dataset, damaged, tmp_path) == 0
     assert _tree(damaged) == _tree(out_dir)
 
