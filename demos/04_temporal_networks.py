@@ -52,16 +52,17 @@ config = PipelineConfig(window_s=5.0, overlap=0.2, tau_max=16, m_max=6)
 windows = segment_windows(zscore_channels(recording), config.window_s, config.overlap)
 embeddings = estimate_trial_embeddings(recording, config)
 
-# One call per trial: each window's recurrence plots reuse the rows they
-# share with the window before.
-graphs = [g["JDET"] for g in channel_graphs(windows, embeddings, ("JDET",))]
-print(f"{len(graphs)} windows, JDET weights of window 0:")
+# One call per trial gives one (windows, channels, channels) array per
+# metric; each window's recurrence plots reuse the rows they share with
+# the window before.
+weights = channel_graphs(windows, embeddings, ("JDET",))["JDET"]
+print(f"{len(weights)} windows, JDET weights of window 0:")
 with np.printoptions(precision=3, suppress=True):
-    print(graphs[0].weights)
+    print(weights[0])
 print("(the module edges a-b and c-d dwarf every cross-module weight)")
 
 # Keep the strongest half of the edges in each window.
-tn = assemble_temporal_network(graphs, rho=0.5)
+tn = assemble_temporal_network(weights, recording.channel_names, "JDET", rho=0.5)
 print()
 print(f"temporal network on nodes {tn.nodes}, {len(tn.layers)} layers:")
 for k, layer in enumerate(tn.layers):

@@ -49,7 +49,6 @@ from .learn import (
 from .netbuild import (
     ChannelEmbedding,
     TemporalNetwork,
-    WeightedGraph,
     assemble_temporal_network,
     channel_graphs,
     merge_modalities,

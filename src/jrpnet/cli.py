@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .config import PipelineConfig, load_config
+from .config import WEIGHT_METRICS, PipelineConfig, load_config
 from .errors import InputError, JrpnetError
 from .pipeline import (
     TARGETS,
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("analyze", help="build weighted and binarized networks")
-    p.add_argument("--metric", choices=("JDET", "JLAM", "both"), help="override weight metric")
+    p.add_argument("--metric", choices=WEIGHT_METRICS, help="override weight metric")
     add_common(p)
 
     p = sub.add_parser("features", help="compute temporal features per trial")
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("pipeline", help="run every stage end to end")
-    p.add_argument("--metric", choices=("JDET", "JLAM", "both"), help="override weight metric")
+    p.add_argument("--metric", choices=WEIGHT_METRICS, help="override weight metric")
     add_common(p)
     return parser
 

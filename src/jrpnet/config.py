@@ -14,8 +14,10 @@ import os
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError
+from .netbuild import METRICS
+from .recurrence import NORMS
 
-__all__ = ["CONFIG_SCHEMA_VERSION", "STAGE_FIELDS", "PipelineConfig", "load_config"]
+__all__ = ["CONFIG_SCHEMA_VERSION", "STAGE_FIELDS", "WEIGHT_METRICS", "PipelineConfig", "load_config"]
 
 CONFIG_SCHEMA_VERSION = 3
 
@@ -30,7 +32,8 @@ STAGE_FIELDS: dict[str, tuple[str, ...]] = {
     "train": (),
 }
 
-_WEIGHT_METRICS = ("JDET", "JLAM", "both")
+#: Values of ``weight_metric``: one metric, or every one.
+WEIGHT_METRICS = (*METRICS, "both")
 
 
 @dataclass(frozen=True)
@@ -58,15 +61,15 @@ class PipelineConfig:
             raise InputError(f"overlap must be in [0, 1), got {self.overlap}")
         if not 0.0 < self.target_rr < 1.0:
             raise InputError(f"target_rr must be in (0, 1), got {self.target_rr}")
-        if self.norm not in ("L1", "L2", "Linf"):
-            raise InputError(f"norm must be one of L1, L2, Linf; got {self.norm!r}")
+        if self.norm not in NORMS:
+            raise InputError(f"norm must be one of {', '.join(NORMS)}; got {self.norm!r}")
         if self.l_min < 2 or self.v_min < 2:
             raise InputError("l_min and v_min must be >= 2")
         if not 0.0 < self.binarize_rho <= 1.0:
             raise InputError(f"binarize_rho must be in (0, 1], got {self.binarize_rho}")
-        if self.weight_metric not in _WEIGHT_METRICS:
+        if self.weight_metric not in WEIGHT_METRICS:
             raise InputError(
-                f"weight_metric must be one of {_WEIGHT_METRICS}, got {self.weight_metric!r}"
+                f"weight_metric must be one of {WEIGHT_METRICS}, got {self.weight_metric!r}"
             )
         if self.n_null < 1:
             raise InputError(f"n_null must be >= 1, got {self.n_null}")
@@ -85,7 +88,7 @@ class PipelineConfig:
     def metrics(self) -> tuple[str, ...]:
         """Weight metrics the pipeline computes under this config."""
         if self.weight_metric == "both":
-            return ("JDET", "JLAM")
+            return METRICS
         return (self.weight_metric,)
 
     def to_dict(self) -> dict:

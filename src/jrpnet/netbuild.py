@@ -1,14 +1,15 @@
 """From windowed joint recurrence structure to temporal networks.
 
-For each window of a trial, every unordered channel pair gets a coupling
-weight (joint determinism or joint laminarity of the pair's JRP).  The
-graphs are built per trial, window after window: overlapping windows
-share most of their states, so each channel's recurrence plot keeps the
-rows it shares with the window before and computes only the rows of its
-new states.  Channels are then merged into modality nodes by averaging
-the weights of every edge spanning (or staying inside) a modality pair.
-Finally the per-window modality graphs are binarized with a proportional
-threshold and stacked into a temporal network.
+A trial's coupling weights travel as one ``(windows, nodes, nodes)``
+array per metric.  For each window, every unordered channel pair gets a
+coupling weight (joint determinism or joint laminarity of the pair's
+JRP).  The windows are visited in order: overlapping windows share most
+of their states, so each channel's recurrence plot keeps the rows it
+shares with the window before and computes only the rows of its new
+states.  Channels are then merged into modality nodes by averaging the
+weights of every edge spanning (or staying inside) a modality pair,
+window by window.  Finally each window's modality weights are binarized
+with a proportional threshold into one layer of a temporal network.
 
 Weights are kept in [0, 1]; absent weights (degenerate channels, single
 channel modalities) are marked NaN and treated as non-edges, never
@@ -31,12 +32,11 @@ from .rqa import DEFAULT_L_MIN, DEFAULT_V_MIN, determinism, laminarity
 __all__ = [
     "METRICS",
     "ChannelEmbedding",
-    "WeightedGraph",
     "TemporalNetwork",
     "channel_graphs",
     "merge_modalities",
     "assemble_temporal_network",
-    "weighted_record",
+    "weighted_records",
     "binary_record",
 ]
 
@@ -57,21 +57,6 @@ class ChannelEmbedding:
     params: EmbeddingParams
     epsilon: float
     saturated: bool = False
-
-
-@dataclass(frozen=True)
-class WeightedGraph:
-    """Symmetric weighted graph for one window and one metric.
-
-    ``weights[i, j]`` is the coupling weight between nodes i and j, NaN
-    where absent.  Diagonal entries hold intra-modality weights after
-    merging (always NaN at channel level).
-    """
-
-    nodes: tuple[str, ...]
-    weights: np.ndarray
-    window_index: int
-    metric: str
 
 
 @dataclass(frozen=True)
@@ -133,9 +118,10 @@ def channel_graphs(
     l_min: int = DEFAULT_L_MIN,
     v_min: int = DEFAULT_V_MIN,
     norm: str = "L1",
-) -> list[dict[str, WeightedGraph]]:
-    """Pairwise joint-RQA graphs of one trial's windows, in window order:
-    one ``{metric: graph}`` per window.
+) -> dict[str, np.ndarray]:
+    """Pairwise joint-RQA weights of one trial's windows: per metric a
+    symmetric ``(windows, channels, channels)`` array in window order, NaN
+    where absent (always on the diagonal).
 
     All metrics share the same joint recurrence plots, so asking for both
     costs one JRP pass.  A channel's plot shares the rows it has in common
@@ -147,23 +133,21 @@ def channel_graphs(
     for metric in metrics:
         if metric not in METRICS:
             raise InputError(f"unknown weight metric {metric!r}; choose one of {METRICS}")
+    names = windows[0].channel_names if windows else ()
+    missing = [n for n in names if n not in embeddings]
+    if missing:
+        raise InputError(f"no embedding provided for channels {missing}")
 
-    out: list[dict[str, WeightedGraph]] = []
+    n = len(names)
+    weights = {m: np.full((len(windows), n, n), np.nan) for m in metrics}
     earlier: Window | None = None
     plots: dict[str, RecurrenceMatrix | None] = {}
-    for window in windows:
-        names = window.channel_names
-        missing = [n for n in names if n not in embeddings]
-        if missing:
-            raise InputError(f"no embedding provided for channels {missing}")
+    for t, window in enumerate(windows):
         plots = {
             name: _window_plot(window, name, embeddings[name], norm, earlier, plots.get(name))
             for name in names
         }
         earlier = window
-
-        n = len(names)
-        weights = {m: np.full((n, n), np.nan) for m in metrics}
         for i in range(n):
             for j in range(i + 1, n):
                 rp_i, rp_j = plots[names[i]], plots[names[j]]
@@ -172,124 +156,101 @@ def channel_graphs(
                 jrp = joint_recurrence_plot(rp_i, rp_j)
                 for m in metrics:
                     value = _metric_value(jrp, m, l_min, v_min)
-                    weights[m][i, j] = value
-                    weights[m][j, i] = value
-        out.append({
-            m: WeightedGraph(nodes=names, weights=weights[m], window_index=window.index, metric=m)
-            for m in metrics
-        })
-    return out
+                    weights[m][t, i, j] = value
+                    weights[m][t, j, i] = value
+    return weights
 
 
-def merge_modalities(graph: WeightedGraph, modality_map: dict[str, str]) -> WeightedGraph:
+def merge_modalities(
+    weights: np.ndarray, modalities: tuple[str, ...]
+) -> tuple[tuple[str, ...], np.ndarray]:
     """Collapse channel nodes into modality nodes by averaging edge weights.
 
-    The weight between two modalities is the mean of all channel-pair
-    weights spanning them; the diagonal holds the mean within a modality
-    (absent for single-channel modalities).  Absent channel weights are
-    excluded from the means.
+    ``weights`` is a ``(windows, channels, channels)`` stack and
+    ``modalities`` names each channel's modality in channel order.
+    Returns the modalities in first-seen order and their
+    ``(windows, k, k)`` weights.  In each window the weight between two
+    modalities is the mean of all channel-pair weights spanning them; the
+    diagonal holds the mean within a modality (absent for single-channel
+    modalities).  Absent channel weights are excluded from the means.
     """
-    unmapped = [c for c in graph.nodes if c not in modality_map]
-    if unmapped:
-        raise InputError(f"channels without a modality: {unmapped}")
-    unknown = [c for c in modality_map if c not in graph.nodes]
-    if unknown:
-        raise InputError(f"modality map names channels not in the graph: {unknown}")
+    if len(modalities) != weights.shape[-1]:
+        raise InputError(f"{len(modalities)} modalities for {weights.shape[-1]} channels")
+    nodes = tuple(dict.fromkeys(modalities))
+    groups = [[i for i, m in enumerate(modalities) if m == node] for node in nodes]
 
-    modalities: list[str] = []
-    for channel in graph.nodes:
-        m = modality_map[channel]
-        if m not in modalities:
-            modalities.append(m)
-    if not modalities:
-        raise InputError("modality map is empty")
-    groups = [[i for i, c in enumerate(graph.nodes) if modality_map[c] == m] for m in modalities]
-    if any(not g for g in groups):
-        raise InputError("every modality must contain at least one channel")
-
-    n = len(modalities)
-    merged = np.full((n, n), np.nan)
-    for a in range(n):
-        for b in range(a, n):
+    k = len(nodes)
+    merged = np.full((len(weights), k, k), np.nan)
+    for a in range(k):
+        for b in range(a, k):
             if a == b:
-                pool = [
-                    graph.weights[i, j]
-                    for k, i in enumerate(groups[a])
-                    for j in groups[a][k + 1 :]
-                ]
+                pairs = [(i, j) for p, i in enumerate(groups[a]) for j in groups[a][p + 1 :]]
             else:
-                pool = [graph.weights[i, j] for i in groups[a] for j in groups[b]]
-            values = np.array([w for w in pool if not np.isnan(w)])
-            if values.size:
-                merged[a, b] = values.mean()
-                merged[b, a] = merged[a, b]
-    return WeightedGraph(
-        nodes=tuple(modalities),
-        weights=merged,
-        window_index=graph.window_index,
-        metric=graph.metric,
-    )
+                pairs = [(i, j) for i in groups[a] for j in groups[b]]
+            rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
+            # np.mean of each window's present values in pair order; nanmean
+            # would sum in another order once a pool holds more than 8 values
+            for t, pool in enumerate(weights[:, rows, cols]):
+                values = pool[~np.isnan(pool)]
+                if values.size:
+                    merged[t, a, b] = merged[t, b, a] = values.mean()
+    return nodes, merged
 
 
 def assemble_temporal_network(
-    graphs: list[WeightedGraph], rho: float = DEFAULT_RHO
+    weights: np.ndarray, nodes: tuple[str, ...], metric: str, rho: float = DEFAULT_RHO
 ) -> TemporalNetwork:
-    """Binarize per-window graphs and stack them into a temporal network.
+    """Binarize a ``(windows, nodes, nodes)`` weight stack into the layers
+    of a temporal network.
 
     Each window keeps the edges whose weight reaches that window's
     (1 - rho)-quantile of present off-diagonal weights, ties included, so
     roughly the strongest fraction rho of edges survives.  Absent weights
     and self-entries never become edges.
     """
-    if not graphs:
-        raise InputError("cannot assemble a temporal network from zero graphs")
+    if len(weights) == 0:
+        raise InputError("cannot assemble a temporal network from zero windows")
     if not 0.0 < rho <= 1.0:
         raise InputError(f"rho must be in (0, 1], got {rho}")
-    ordered = sorted(graphs, key=lambda g: g.window_index)
-    nodes = ordered[0].nodes
-    metric = ordered[0].metric
-    for g in ordered:
-        if g.nodes != nodes:
-            raise InputError("all graphs must share one node set")
-        if g.metric != metric:
-            raise InputError("all graphs must carry the same weight metric")
-
     n = len(nodes)
-    iu = np.triu_indices(n, k=1)
-    layers = np.zeros((len(ordered), n, n), dtype=bool)
-    for t, g in enumerate(ordered):
-        w = g.weights[iu]
+    if weights.shape[1:] != (n, n):
+        raise InputError(f"weights of shape {weights.shape} for {n} nodes")
+
+    rows, cols = np.triu_indices(n, k=1)
+    layers = np.zeros((len(weights), n, n), dtype=bool)
+    for t, w in enumerate(weights[:, rows, cols]):
         present = w[~np.isnan(w)]
         if present.size == 0:
             continue
-        cut = np.quantile(present, 1.0 - rho)
-        keep = ~np.isnan(w) & (w >= cut)
-        layer = np.zeros((n, n), dtype=bool)
-        layer[iu[0][keep], iu[1][keep]] = True
-        layers[t] = layer | layer.T
+        keep = ~np.isnan(w) & (w >= np.quantile(present, 1.0 - rho))
+        layers[t, rows[keep], cols[keep]] = True
     return TemporalNetwork(
-        nodes=nodes,
-        layers=layers,
+        nodes=tuple(nodes),
+        layers=layers | layers.transpose(0, 2, 1),
         binarize_rule={"strategy": "proportional", "rho": rho},
         metric=metric,
     )
 
 
-def weighted_record(graph: WeightedGraph) -> dict:
-    """JSON-ready record of one weighted graph.
+def weighted_records(weights: dict[str, np.ndarray], nodes: tuple[str, ...]) -> list[dict]:
+    """JSON-ready records of a trial's weight stacks by metric, window by
+    window and, within a window, metric by metric.
 
     Weights are the upper triangle including the diagonal, row-major,
     with absent entries as null.
     """
-    n = len(graph.nodes)
-    iu = np.triu_indices(n)
-    values = [None if np.isnan(v) else float(v) for v in graph.weights[iu]]
-    return {
-        "window": graph.window_index,
-        "metric": graph.metric,
-        "nodes": list(graph.nodes),
-        "weights": values,
-    }
+    iu = np.triu_indices(len(nodes))
+    n_windows = len(next(iter(weights.values())))
+    return [
+        {
+            "window": t,
+            "metric": metric,
+            "nodes": list(nodes),
+            "weights": [None if np.isnan(v) else float(v) for v in stack[t][iu]],
+        }
+        for t in range(n_windows)
+        for metric, stack in weights.items()
+    ]
 
 
 def binary_record(tn: TemporalNetwork, window_index: int) -> dict:

@@ -26,12 +26,13 @@ its payload that a later step reads decodes.  Each stage runs the stage
 before it, returns its own artifact if that is current, and otherwise
 computes and writes it; so a command first brings every earlier stage
 up to date.  The per-trial pieces are a trial's network files, current
-only all together and while its binarized networks decode, and its
-entry in ``embedding_params.json`` (current when the slice of the
-file's stamp for that trial is, and the entry is a channel map).
-``features.csv`` (rows one per stamped trial and metric) with
-``reachability.json``, ``evaluation.json`` (a numeric accuracy and
-selected lambda per target and metric) and each model are current or
+only all together and while they decode in full (a record per window,
+and per window and metric in the weighted file), and its entry in
+``embedding_params.json`` (current when the slice of the file's stamp
+for that trial is, and the entry is a channel map).  ``features.csv``
+(rows one per stamped trial and metric) with ``reachability.json``,
+``evaluation.json`` (a numeric accuracy and selected lambda per target
+and metric) and each model (fit at that selected lambda) are current or
 stale as a whole.  Networks reach the features stage only through their
 files: a freshly analyzed trial is read back as a reused one is.  An
 unchanged rerun computes and writes nothing, and running stages one by
@@ -77,7 +78,7 @@ from .netbuild import (
     binary_record,
     channel_graphs,
     merge_modalities,
-    weighted_record,
+    weighted_records,
 )
 from .recurrence import threshold_for_rate
 from .seeding import derive_seed
@@ -242,9 +243,8 @@ def analyze_recording(
     analyze stage writes these files and reads the networks back from
     them, so networks reach the features stage only through their files.
     """
-    modality_map = dict(zip(recording.channel_names, recording.modalities))
     windows = segment_windows(recording, config.window_s, config.overlap)
-    per_window = channel_graphs(
+    channel_weights = channel_graphs(
         windows,
         embeddings,
         metrics=config.metrics,
@@ -252,18 +252,13 @@ def analyze_recording(
         v_min=config.v_min,
         norm=config.norm,
     )
+    merged = {}
+    for metric, weights in channel_weights.items():
+        nodes, merged[metric] = merge_modalities(weights, recording.modalities)
 
-    weighted_records: list[dict] = []
-    merged: dict[str, list] = {m: [] for m in config.metrics}
-    for graphs in per_window:
-        for metric in config.metrics:
-            graph = merge_modalities(graphs[metric], modality_map)
-            merged[metric].append(graph)
-            weighted_records.append(weighted_record(graph))
-
-    files = {"weighted": ({}, weighted_records)}
-    for metric in config.metrics:
-        tn = assemble_temporal_network(merged[metric], rho=config.binarize_rho)
+    files = {"weighted": ({}, weighted_records(merged, nodes))}
+    for metric, weights in merged.items():
+        tn = assemble_temporal_network(weights, nodes, metric, rho=config.binarize_rho)
         fields = {"nodes": list(tn.nodes), "binarize_rule": tn.binarize_rule}
         files[metric] = (fields, [binary_record(tn, w) for w in range(tn.n_layers)])
     return files
@@ -382,8 +377,7 @@ def _binary_network(header: dict, *records: dict) -> TemporalNetwork:
     nodes = tuple(header["nodes"])
     n = len(nodes)
     layers = np.zeros((len(records), n, n), dtype=bool)
-    for rec in records:
-        t = rec["window"]
+    for t, rec in enumerate(records):
         for i, j in rec["edges"]:
             layers[t, i, j] = layers[t, j, i] = True
     return TemporalNetwork(
@@ -398,13 +392,22 @@ def _read_networks(
     out_dir: str, trial_id: str, config: PipelineConfig, digest: str
 ) -> dict[str, TemporalNetwork] | None:
     """A trial's binarized networks by metric, read back from its files; or
-    None unless all of its network files are current and decode."""
+    None unless all of its network files are current and decode in full:
+    the weighted file, read first, holds one record per window and metric
+    in that order for windows 0..T-1, T at least 1, and each binarized
+    file the records of those windows in order."""
     networks = {}
     for kind, (path, envelope) in _network_files(out_dir, trial_id, config, digest).items():
         try:
             with open(path, encoding="utf-8") as fh:
                 header, *records = [json.loads(line) for line in fh if line.strip()]
-            if not _current(header, envelope):
+            if kind == "weighted":
+                windows = range(len(records) // len(config.metrics))
+                keys = [(r["window"], r["metric"]) for r in records]
+                want = [(t, metric) for t in windows for metric in config.metrics]
+            else:
+                keys, want = [r["window"] for r in records], list(windows)
+            if not (_current(header, envelope) and windows and keys == want):
                 return None
             if kind != "weighted":
                 networks[kind] = _binary_network(header, *records)
@@ -706,8 +709,11 @@ def stage_train(
                 envelope = _envelope(
                     "train", config, digests, classes, target=target, metric=metric
                 )
-                if not _current(_read_json(path), envelope):
-                    model = fit_lasso(tables[metric], target, lambdas[target, metric])
+                lam = lambdas[target, metric]
+                stored = _read_json(path) or {}
+                fit_at_lam = _current(stored.get("model"), {"lambda": lam})
+                if not (_current(stored, envelope) and fit_at_lam):
+                    model = fit_lasso(tables[metric], target, lam)
                     _write_json(path, {**envelope, "model": model_to_dict(model)})
                 written.append(path)
     return written

@@ -250,8 +250,8 @@ def test_coupling_raises_joint_determinism():
                 channel_names=recording.channel_names,
                 samples=zscore_channels(recording).samples,
             )
-            graph = channel_graphs([window], embeddings, ("JDET",), norm=config.norm)[0]["JDET"]
-            bucket.append(graph.weights[0, 1])
+            weights = channel_graphs([window], embeddings, ("JDET",), norm=config.norm)["JDET"]
+            bucket.append(weights[0, 0, 1])
     p = mannwhitneyu(coupled, uncoupled, alternative="greater").pvalue
     verdict(
         p < 0.01,

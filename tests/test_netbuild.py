@@ -13,12 +13,11 @@ from jrpnet.errors import InputError
 from jrpnet.ingest import CONSTANT_EPS, Window, segment_windows, window_geometry, zscore_channels
 from jrpnet.netbuild import (
     ChannelEmbedding,
-    WeightedGraph,
     assemble_temporal_network,
     binary_record,
     channel_graphs,
     merge_modalities,
-    weighted_record,
+    weighted_records,
 )
 from jrpnet.recurrence import NORMS, joint_recurrence_plot, recurrence_plot, threshold_for_rate
 from jrpnet.rqa import determinism, laminarity
@@ -51,7 +50,7 @@ def simple_embeddings(window, epsilon=0.5, delay=1, dim=2):
 def test_pair_weights_match_direct_recomputation():
     window = logistic_window(3, 120, seed=5)
     embeddings = simple_embeddings(window, epsilon=0.4, delay=2, dim=3)
-    graphs = channel_graphs([window], embeddings, norm="L2")[0]
+    weights = channel_graphs([window], embeddings, norm="L2")
     names = window.channel_names
     for i in range(3):
         for j in range(i + 1, 3):
@@ -63,8 +62,8 @@ def test_pair_weights_match_direct_recomputation():
                 embed(window.channel(names[j]), emb_j.params), emb_j.epsilon, "L2"
             )
             jrp = joint_recurrence_plot(rp_i, rp_j)
-            assert graphs["JDET"].weights[i, j] == determinism(jrp)
-            assert graphs["JLAM"].weights[i, j] == laminarity(jrp)
+            assert weights["JDET"][0, i, j] == determinism(jrp)
+            assert weights["JLAM"][0, i, j] == laminarity(jrp)
 
 
 def test_unequal_embeddings_give_unequal_jrps_with_exact_weights():
@@ -77,26 +76,25 @@ def test_unequal_embeddings_give_unequal_jrps_with_exact_weights():
         name: ChannelEmbedding(params=EmbeddingParams(delay_tau=tau, dimension_m=m), epsilon=1.5)
         for name, (tau, m) in zip(names, shapes)
     }
-    graphs = channel_graphs([window], embeddings, l_min=2, v_min=4)[0]
+    weights = channel_graphs([window], embeddings, l_min=2, v_min=4)
     rps = [
         recurrence_plot(embed(window.channel(name), embeddings[name].params), 1.5)
         for name in names
     ]
     assert len({rp.size_n for rp in rps}) == 4
-    assert np.nanmax(graphs["JDET"].weights) > 0.0 and np.nanmax(graphs["JLAM"].weights) > 0.0
+    assert np.nanmax(weights["JDET"]) > 0.0 and np.nanmax(weights["JLAM"]) > 0.0
     for i in range(4):
         for j in range(i + 1, 4):
             jrp = joint_recurrence_plot(rps[i], rps[j])
-            assert graphs["JDET"].weights[i, j] == determinism(jrp, 2)
-            assert graphs["JLAM"].weights[j, i] == laminarity(jrp, 4)
+            assert weights["JDET"][0, i, j] == determinism(jrp, 2)
+            assert weights["JLAM"][0, j, i] == laminarity(jrp, 4)
 
 
 def test_six_channels_fill_all_fifteen_pairs():
     window = logistic_window(6, 100, seed=9)
-    graphs = channel_graphs([window], simple_embeddings(window))[0]
-    for g in graphs.values():
-        w = g.weights
-        assert w.shape == (6, 6)
+    for stack in channel_graphs([window], simple_embeddings(window)).values():
+        assert stack.shape == (1, 6, 6)
+        w = stack[0]
         assert np.isnan(np.diagonal(w)).all()
         off = w[np.triu_indices(6, k=1)]
         assert np.isfinite(off).all()
@@ -107,11 +105,10 @@ def test_six_channels_fill_all_fifteen_pairs():
 def test_metrics_share_one_graph_pass():
     window = logistic_window(3, 90, seed=11)
     embeddings = simple_embeddings(window)
-    both = channel_graphs([window], embeddings)[0]
-    single = channel_graphs([window], embeddings, ("JLAM",))[0]["JLAM"]
-    assert np.array_equal(both["JLAM"].weights, single.weights, equal_nan=True)
-    assert single.metric == "JLAM"
-    assert single.window_index == window.index
+    both = channel_graphs([window], embeddings)
+    single = channel_graphs([window], embeddings, ("JLAM",))
+    assert list(both) == ["JDET", "JLAM"] and list(single) == ["JLAM"]
+    assert np.array_equal(both["JLAM"], single["JLAM"], equal_nan=True)
 
 
 def test_constant_channel_gets_absent_weights(caplog):
@@ -119,9 +116,9 @@ def test_constant_channel_gets_absent_weights(caplog):
     window.samples[1, :] = 0.7
     embeddings = simple_embeddings(window)
     with caplog.at_level(logging.WARNING):
-        graphs = channel_graphs([window], embeddings)[0]
+        weights = channel_graphs([window], embeddings)
     assert "ch1 is constant" in caplog.text
-    w = graphs["JDET"].weights
+    w = weights["JDET"][0]
     assert np.isnan(w[0, 1]) and np.isnan(w[1, 2])
     assert math.isfinite(w[0, 2])
 
@@ -131,9 +128,9 @@ def test_none_embedding_gets_absent_weights_silently(caplog):
     embeddings = simple_embeddings(window)
     embeddings["ch2"] = None
     with caplog.at_level(logging.WARNING):
-        graphs = channel_graphs([window], embeddings)[0]
+        weights = channel_graphs([window], embeddings)
     assert "constant" not in caplog.text
-    w = graphs["JLAM"].weights
+    w = weights["JLAM"][0]
     assert np.isnan(w[0, 2]) and np.isnan(w[1, 2])
     assert math.isfinite(w[0, 1])
 
@@ -213,46 +210,83 @@ def test_shared_window_rows_equal_per_window_recomputation(overlap, norm, monkey
     uneven = [w for k, w in enumerate(windows) if k % 3 != 2]
     rescaled = [windows[0], replace(windows[1], samples=1.5 * windows[1].samples), *windows[2:]]
     for subset in (windows, uneven, rescaled):
-        graphs = channel_graphs(subset, embeddings, norm=norm)
-        assert [g["JDET"].window_index for g in graphs] == [w.index for w in subset]
-        for got, want in zip(graphs, oracle_graphs(subset, embeddings, norm)):
+        weights = channel_graphs(subset, embeddings, norm=norm)
+        assert weights["JDET"].shape == (len(subset), 4, 4)
+        for t, want in enumerate(oracle_graphs(subset, embeddings, norm)):
             for metric in ("JDET", "JLAM"):
-                assert got[metric].weights.tobytes() == want[metric].tobytes()
-        for g, w in zip(graphs, subset):
-            assert np.isnan(g["JDET"].weights[2]).all() == (w.start_sample == middle)
+                assert weights[metric][t].tobytes() == want[metric].tobytes()
+        for t, w in enumerate(subset):
+            assert np.isnan(weights["JDET"][t, 2]).all() == (w.start_sample == middle)
     # overlapping windows share rows, disjoint ones are built from scratch
     assert any(shared) == (overlap > 0.0)
 
 
-def graph_from(weights, nodes, index=0, metric="JDET"):
-    return WeightedGraph(
-        nodes=tuple(nodes), weights=np.asarray(weights, dtype=float), window_index=index,
-        metric=metric,
-    )
+
+
+def reference_merge(weights, modalities):
+    """One window's merge as built graph by graph, the exactness reference:
+    each cell is the mean of the present pair weights, compacted in pair
+    order."""
+    nodes = list(dict.fromkeys(modalities))
+    groups = [[i for i, m in enumerate(modalities) if m == node] for node in nodes]
+    n = len(nodes)
+    merged = np.full((n, n), np.nan)
+    for a in range(n):
+        for b in range(a, n):
+            if a == b:
+                group = groups[a]
+                pool = [weights[i, j] for k, i in enumerate(group) for j in group[k + 1 :]]
+            else:
+                pool = [weights[i, j] for i in groups[a] for j in groups[b]]
+            values = np.array([w for w in pool if not np.isnan(w)])
+            if values.size:
+                merged[a, b] = values.mean()
+                merged[b, a] = merged[a, b]
+    return tuple(nodes), merged
+
+
+def test_merge_equals_the_per_window_reference_bit_for_bit():
+    # modalities of 1 to 4 channels, so a cross-modality pool holds up to
+    # 16 values: past 8, a different summation order changes the mean
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        sizes = rng.integers(1, 5, size=rng.integers(1, 5))
+        modalities = [f"M{k}" for k, size in enumerate(sizes) for _ in range(size)]
+        order = rng.permutation(len(modalities))
+        modalities = tuple(modalities[i] for i in order)
+        n = len(modalities)
+        upper = np.triu(rng.uniform(size=(6, n, n)), k=1)
+        weights = upper + upper.transpose(0, 2, 1)
+        weights[rng.uniform(size=weights.shape) < 0.2] = np.nan
+        weights[:, np.arange(n), np.arange(n)] = np.nan
+        nodes, merged = merge_modalities(weights, modalities)
+        for t in range(len(weights)):
+            want_nodes, want = reference_merge(weights[t], modalities)
+            assert nodes == want_nodes
+            assert merged[t].tobytes() == want.tobytes()
+
+
+def stack(*windows):
+    """A (windows, n, n) weight stack from per-window matrices."""
+    return np.array(windows, dtype=float)
 
 
 def test_merge_averages_cross_and_within_modalities():
     nan = np.nan
-    g = graph_from(
-        [[nan, 0.4, 0.2], [0.4, nan, 0.6], [0.2, 0.6, nan]],
-        ["e1", "e2", "g1"],
-    )
-    merged = merge_modalities(g, {"e1": "EEG", "e2": "EEG", "g1": "EMG"})
-    assert merged.nodes == ("EEG", "EMG")
-    assert merged.weights[0, 1] == pytest.approx(0.4)  # mean of 0.2 and 0.6
-    assert merged.weights[1, 0] == merged.weights[0, 1]
-    assert merged.weights[0, 0] == pytest.approx(0.4)  # the single EEG pair
-    assert np.isnan(merged.weights[1, 1])  # one-channel modality
+    w = stack([[nan, 0.4, 0.2], [0.4, nan, 0.6], [0.2, 0.6, nan]])
+    nodes, merged = merge_modalities(w, ("EEG", "EEG", "EMG"))
+    assert nodes == ("EEG", "EMG")
+    assert merged[0, 0, 1] == pytest.approx(0.4)  # mean of 0.2 and 0.6
+    assert merged[0, 1, 0] == merged[0, 0, 1]
+    assert merged[0, 0, 0] == pytest.approx(0.4)  # the single EEG pair
+    assert np.isnan(merged[0, 1, 1])  # one-channel modality
 
 
 def test_merge_excludes_absent_weights():
     nan = np.nan
-    g = graph_from(
-        [[nan, 0.4, nan], [0.4, nan, 0.6], [nan, 0.6, nan]],
-        ["e1", "e2", "g1"],
-    )
-    merged = merge_modalities(g, {"e1": "EEG", "e2": "EEG", "g1": "EMG"})
-    assert merged.weights[0, 1] == pytest.approx(0.6)
+    w = stack([[nan, 0.4, nan], [0.4, nan, 0.6], [nan, 0.6, nan]])
+    _, merged = merge_modalities(w, ("EEG", "EEG", "EMG"))
+    assert merged[0, 0, 1] == pytest.approx(0.6)
 
 
 def test_merge_of_uniform_weights_is_uniform():
@@ -262,40 +296,37 @@ def test_merge_of_uniform_weights_is_uniform():
         c = float(rng.uniform(0.1, 0.9))
         w = np.full((n, n), c)
         np.fill_diagonal(w, np.nan)
-        g = graph_from(w, [f"c{i}" for i in range(n)])
-        fold = {f"c{i}": ("A" if i < 3 else "B") for i in range(n)}
-        merged = merge_modalities(g, fold)
-        assert np.allclose(merged.weights, c)
+        _, merged = merge_modalities(stack(w, w), ("A",) * 3 + ("B",) * 3)
+        assert np.allclose(merged, c)
 
 
 def test_merge_preserves_first_seen_modality_order():
-    g = graph_from(np.full((3, 3), 0.5), ["x", "y", "z"])
-    merged = merge_modalities(g, {"x": "B", "y": "A", "z": "B"})
-    assert merged.nodes == ("B", "A")
+    nodes, merged = merge_modalities(stack(np.full((3, 3), 0.5)), ("B", "A", "B"))
+    assert nodes == ("B", "A")
+    assert merged.shape == (1, 2, 2)
 
 
 def test_merge_input_errors():
-    g = graph_from(np.full((2, 2), 0.5), ["a", "b"])
-    with pytest.raises(InputError, match="without a modality"):
-        merge_modalities(g, {"a": "M"})
-    with pytest.raises(InputError, match="not in the graph"):
-        merge_modalities(g, {"a": "M", "b": "M", "c": "M"})
+    with pytest.raises(InputError, match="1 modalities for 2 channels"):
+        merge_modalities(stack(np.full((2, 2), 0.5)), ("M",))
 
 
-def ladder_graph(values, nodes, index=0):
-    """Upper-triangle weights filled row-major from ``values``."""
-    n = len(nodes)
+def ladder(values, n):
+    """An n-node weight matrix, upper triangle filled row-major from ``values``."""
     w = np.full((n, n), np.nan)
     it = iter(values)
     for i in range(n):
         for j in range(i + 1, n):
             w[i, j] = w[j, i] = next(it)
-    return graph_from(w, nodes, index=index)
+    return w
+
+
+def binarize(*windows, nodes=("a", "b", "c", "d"), rho=0.5):
+    return assemble_temporal_network(stack(*windows), nodes, "JDET", rho=rho)
 
 
 def test_rho_one_keeps_every_present_edge():
-    g = ladder_graph([0.1, 0.5, 0.9, 0.3, 0.7, 0.2], ["a", "b", "c", "d"])
-    tn = assemble_temporal_network([g], rho=1.0)
+    tn = binarize(ladder([0.1, 0.5, 0.9, 0.3, 0.7, 0.2], 4), rho=1.0)
     layer = tn.layers[0]
     assert layer.sum() == 12  # 6 undirected edges
     assert not layer.diagonal().any()
@@ -303,36 +334,38 @@ def test_rho_one_keeps_every_present_edge():
 
 
 def test_ties_at_the_cut_are_kept():
-    g = ladder_graph([0.5, 0.5, 0.5], ["a", "b", "c"])
-    tn = assemble_temporal_network([g], rho=0.5)
+    tn = binarize(ladder([0.5, 0.5, 0.5], 3), nodes=("a", "b", "c"))
     assert tn.layers[0].sum() == 6  # all three edges survive
 
 
 def test_distinct_weights_keep_strongest_half():
     # five distinct weights at rho = 0.5: the median survives, two fall
-    g = ladder_graph([0.1, 0.2, 0.3, 0.4, 0.5, np.nan], ["a", "b", "c", "d"])
-    tn = assemble_temporal_network([g], rho=0.5)
+    tn = binarize(ladder([0.1, 0.2, 0.3, 0.4, 0.5, np.nan], 4))
     assert tn.layers[0].sum() == 2 * 3
 
 
 def test_edge_set_grows_with_rho():
     rng = np.random.default_rng(31)
     for _ in range(10):
-        g = ladder_graph(rng.uniform(size=10), ["a", "b", "c", "d", "e"])
+        w = ladder(rng.uniform(size=10), 5)
         previous = None
         for rho in (0.2, 0.4, 0.6, 0.8, 1.0):
-            layer = assemble_temporal_network([g], rho=rho).layers[0]
+            layer = binarize(w, nodes=tuple("abcde"), rho=rho).layers[0]
             if previous is not None:
                 assert (previous <= layer).all()
             previous = layer
 
 
 def test_layers_follow_window_order():
-    g2 = ladder_graph([0.9, 0.1, 0.1], ["a", "b", "c"], index=2)
-    g0 = ladder_graph([0.1, 0.9, 0.1], ["a", "b", "c"], index=0)
-    g1 = ladder_graph([0.1, 0.1, 0.9], ["a", "b", "c"], index=1)
-    tn = assemble_temporal_network([g2, g0, g1], rho=0.4)
+    tn = binarize(
+        ladder([0.1, 0.9, 0.1], 3),
+        ladder([0.1, 0.1, 0.9], 3),
+        ladder([0.9, 0.1, 0.1], 3),
+        nodes=("a", "b", "c"),
+        rho=0.4,
+    )
     assert tn.n_layers == 3
+    assert tn.nodes == ("a", "b", "c")
     assert tn.layers[0][0, 2]  # strongest edge of window 0 is a-c
     assert tn.layers[1][1, 2]
     assert tn.layers[2][0, 1]
@@ -341,43 +374,35 @@ def test_layers_follow_window_order():
 
 
 def test_all_absent_window_yields_empty_layer():
-    g0 = ladder_graph([0.5, 0.5, 0.5], ["a", "b", "c"], index=0)
-    g1 = ladder_graph([np.nan, np.nan, np.nan], ["a", "b", "c"], index=1)
-    tn = assemble_temporal_network([g0, g1], rho=1.0)
+    tn = binarize(ladder([0.5] * 3, 3), ladder([np.nan] * 3, 3), nodes=("a", "b", "c"), rho=1.0)
     assert tn.layers[0].any()
     assert not tn.layers[1].any()
 
 
 def test_assemble_input_errors():
-    a = ladder_graph([0.5], ["x", "y"])
-    b = graph_from(np.full((2, 2), 0.5), ["x", "z"], index=1)
-    with pytest.raises(InputError, match="zero graphs"):
-        assemble_temporal_network([])
-    with pytest.raises(InputError, match="node set"):
-        assemble_temporal_network([a, b])
+    w = stack(ladder([0.5], 2))
+    with pytest.raises(InputError, match="zero windows"):
+        assemble_temporal_network(np.empty((0, 2, 2)), ("x", "y"), "JDET")
     with pytest.raises(InputError, match="rho"):
-        assemble_temporal_network([a], rho=0.0)
-    c = graph_from(np.full((2, 2), 0.5), ["x", "y"], index=1, metric="JLAM")
-    with pytest.raises(InputError, match="metric"):
-        assemble_temporal_network([a, c])
+        assemble_temporal_network(w, ("x", "y"), "JDET", rho=0.0)
+    with pytest.raises(InputError, match="for 3 nodes"):
+        assemble_temporal_network(w, ("x", "y", "z"), "JDET")
 
 
 def test_weighted_record_upper_triangle_with_nulls():
-    g = graph_from(
-        [[0.3, 0.4, np.nan], [0.4, np.nan, 0.6], [np.nan, 0.6, 0.1]],
-        ["A", "B", "C"],
-        index=7,
-        metric="JLAM",
-    )
-    rec = weighted_record(g)
-    assert rec["window"] == 7
-    assert rec["metric"] == "JLAM"
-    assert rec["nodes"] == ["A", "B", "C"]
-    assert rec["weights"] == [0.3, 0.4, None, None, 0.6, 0.1]
+    jdet = stack(ladder([0.1, 0.2, 0.3], 3), ladder([0.4, 0.5, 0.6], 3))
+    jlam = jdet.copy()
+    jlam[1] = [[0.3, 0.4, np.nan], [0.4, np.nan, 0.6], [np.nan, 0.6, 0.1]]
+    records = weighted_records({"JDET": jdet, "JLAM": jlam}, ("A", "B", "C"))
+    assert [(r["window"], r["metric"]) for r in records] == [
+        (0, "JDET"), (0, "JLAM"), (1, "JDET"), (1, "JLAM")
+    ]
+    assert records[3]["nodes"] == ["A", "B", "C"]
+    assert records[3]["weights"] == [0.3, 0.4, None, None, 0.6, 0.1]
+    assert records[0]["weights"] == [None, 0.1, 0.2, None, 0.3, None]
 
 
 def test_binary_record_lists_sorted_edges():
-    g = ladder_graph([0.9, 0.1, 0.8], ["a", "b", "c"], index=0)
-    tn = assemble_temporal_network([g], rho=0.7)
+    tn = binarize(ladder([0.9, 0.1, 0.8], 3), nodes=("a", "b", "c"), rho=0.7)
     rec = binary_record(tn, 0)
     assert rec == {"window": 0, "edges": [[0, 1], [1, 2]]}

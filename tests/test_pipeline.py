@@ -392,82 +392,128 @@ def _row_replaced(data):
     return b"".join(lines[:-1] + lines[-2:-1])
 
 
-def _report_edited(edit):
-    """A damage that applies ``edit`` to an evaluation report's results."""
+def _last_line_cut(data):
+    return b"".join(data.splitlines(keepends=True)[:-1])
+
+
+def _json_edited(edit):
+    """A damage that applies ``edit`` to a JSON artifact."""
 
     def damage(data):
-        report = json.loads(data)
-        edit(report["results"])
-        return json.dumps(report).encode()
+        artifact = json.loads(data)
+        edit(artifact)
+        return json.dumps(artifact).encode()
 
     return damage
 
 
-# (file, command that must recompute it, damage): a function of the file's
-# bytes, or the name of the file copied over it
+def _report_edited(edit):
+    """A damage that applies ``edit`` to an evaluation report's results."""
+    return _json_edited(lambda report: edit(report["results"]))
+
+
+def _case(name, command, damage, id, removed=()):
+    """A damage case: the file, the command that must recompute it, the
+    damage (a function of the file's bytes, or the name of the file copied
+    over it) and the output files removed besides."""
+    return pytest.param(name, command, damage, removed, id=id)
+
+
 DAMAGES = [
-    pytest.param("embedding_params.json", "analyze", _emptied, id="embed-params"),
-    pytest.param("networks/dense_000.JDET.binary.jsonl", "features", _emptied, id="analyze"),
-    pytest.param("features.csv", "evaluate", _emptied, id="features"),
-    pytest.param("evaluation.json", "train", _emptied, id="evaluate"),
+    _case("embedding_params.json", "analyze", _emptied, id="embed-params"),
+    _case("networks/dense_000.JDET.binary.jsonl", "features", _emptied, id="analyze"),
+    _case("features.csv", "evaluate", _emptied, id="features"),
+    _case("evaluation.json", "train", _emptied, id="evaluate"),
     # the last row loses its last cell
-    pytest.param(
+    _case(
         "features.csv", "evaluate", lambda data: data[: data.rindex(b",")], id="features-short-row"
     ),
-    pytest.param("features.csv", "evaluate", _rows_cut, id="features-rows-cut"),
-    pytest.param("features.csv", "evaluate", _row_duplicated, id="features-row-duplicated"),
-    pytest.param("features.csv", "evaluate", _row_replaced, id="features-row-replaced"),
+    _case("features.csv", "evaluate", _rows_cut, id="features-rows-cut"),
+    _case("features.csv", "evaluate", _row_duplicated, id="features-row-duplicated"),
+    _case("features.csv", "evaluate", _row_replaced, id="features-row-replaced"),
     # JSON that parses to something other than an object
-    pytest.param("embedding_params.json", "analyze", lambda data: b"[0]\n", id="embed-params-list"),
-    pytest.param("evaluation.json", "train", lambda data: b'"x"\n', id="evaluate-string"),
-    pytest.param(
+    _case("embedding_params.json", "analyze", lambda data: b"[0]\n", id="embed-params-list"),
+    _case("evaluation.json", "train", lambda data: b'"x"\n', id="evaluate-string"),
+    _case(
         "networks/dense_000.JDET.binary.jsonl", "features", _header_replaced, id="analyze-list-header"
     ),
     # each stage checks its own artifact, whichever command runs it
-    pytest.param("reachability.json", "evaluate", _emptied, id="features-reachability"),
-    pytest.param("model_valence_JDET.json", "train", _emptied, id="train"),
+    _case("reachability.json", "evaluate", _emptied, id="features-reachability"),
+    _case("model_valence_JDET.json", "train", _emptied, id="train"),
     # a current stamp on a model that names another target
-    pytest.param(
+    _case(
         "model_arousal_JDET.json",
         "train",
         lambda data: data.replace(b'"arousal"', b'"valence"'),
         id="train-other-target",
     ),
     # a current stamp on a network file of another kind or metric
-    pytest.param(
+    _case(
         "networks/dense_000.JDET.binary.jsonl",
         "features",
         "networks/dense_000.weighted.jsonl",
         id="analyze-weighted-as-binary",
     ),
-    pytest.param(
+    _case(
         "networks/dense_000.JLAM.binary.jsonl",
         "features",
         "networks/dense_000.JDET.binary.jsonl",
         id="analyze-other-metric",
     ),
     # a current header over a record that builds no network: node 9 of 4
-    pytest.param(
+    _case(
         "networks/dense_000.JDET.binary.jsonl",
         "features",
         lambda data: data[: data.rindex(b"{")] + b'{"edges":[[0,9]],"window":0}\n',
         id="analyze-record-out-of-range",
     ),
     # a current stamp on a report whose entries a later step cannot read
-    pytest.param(
+    _case(
         "evaluation.json",
         "train",
         _report_edited(lambda results: results["valence"].pop("JLAM")),
         id="evaluate-entry-missing",
     ),
-    pytest.param(
+    _case(
         "evaluation.json",
         "evaluate",
         _report_edited(lambda results: results["valence"]["JDET"].update(accuracy="x")),
         id="evaluate-accuracy-string",
     ),
     # every network file of a trial is checked, not only the binarized ones
-    pytest.param("networks/dense_000.weighted.jsonl", "analyze", _emptied, id="analyze-weighted"),
+    _case("networks/dense_000.weighted.jsonl", "analyze", _emptied, id="analyze-weighted"),
+    # network files that decode but hold fewer windows than the trial: with
+    # features.csv gone, features would be computed from what is left
+    _case(
+        "networks/dense_000.JDET.binary.jsonl",
+        "features",
+        _last_line_cut,
+        id="analyze-binary-cut",
+        removed=["features.csv"],
+    ),
+    _case(
+        "networks/dense_000.JDET.binary.jsonl",
+        "features",
+        lambda data: data.splitlines(keepends=True)[0],
+        id="analyze-binary-header-only",
+        removed=["features.csv"],
+    ),
+    _case(
+        "networks/dense_000.weighted.jsonl", "analyze", _last_line_cut, id="analyze-weighted-cut"
+    ),
+    # a current envelope on a model that is not fit at the selected lambda
+    _case(
+        "model_valence_JDET.json",
+        "train",
+        _json_edited(lambda model: model.pop("model")),
+        id="train-model-missing",
+    ),
+    _case(
+        "model_valence_JDET.json",
+        "train",
+        _json_edited(lambda model: model["model"].update({"lambda": 123.0})),
+        id="train-other-lambda",
+    ),
 ]
 
 
@@ -483,8 +529,10 @@ def test_every_artifact_kind_has_a_damage_case(pipeline_out):
     assert kinds <= {_kind(case.values[0]) for case in DAMAGES}
 
 
-@pytest.mark.parametrize("name, command, damage", DAMAGES)
-def test_damaged_artifact_is_recomputed(dataset, pipeline_out, tmp_path, name, command, damage):
+@pytest.mark.parametrize("name, command, damage, removed", DAMAGES)
+def test_damaged_artifact_is_recomputed(
+    dataset, pipeline_out, tmp_path, name, command, damage, removed
+):
     # an unreadable artifact is stale, not a crash outside the CLI's exit codes
     out_dir, _ = pipeline_out
     damaged = tmp_path / "damaged"
@@ -494,6 +542,8 @@ def test_damaged_artifact_is_recomputed(dataset, pipeline_out, tmp_path, name, c
         path.write_bytes(damage(path.read_bytes()))
     else:
         shutil.copy(damaged / damage, path)
+    for other in removed:
+        (damaged / other).unlink()
     assert _cli(command, dataset, damaged, tmp_path) == 0
     assert _tree(damaged) == _tree(out_dir)
 
