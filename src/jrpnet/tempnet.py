@@ -7,11 +7,13 @@ of a pair is simply the earliest window by which the target can be
 reached.  On top of that sit temporal efficiency, fastest-path counts,
 the temporal correlation coefficient (topological overlap between
 consecutive layers), a small-worldness ratio against degree-preserving
-nulls, and strong/weak connectedness fractions.
+nulls, and strong/weak connectedness fractions.  Each null rewires all
+layers from one batch of its generator's 32-bit words.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -208,12 +210,31 @@ def _edge_list(layer: np.ndarray) -> list[list[int]]:
     return np.argwhere(np.triu(layer, k=1)).tolist()
 
 
-def _rewire_layer(layer: np.ndarray, edges: list, rng: np.random.Generator) -> np.ndarray:
+def _words(rng: np.random.Generator, batch: int) -> Iterator[int]:
+    """``rng``'s 32-bit words, drawn ``batch`` at a time; each batch continues the stream."""
+    while True:
+        yield from rng.integers(0, 1 << 32, size=batch, dtype=np.uint32).tolist()
+
+
+def _bounded(words: Iterator[int], k: int) -> int:
+    """``Generator.integers(0, k)`` for 2 <= k <= 2**32, from the generator's ``words``."""
+    threshold = ((1 << 32) - k) % k
+    while True:
+        scaled = next(words) * k
+        if scaled & 0xFFFFFFFF >= threshold:
+            return scaled >> 32
+
+
+def _rewire_layer(layer: np.ndarray, edges: list, words: Iterator[int]) -> np.ndarray:
     """Degree-preserving rewiring of one simple undirected layer.
 
     ``edges`` is the layer's ``_edge_list`` and is left unmodified.  The
-    swaps run on Python lists: at modality scale NumPy call overhead
-    would dominate.
+    swaps run on Python lists and take their integers from ``words`` by
+    NumPy's own rule for ``Generator.integers(0, k)`` (its
+    ``random_bounded_uint64`` path; Lemire 2019, ACM TOMACS 29(1):3): a
+    word u maps to ``(u * k) >> 32``, drawn again while the low word of
+    ``u * k`` is below ``(2**32 - k) % k``.  The swaps are those the same
+    ``rng.integers`` calls give, without NumPy's per-call overhead.
     """
     m = len(edges)
     if m < 2:
@@ -222,14 +243,13 @@ def _rewire_layer(layer: np.ndarray, edges: list, rng: np.random.Generator) -> n
     adj = layer.tolist()
     attempts = 4 * m
     for _ in range(attempts):
-        # two scalar draws consume the same stream as one draw of size 2
-        k1 = rng.integers(0, m)
-        k2 = rng.integers(0, m)
+        k1 = _bounded(words, m)
+        k2 = _bounded(words, m)
         if k1 == k2:
             continue
         a, b = edges[k1]
         c, d = edges[k2]
-        if rng.integers(0, 2):
+        if _bounded(words, 2):
             c, d = d, c
         # a != b and c != d hold for every edge
         if a == c or a == d or b == c or b == d:
@@ -243,6 +263,17 @@ def _rewire_layer(layer: np.ndarray, edges: list, rng: np.random.Generator) -> n
         edges[k1] = (min(a, d), max(a, d))
         edges[k2] = (min(c, b), max(c, b))
     return np.array(adj, dtype=bool)
+
+
+def _null_layers(layers: np.ndarray, edges: list, rng: np.random.Generator) -> np.ndarray:
+    """One null: every layer rewired in order from one batch of ``rng``'s words.
+
+    The batch covers 4*m attempts of at most three words for each layer of
+    m edges, so only rejected draws refill it.  ``rng`` must be the null's
+    own: the words left over are lost.
+    """
+    words = _words(rng, 12 * sum(len(e) for e in edges))
+    return np.stack([_rewire_layer(layer, e, words) for layer, e in zip(layers, edges)])
 
 
 def _mean_finite_latency(latency: np.ndarray) -> float:
@@ -277,10 +308,7 @@ def temporal_small_worldness(
     c_nulls = np.empty(n_null)
     l_nulls = np.empty(n_null)
     for k in range(n_null):
-        rng = generator(seed, f"null:{k}")
-        layers = np.stack(
-            [_rewire_layer(layer, e, rng) for layer, e in zip(tn.layers, edges)]
-        )
+        layers = _null_layers(tn.layers, edges, generator(seed, f"null:{k}"))
         null = TemporalNetwork(
             nodes=tn.nodes, layers=layers, binarize_rule=tn.binarize_rule, metric=tn.metric
         )

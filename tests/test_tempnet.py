@@ -13,7 +13,7 @@ from jrpnet.tempnet import (
     temporal_small_worldness,
 )
 from jrpnet import tempnet
-from jrpnet.tempnet import _edge_list, _rewire_layer
+from jrpnet.tempnet import _bounded, _edge_list, _null_layers, _words
 
 
 def network(edge_lists, n, names=None):
@@ -228,16 +228,34 @@ def test_rewiring_preserves_degrees_and_simplicity():
     rng = np.random.default_rng(46)
     for _ in range(30):
         n = int(rng.integers(4, 10))
-        layer = rng.random((n, n)) < float(rng.uniform(0.2, 0.6))
-        layer = layer | layer.T
-        np.fill_diagonal(layer, False)
-        rewired = _rewire_layer(
-            layer, _edge_list(layer), np.random.default_rng(int(rng.integers(1 << 30)))
+        layers = random_layers(rng, 3, n, float(rng.uniform(0.2, 0.6)))
+        rewired = _null_layers(
+            layers, [_edge_list(layer) for layer in layers],
+            np.random.default_rng(int(rng.integers(1 << 30))),
         )
         assert rewired.dtype == bool
-        assert np.array_equal(rewired, rewired.T)
-        assert not rewired.diagonal().any()
-        assert np.array_equal(rewired.sum(axis=0), layer.sum(axis=0))
+        assert rewired.shape == layers.shape
+        assert np.array_equal(rewired, rewired.transpose(0, 2, 1))
+        assert not rewired.diagonal(axis1=1, axis2=2).any()
+        assert np.array_equal(rewired.sum(axis=1), layers.sum(axis=1))
+
+
+def test_buffered_draws_match_generator_integers_draw_for_draw():
+    # k = 3 * 2**30 rejects a quarter of the words and 2**31 + 1 about half
+    rejecting = [3 << 30, (1 << 31) + 1]
+    streams = [list(range(2, 41)) * 3, [(1 << 32) - 1, 1 << 32] * 25, [7, 2, 7, 7, 2] * 40]
+    streams += [[k] * 200 for k in rejecting]
+    for batch in (1, 2, 3):
+        for seed, ks in enumerate(streams):
+            ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            consumed = []
+            words = (consumed.append(w) or w for w in _words(ours, batch))
+            for k in ks:
+                assert _bounded(words, k) == ref.integers(0, k)
+                if batch == 1:
+                    assert ours.bit_generator.state == ref.bit_generator.state
+            if ks[0] in rejecting:
+                assert len(consumed) > len(ks)
 
 
 def reference_rewire_layer(layer, rng):
@@ -276,24 +294,26 @@ def random_layers(rng, T, n, density):
 
 
 def test_rewiring_matches_the_reference_draw_for_draw():
+    # one generator per null, consumed by the stack's layers in order
     rng = np.random.default_rng(47)
     kinds = set()
     for n in range(2, 11):
         for density in (0.0, 0.15, 0.4, 0.7, 1.0):
-            for layer in random_layers(rng, 6, n, density):
+            for T in (2, 3, 5):
+                layers = random_layers(rng, T, n, density)
                 seed = int(rng.integers(1 << 30))
-                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                edges = _edge_list(layer)
-                before = list(edges)
-                got = _rewire_layer(layer, edges, ours)
-                want = reference_rewire_layer(layer, ref)
-                assert got.dtype == want.dtype == bool
-                assert np.array_equal(got, want)
+                edges = [_edge_list(layer) for layer in layers]
+                before = [list(e) for e in edges]
+                got = _null_layers(layers, edges, np.random.default_rng(seed))
+                ref = np.random.default_rng(seed)
+                want = [reference_rewire_layer(layer, ref) for layer in layers]
+                assert got.dtype == bool
+                for t in range(T):
+                    assert np.array_equal(got[t], want[t])
                 assert edges == before
-                assert ours.bit_generator.state == ref.bit_generator.state
-                assert ours.integers(0, 1 << 30) == ref.integers(0, 1 << 30)
-                m = len(edges)
-                kinds.add("m<2" if m < 2 else "complete" if 2 * m == n * (n - 1) else "partial")
+                for e in edges:
+                    m = len(e)
+                    kinds.add("m<2" if m < 2 else "complete" if 2 * m == n * (n - 1) else "partial")
     assert kinds == {"m<2", "complete", "partial"}
 
 
@@ -311,7 +331,8 @@ def test_small_worldness_matches_the_reference_rewiring(monkeypatch):
             )
     ours = [temporal_small_worldness(tn, n_null=6, seed=9) for tn in networks]
     monkeypatch.setattr(
-        tempnet, "_rewire_layer", lambda layer, edges, rng: reference_rewire_layer(layer, rng)
+        tempnet, "_null_layers",
+        lambda layers, edges, rng: np.stack([reference_rewire_layer(l, rng) for l in layers]),
     )
     want = [temporal_small_worldness(tn, n_null=6, seed=9) for tn in networks]
     assert ours == want
