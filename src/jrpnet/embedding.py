@@ -17,7 +17,9 @@ sampling biases such a histogram away from zero even for independent
 variables, so "the AMI has reached its minimum" is judged against the
 first-order chi-square bias floor (bins-1)^2 / (2 n) rather than against
 zero, and plateau-shaped minima are resolved to the midpoint of their
-basin instead of to whichever lag float jitter happens to favor.
+basin instead of to whichever lag float jitter happens to favor.  The
+curve is computed in doubling prefixes of lags (8, 16, ...) and in full
+only when the first minimum is above the floor, or there is none.
 """
 
 from __future__ import annotations
@@ -131,25 +133,31 @@ def estimate_delay(samples, tau_max: int | None = None) -> int:
     if tau_max is None:
         tau_max = max(2, x.size // 4)
     tau_max = min(tau_max, x.size - 1)
-    v = ami_curve(x, tau_max)
 
     # Independence-level AMI for this sample size (chi-square bias of the
     # plug-in histogram estimate); curves at or below twice this floor
     # carry no dependence structure worth waiting for.
     floor = (AMI_BINS - 1) ** 2 / (2.0 * (x.size - 1))
-    if v[0] <= 2.0 * floor:
-        return 1
-
-    interior = np.nonzero(
-        (v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:])
-    )[0]
+    # A lag's AMI does not depend on tau_max, so the curve grows in doubling
+    # prefixes until it shows an interior minimum; only the plateau and
+    # no-minimum rules need all of it.
+    size = min(8, tau_max)
+    while True:
+        v = ami_curve(x, size)
+        if v[0] <= 2.0 * floor:
+            return 1
+        interior = np.nonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:]))[0]
+        if interior.size or size == tau_max:
+            break
+        size = min(2 * size, tau_max)
+    if interior.size and v[interior[0] + 1] <= 2.0 * floor:
+        return int(np.nonzero(v <= 2.0 * floor)[0][0]) + 1
+    if size < tau_max:
+        v = ami_curve(x, tau_max)
     if interior.size == 0:
         drops = np.nonzero(v < v[0] / np.e)[0]
         return int(drops[0]) + 1 if drops.size else 1
     kstar = int(interior[0]) + 1  # 0-based index into v
-
-    if v[kstar] <= 2.0 * floor:
-        return int(np.nonzero(v <= 2.0 * floor)[0][0]) + 1
 
     level = v[kstar] + 0.02 * (v.max() - v.min())
     a = kstar

@@ -7,14 +7,16 @@ of a pair is simply the earliest window by which the target can be
 reached.  On top of that sit temporal efficiency, fastest-path counts,
 the temporal correlation coefficient (topological overlap between
 consecutive layers), a small-worldness ratio against degree-preserving
-nulls, and strong/weak connectedness fractions.  Each null rewires all
-layers from one batch of its generator's 32-bit words.
+nulls, and strong/weak connectedness fractions.  The latency and
+correlation kernels take layer stacks with leading axes, so a network's
+nulls are scored as one (n_null, T, n, n) stack by the network's own
+kernels; each null rewires edge lists from one batch of 32-bit words.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -103,15 +105,14 @@ def _check(tn: TemporalNetwork) -> None:
         raise InputError("temporal network must have at least one node and one layer")
 
 
-def _latency_matrix(tn: TemporalNetwork) -> np.ndarray:
-    """Earliest-arrival windows via a boolean reachability sweep."""
-    n = tn.n_nodes
-    latency = np.full((n, n), np.inf)
-    np.fill_diagonal(latency, 0.0)
-    reached = np.eye(n, dtype=bool)
-    for t in range(tn.n_layers):
-        adjacent = (reached.astype(np.uint8) @ tn.layers[t].astype(np.uint8)) > 0
-        fresh = adjacent & ~reached
+def _latency_matrix(layers: np.ndarray) -> np.ndarray:
+    """Earliest-arrival windows of a (..., T, n, n) layer stack, shape (..., n, n),
+    by a boolean reachability sweep (boolean matmul: relay counts cannot wrap)."""
+    n = layers.shape[-1]
+    reached = np.broadcast_to(np.eye(n, dtype=bool), (*layers.shape[:-3], n, n)).copy()
+    latency = np.where(reached, 0.0, np.inf)
+    for t in range(layers.shape[-3]):
+        fresh = (reached @ layers[..., t, :, :]) & ~reached
         latency[fresh] = t + 1
         reached |= fresh
         if reached.all():
@@ -155,7 +156,7 @@ def _fastest_counts(tn: TemporalNetwork, latency: np.ndarray) -> np.ndarray:
 def reachability_and_latency(tn: TemporalNetwork) -> ReachabilityReport:
     """Latency matrix, fastest-path counts, strong/weak pair sets."""
     _check(tn)
-    latency = _latency_matrix(tn)
+    latency = _latency_matrix(tn.layers)
     counts = _fastest_counts(tn, latency)
     strong = set()
     weak = set()
@@ -186,6 +187,16 @@ def _efficiency(latency: np.ndarray) -> float:
     return float(np.where(np.isfinite(inv), inv, 0.0).mean())
 
 
+def _node_correlation(layers: np.ndarray) -> np.ndarray:
+    """Per-node temporal correlation of a (..., T, n, n) layer stack, shape (..., n)."""
+    layers = layers.astype(float)
+    a, b = layers[..., :-1, :, :], layers[..., 1:, :, :]
+    overlap = (a * b).sum(axis=-1)
+    deg = np.sqrt(a.sum(axis=-1) * b.sum(axis=-1))
+    terms = np.divide(overlap, deg, out=np.zeros_like(overlap), where=deg > 0)
+    return terms.mean(axis=-2)
+
+
 def temporal_correlation(tn: TemporalNetwork) -> tuple[np.ndarray, float]:
     """Per-node topological overlap between consecutive layers, and its mean.
 
@@ -196,91 +207,110 @@ def temporal_correlation(tn: TemporalNetwork) -> tuple[np.ndarray, float]:
     _check(tn)
     if tn.n_layers < 2:
         raise InputError("temporal correlation needs at least 2 layers")
-    layers = tn.layers.astype(float)
-    a, b = layers[:-1], layers[1:]
-    overlap = (a * b).sum(axis=2)
-    deg = np.sqrt(a.sum(axis=2) * b.sum(axis=2))
-    terms = np.divide(overlap, deg, out=np.zeros_like(overlap), where=deg > 0)
-    per_node = terms.mean(axis=0)
+    per_node = _node_correlation(tn.layers)
     return per_node, float(per_node.mean())
 
 
-def _edge_list(layer: np.ndarray) -> list[list[int]]:
-    """Upper-triangle edges [i, j], i < j, of one layer in row-major order."""
-    return np.argwhere(np.triu(layer, k=1)).tolist()
+def _bounded(words: list[int], i: int, k: int, rng: np.random.Generator) -> tuple[int, int]:
+    """``Generator.integers(0, k)`` for 2 <= k <= 2**32 from ``words[i:]``,
+    and the index of the first word it left.
 
-
-def _words(rng: np.random.Generator, batch: int) -> Iterator[int]:
-    """``rng``'s 32-bit words, drawn ``batch`` at a time; each batch continues the stream."""
-    while True:
-        yield from rng.integers(0, 1 << 32, size=batch, dtype=np.uint32).tolist()
-
-
-def _bounded(words: Iterator[int], k: int) -> int:
-    """``Generator.integers(0, k)`` for 2 <= k <= 2**32, from the generator's ``words``."""
+    NumPy's own rule (its ``random_bounded_uint64`` path; Lemire 2019, ACM
+    TOMACS 29(1):3): a word u maps to ``(u * k) >> 32``, drawn again while
+    the low word of ``u * k`` is below ``(2**32 - k) % k``.  ``words``
+    holds ``rng``'s 32-bit words in stream order; each rejected word is made
+    up for by the next one appended, so a word per draw always suffices.
+    """
     threshold = ((1 << 32) - k) % k
-    while True:
-        scaled = next(words) * k
-        if scaled & 0xFFFFFFFF >= threshold:
-            return scaled >> 32
+    scaled = words[i] * k
+    while scaled & 0xFFFFFFFF < threshold:
+        words.append(int(rng.integers(0, 1 << 32, dtype=np.uint32)))
+        i += 1
+        scaled = words[i] * k
+    return scaled >> 32, i + 1
 
 
-def _rewire_layer(layer: np.ndarray, edges: list, words: Iterator[int]) -> np.ndarray:
-    """Degree-preserving rewiring of one simple undirected layer.
+def _rewire(
+    edges: list, neighbors: list[int], words: list[int], i: int, rng: np.random.Generator
+) -> int:
+    """Degree-preserving swaps of one simple undirected layer, in place.
 
-    ``edges`` is the layer's ``_edge_list`` and is left unmodified.  The
-    swaps run on Python lists and take their integers from ``words`` by
-    NumPy's own rule for ``Generator.integers(0, k)`` (its
-    ``random_bounded_uint64`` path; Lemire 2019, ACM TOMACS 29(1):3): a
-    word u maps to ``(u * k) >> 32``, drawn again while the low word of
-    ``u * k`` is below ``(2**32 - k) % k``.  The swaps are those the same
-    ``rng.integers`` calls give, without NumPy's per-call overhead.
+    ``edges`` is the layer's edge list and ``neighbors[u]`` the bitmask
+    of u's neighbors.  Each of 4*m attempts draws two edge indices and,
+    when they differ, a coin from ``words[i:]`` by ``_bounded``'s rule,
+    inlined while it accepts; returns the index of the first word left.
     """
     m = len(edges)
     if m < 2:
-        return layer.copy()
-    edges = list(edges)
-    adj = layer.tolist()
-    attempts = 4 * m
-    for _ in range(attempts):
-        k1 = _bounded(words, m)
-        k2 = _bounded(words, m)
+        return i
+    threshold = ((1 << 32) - m) % m
+    for _ in range(4 * m):
+        s1, s2 = words[i] * m, words[i + 1] * m
+        if s1 & 0xFFFFFFFF < threshold or s2 & 0xFFFFFFFF < threshold:
+            k1, i = _bounded(words, i, m, rng)
+            k2, i = _bounded(words, i, m, rng)
+        else:
+            k1, k2, i = s1 >> 32, s2 >> 32, i + 2
         if k1 == k2:
             continue
         a, b = edges[k1]
         c, d = edges[k2]
-        if _bounded(words, 2):
+        # a coin, k = 2, is never rejected: (2**32 - 2) % 2 == 0
+        if words[i] >> 31:
             c, d = d, c
+        i += 1
         # a != b and c != d hold for every edge
         if a == c or a == d or b == c or b == d:
             continue
-        if adj[a][d] or adj[c][b]:
+        if neighbors[a] >> d & 1 or neighbors[c] >> b & 1:
             continue
-        adj[a][b] = adj[b][a] = False
-        adj[c][d] = adj[d][c] = False
-        adj[a][d] = adj[d][a] = True
-        adj[c][b] = adj[b][c] = True
-        edges[k1] = (min(a, d), max(a, d))
-        edges[k2] = (min(c, b), max(c, b))
-    return np.array(adj, dtype=bool)
+        neighbors[a] ^= (1 << b) | (1 << d)
+        neighbors[b] ^= (1 << a) | (1 << c)
+        neighbors[c] ^= (1 << d) | (1 << b)
+        neighbors[d] ^= (1 << c) | (1 << a)
+        edges[k1] = (a, d) if a < d else (d, a)
+        edges[k2] = (c, b) if c < b else (b, c)
+    return i
 
 
-def _null_layers(layers: np.ndarray, edges: list, rng: np.random.Generator) -> np.ndarray:
-    """One null: every layer rewired in order from one batch of ``rng``'s words.
+def _null_stack(layers: np.ndarray, n_null: int, seed: int) -> np.ndarray:
+    """The (n_null, T, n, n) stack of degree-preserving nulls of ``layers``.
 
-    The batch covers 4*m attempts of at most three words for each layer of
-    m edges, so only rejected draws refill it.  ``rng`` must be the null's
-    own: the words left over are lost.
+    Null k rewires every layer in order from one batch of the 32-bit words
+    of ``generator(seed, f"null:{k}")``: 4*m attempts of at most three
+    words for each layer of m edges, so only rejected draws add words.
     """
-    words = _words(rng, 12 * sum(len(e) for e in edges))
-    return np.stack([_rewire_layer(layer, e, words) for layer, e in zip(layers, edges)])
+    n_layers, n, _ = layers.shape
+    # each layer's edges [a, b], a < b, in row-major order
+    edges = [np.argwhere(np.triu(layer, k=1)).tolist() for layer in layers]
+    neighbors = [[0] * n for _ in layers]
+    for t, a, b in np.argwhere(layers).tolist():
+        neighbors[t][a] |= 1 << b
+    sizes = [len(e) for e in edges]
+    total = sum(sizes)
+    null_edges = []
+    for k in range(n_null):
+        rng = generator(seed, f"null:{k}")
+        words, i = rng.integers(0, 1 << 32, size=12 * total, dtype=np.uint32).tolist(), 0
+        for layer_edges, layer_neighbors in zip(edges, neighbors):
+            swapped = list(layer_edges)
+            i = _rewire(swapped, list(layer_neighbors), words, i, rng)
+            null_edges += swapped
+    ends = np.fromiter(chain.from_iterable(null_edges), np.intp, 2 * n_null * total)
+    ends = ends.reshape(n_null, total, 2)
+    nulls = np.arange(n_null)[:, None]
+    windows = np.repeat(np.arange(n_layers), sizes)
+    stack = np.zeros((n_null, n_layers, n, n), dtype=bool)
+    stack[nulls, windows, ends[..., 0], ends[..., 1]] = True
+    return stack | stack.swapaxes(-2, -1)
 
 
-def _mean_finite_latency(latency: np.ndarray) -> float:
-    """Mean finite off-diagonal latency; nan when no pair is reachable."""
-    off = ~np.eye(len(latency), dtype=bool)
-    finite = latency[off][np.isfinite(latency[off])]
-    return float(finite.mean()) if finite.size else float("nan")
+def _mean_finite_latency(latency: np.ndarray) -> np.ndarray:
+    """Mean finite off-diagonal latency over the last two axes, nan if none."""
+    finite = np.isfinite(latency) & ~np.eye(latency.shape[-1], dtype=bool)
+    total = np.where(finite, latency, 0.0).sum(axis=(-2, -1))
+    with np.errstate(invalid="ignore"):
+        return total / finite.sum(axis=(-2, -1))
 
 
 def temporal_small_worldness(
@@ -289,9 +319,10 @@ def temporal_small_worldness(
     """Small-worldness ratio against per-layer degree-preserving nulls.
 
     S = (C / <C_null>) / (L / <L_null>) with C the network temporal
-    correlation and L the mean finite latency.  Returns (0, True) when L
-    is undefined here or in every comparison it needs (no reachable
-    pairs, zero null means).
+    correlation and L the mean finite latency.  The nulls are scored as
+    one stack, by the same correlation and latency kernels as the
+    network.  Returns (0, True) when no layer has an edge (L undefined)
+    or the nulls' mean correlation is zero.
     """
     _check(tn)
     if n_null < 1:
@@ -299,28 +330,14 @@ def temporal_small_worldness(
     if tn.n_layers < 2 or not tn.layers.any():
         return SmallWorldness(0.0, True)
 
+    # an edge makes L finite and >= 1, here and in every null, since each
+    # null keeps every layer's edge count
     _, c_value = temporal_correlation(tn)
-    l_value = _mean_finite_latency(_latency_matrix(tn))
-    if not np.isfinite(l_value):
-        return SmallWorldness(0.0, True)
-
-    edges = [_edge_list(layer) for layer in tn.layers]
-    c_nulls = np.empty(n_null)
-    l_nulls = np.empty(n_null)
-    for k in range(n_null):
-        layers = _null_layers(tn.layers, edges, generator(seed, f"null:{k}"))
-        null = TemporalNetwork(
-            nodes=tn.nodes, layers=layers, binarize_rule=tn.binarize_rule, metric=tn.metric
-        )
-        _, c_nulls[k] = temporal_correlation(null)
-        l_nulls[k] = _mean_finite_latency(_latency_matrix(null))
-
-    l_nulls = l_nulls[np.isfinite(l_nulls)]
-    if l_nulls.size == 0:
-        return SmallWorldness(0.0, True)
-    c_null = c_nulls.mean()
-    l_null = l_nulls.mean()
-    if c_null == 0.0 or l_null == 0.0 or l_value == 0.0:
+    l_value = _mean_finite_latency(_latency_matrix(tn.layers))
+    nulls = _null_stack(tn.layers, n_null, seed)
+    c_null = _node_correlation(nulls).mean(axis=-1).mean()
+    l_null = _mean_finite_latency(_latency_matrix(nulls)).mean()
+    if c_null == 0.0:
         return SmallWorldness(0.0, True)
     return SmallWorldness(float((c_value / c_null) / (l_value / l_null)), False)
 
@@ -338,7 +355,7 @@ def feature_vector(
     n = tn.n_nodes
     off = ~np.eye(n, dtype=bool)
 
-    mean_latency = _mean_finite_latency(report.latency)
+    mean_latency = float(_mean_finite_latency(report.latency))
     if not np.isfinite(mean_latency):
         mean_latency = 0.0
 

@@ -14,8 +14,11 @@ from jrpnet.embedding import (
     estimate_delay,
     estimate_dimension,
 )
+from jrpnet import embedding, pipeline
+from jrpnet.config import PipelineConfig
 from jrpnet.embedding import _false_neighbor_counts, _repeated_values
 from jrpnet.errors import DegenerateInputError, InputError
+from jrpnet.synth import generate, three_regime_specs
 
 
 def ami_oracle(x, tau_max, bins=AMI_BINS):
@@ -111,6 +114,88 @@ def test_delay_errors():
         estimate_delay(np.ones(200))
     with pytest.raises(DegenerateInputError, match="64"):
         estimate_delay(np.random.default_rng(0).normal(size=40))
+
+
+def delay_oracle(x, tau_max=None):
+    """estimate_delay's rules on the full AMI curve, and the rule that decided."""
+    x = np.asarray(x, dtype=float)
+    if tau_max is None:
+        tau_max = max(2, x.size // 4)
+    v = ami_curve(x, min(tau_max, x.size - 1))
+    floor = 2.0 * (AMI_BINS - 1) ** 2 / (2.0 * (x.size - 1))
+    if v[0] <= floor:
+        return 1, "first lag at floor"
+    interior = np.nonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:]))[0]
+    if interior.size == 0:
+        drops = np.nonzero(v < v[0] / np.e)[0]
+        return (int(drops[0]) + 1 if drops.size else 1), "no minimum"
+    kstar = int(interior[0]) + 1
+    if v[kstar] <= floor:
+        return int(np.nonzero(v <= floor)[0][0]) + 1, "minimum at floor"
+    level = v[kstar] + 0.02 * (v.max() - v.min())
+    a = b = kstar
+    while a > 0 and v[a - 1] <= level:
+        a -= 1
+    while b + 1 < v.size and v[b + 1] <= level:
+        b += 1
+    return (a + b) // 2 + 1, "plateau"
+
+
+def delay_test_signals(rng, count):
+    """Noise, noisy sines, random walks and noisy logistic maps of 64-2000 samples."""
+    for k in range(count):
+        n = int(rng.integers(64, 2001))
+        t = np.arange(n)
+        if k % 4 == 0:
+            yield rng.normal(size=n)
+        elif k % 4 == 1:
+            phase = rng.uniform(0, 2 * np.pi)
+            yield np.sin(2 * np.pi * t / rng.uniform(4, 200) + phase) + rng.uniform(
+                0, 1.5
+            ) * rng.normal(size=n)
+        elif k % 4 == 2:
+            yield np.cumsum(rng.normal(size=n))
+        else:
+            r, x = rng.uniform(3.5, 4.0), np.empty(n)
+            x[0] = rng.uniform(0.1, 0.9)
+            for i in range(1, n):
+                x[i] = r * x[i - 1] * (1 - x[i - 1])
+            yield x + rng.uniform(0, 0.3) * rng.normal(size=n)
+
+
+def test_delay_equals_the_full_curve_decision():
+    rules = set()
+    for x in delay_test_signals(np.random.default_rng(12), 160):
+        for tau_max in (None, 5, 9, 17, 127):
+            if tau_max is not None and tau_max >= x.size:
+                continue
+            want, rule = delay_oracle(x, tau_max)
+            assert estimate_delay(x, tau_max) == want
+            rules.add(rule)
+    assert rules == {"first lag at floor", "no minimum", "minimum at floor", "plateau"}
+
+
+def test_delay_asks_for_at_most_16_lags_per_benchmark_channel(monkeypatch):
+    asked = []
+    full_curve = embedding.ami_curve
+    monkeypatch.setattr(
+        embedding, "ami_curve", lambda x, tau_max: asked.append(tau_max) or full_curve(x, tau_max)
+    )
+    per_channel = []
+
+    def delay(x, tau_max):
+        asked.clear()
+        tau = estimate_delay(x, tau_max=tau_max)
+        assert tau == delay_oracle(x, tau_max)[0]
+        per_channel.append(max(asked))
+        return tau
+
+    monkeypatch.setattr(pipeline, "estimate_delay", delay)
+    specs, _ = three_regime_specs(5, 201)
+    for spec in specs:
+        pipeline.estimate_trial_embeddings(generate(spec), PipelineConfig())
+    assert len(per_channel) == 120
+    assert max(per_channel) <= 16
 
 
 def test_delay_is_deterministic():

@@ -12,8 +12,11 @@ from jrpnet.tempnet import (
     temporal_correlation,
     temporal_small_worldness,
 )
-from jrpnet import tempnet
-from jrpnet.tempnet import _bounded, _edge_list, _null_layers, _words
+from jrpnet.config import PipelineConfig
+from jrpnet.pipeline import stage_analyze
+from jrpnet.seeding import generator
+from jrpnet.synth import three_regime_specs, write_dataset
+from jrpnet.tempnet import _bounded, _latency_matrix, _mean_finite_latency, _null_stack, _rewire
 
 
 def network(edge_lists, n, names=None):
@@ -229,15 +232,12 @@ def test_rewiring_preserves_degrees_and_simplicity():
     for _ in range(30):
         n = int(rng.integers(4, 10))
         layers = random_layers(rng, 3, n, float(rng.uniform(0.2, 0.6)))
-        rewired = _null_layers(
-            layers, [_edge_list(layer) for layer in layers],
-            np.random.default_rng(int(rng.integers(1 << 30))),
-        )
-        assert rewired.dtype == bool
-        assert rewired.shape == layers.shape
-        assert np.array_equal(rewired, rewired.transpose(0, 2, 1))
-        assert not rewired.diagonal(axis1=1, axis2=2).any()
-        assert np.array_equal(rewired.sum(axis=1), layers.sum(axis=1))
+        nulls = _null_stack(layers, 4, int(rng.integers(1 << 30)))
+        assert nulls.dtype == bool
+        assert nulls.shape == (4, *layers.shape)
+        assert np.array_equal(nulls, nulls.transpose(0, 1, 3, 2))
+        assert not nulls.diagonal(axis1=2, axis2=3).any()
+        assert np.array_equal(nulls.sum(axis=2), np.broadcast_to(layers.sum(axis=1), (4, 3, n)))
 
 
 def test_buffered_draws_match_generator_integers_draw_for_draw():
@@ -245,17 +245,40 @@ def test_buffered_draws_match_generator_integers_draw_for_draw():
     rejecting = [3 << 30, (1 << 31) + 1]
     streams = [list(range(2, 41)) * 3, [(1 << 32) - 1, 1 << 32] * 25, [7, 2, 7, 7, 2] * 40]
     streams += [[k] * 200 for k in rejecting]
-    for batch in (1, 2, 3):
+    for spare in (0, 1, 2):
         for seed, ks in enumerate(streams):
             ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            consumed = []
-            words = (consumed.append(w) or w for w in _words(ours, batch))
+            # one word per draw (and a spare): every rejected word must be made up for
+            words = ours.integers(0, 1 << 32, size=len(ks) + spare, dtype=np.uint32).tolist()
+            i = 0
             for k in ks:
-                assert _bounded(words, k) == ref.integers(0, k)
-                if batch == 1:
-                    assert ours.bit_generator.state == ref.bit_generator.state
+                got, i = _bounded(words, i, k, ours)
+                assert got == ref.integers(0, k)
+            # the draws took exactly the words Generator.integers took
+            following = words[i] if i < len(words) else ours.integers(0, 1 << 32, dtype=np.uint32)
+            assert following == ref.integers(0, 1 << 32, dtype=np.uint32)
             if ks[0] in rejecting:
-                assert len(consumed) > len(ks)
+                assert i > len(ks)
+
+
+def test_rewire_skips_rejected_words():
+    # for m = 3 edges the word 0 is rejected: (0 * 3) % 2**32 < (2**32 - 3) % 3 == 1
+    rng = np.random.default_rng(49)
+    edges = [(0, 1), (2, 3), (4, 5)]
+    neighbors = [2, 1, 8, 4, 32, 16]
+    changed = 0
+    for _ in range(40):
+        words = rng.integers(1, 1 << 32, size=36, dtype=np.uint32).tolist()
+        want_edges, want_neighbors = list(edges), list(neighbors)
+        used = _rewire(want_edges, want_neighbors, list(words), 0, rng)
+        changed += want_edges != edges
+        # a rejected first or second draw of the first attempt
+        for at in (0, 1):
+            got_edges, got_neighbors = list(edges), list(neighbors)
+            padded = words[:at] + [0] + words[at:]
+            assert _rewire(got_edges, got_neighbors, padded, 0, rng) == used + 1
+            assert (got_edges, got_neighbors) == (want_edges, want_neighbors)
+    assert changed
 
 
 def reference_rewire_layer(layer, rng):
@@ -287,6 +310,37 @@ def reference_rewire_layer(layer, rng):
     return adj
 
 
+def reference_nulls(layers, n_null, seed):
+    """Null k: every layer rewired in order by the reference from generator(seed, "null:k")."""
+    for k in range(n_null):
+        rng = generator(seed, f"null:{k}")
+        yield np.stack([reference_rewire_layer(layer, rng) for layer in layers])
+
+
+def reference_small_worldness(tn, n_null, seed):
+    """Small-worldness as first written: each reference null evaluated on its own."""
+    if tn.n_layers < 2 or not tn.layers.any():
+        return (0.0, True)
+    _, c_value = temporal_correlation(tn)
+    l_value = _mean_finite_latency(_latency_matrix(tn.layers))
+    if not np.isfinite(l_value):
+        return (0.0, True)
+    c_nulls = np.empty(n_null)
+    l_nulls = np.empty(n_null)
+    for k, layers in enumerate(reference_nulls(tn.layers, n_null, seed)):
+        null = TemporalNetwork(nodes=tn.nodes, layers=layers, binarize_rule={}, metric="")
+        _, c_nulls[k] = temporal_correlation(null)
+        l_nulls[k] = _mean_finite_latency(_latency_matrix(null.layers))
+    l_nulls = l_nulls[np.isfinite(l_nulls)]
+    if l_nulls.size == 0:
+        return (0.0, True)
+    c_null = c_nulls.mean()
+    l_null = l_nulls.mean()
+    if c_null == 0.0 or l_null == 0.0 or l_value == 0.0:
+        return (0.0, True)
+    return (float((c_value / c_null) / (l_value / l_null)), False)
+
+
 def random_layers(rng, T, n, density):
     layers = rng.random((T, n, n)) < density
     layers = np.triu(layers, k=1)
@@ -302,41 +356,88 @@ def test_rewiring_matches_the_reference_draw_for_draw():
             for T in (2, 3, 5):
                 layers = random_layers(rng, T, n, density)
                 seed = int(rng.integers(1 << 30))
-                edges = [_edge_list(layer) for layer in layers]
-                before = [list(e) for e in edges]
-                got = _null_layers(layers, edges, np.random.default_rng(seed))
-                ref = np.random.default_rng(seed)
-                want = [reference_rewire_layer(layer, ref) for layer in layers]
+                got = _null_stack(layers, 2, seed)
                 assert got.dtype == bool
-                for t in range(T):
-                    assert np.array_equal(got[t], want[t])
-                assert edges == before
-                for e in edges:
-                    m = len(e)
+                for k, want in enumerate(reference_nulls(layers, 2, seed)):
+                    assert np.array_equal(got[k], want)
+                for m in np.triu(layers, k=1).sum(axis=(1, 2)):
                     kinds.add("m<2" if m < 2 else "complete" if 2 * m == n * (n - 1) else "partial")
     assert kinds == {"m<2", "complete", "partial"}
 
 
-def test_small_worldness_matches_the_reference_rewiring(monkeypatch):
+def sw_hex(sw):
+    return (float.hex(sw[0]), sw[1])
+
+
+def test_small_worldness_matches_the_reference_rewiring():
     rng = np.random.default_rng(48)
-    networks = [complete_network(4, 3), network([[(0, 1)], [(0, 1), (2, 3)]], 4)]
-    for n in (4, 5, 8):
-        for density in (0.3, 0.6):
-            layers = random_layers(rng, 5, n, density)
-            networks.append(
-                TemporalNetwork(
-                    nodes=tuple(f"n{k}" for k in range(n)), layers=layers,
-                    binarize_rule={}, metric="JDET",
-                )
-            )
-    ours = [temporal_small_worldness(tn, n_null=6, seed=9) for tn in networks]
-    monkeypatch.setattr(
-        tempnet, "_null_layers",
-        lambda layers, edges, rng: np.stack([reference_rewire_layer(l, rng) for l in layers]),
-    )
-    want = [temporal_small_worldness(tn, n_null=6, seed=9) for tn in networks]
-    assert ours == want
-    assert any(not sw.degenerate and sw.value != 1.0 for sw in ours)
+    outcomes = set()
+    for _ in range(150):
+        n, T = int(rng.integers(2, 11)), int(rng.integers(2, 9))
+        layers = random_layers(rng, T, n, float(rng.uniform(0.0, 1.0)))
+        tn = TemporalNetwork(
+            nodes=tuple(f"n{k}" for k in range(n)), layers=layers, binarize_rule={}, metric="JDET"
+        )
+        n_null, seed = int(rng.integers(1, 8)), int(rng.integers(1 << 30))
+        got = temporal_small_worldness(tn, n_null=n_null, seed=seed)
+        assert sw_hex(got) == sw_hex(reference_small_worldness(tn, n_null, seed))
+        outcomes.add("degenerate" if got.degenerate else "one" if got.value == 1.0 else "other")
+    assert outcomes == {"degenerate", "one", "other"}
+
+
+def test_small_worldness_matches_the_per_null_reference_on_degenerate_networks():
+    cases = [
+        network([[(0, 1)]], 2),  # one layer
+        network([[], []], 3),  # nothing reachable
+        network([[(0, 1)], [(2, 3)]], 4),  # single edges never overlap: zero null C
+        network([[(0, 1)], [], [(1, 2)]], 3),  # zero null C around an empty layer
+        complete_network(4, 3),  # nulls equal the network
+    ]
+    for tn in cases:
+        for n_null in (1, 3):
+            got = temporal_small_worldness(tn, n_null=n_null, seed=5)
+            assert sw_hex(got) == sw_hex(reference_small_worldness(tn, n_null, 5))
+    assert temporal_small_worldness(cases[2], n_null=3) == (0.0, True)
+
+
+@pytest.fixture(scope="module")
+def benchmark_networks(tmp_path_factory):
+    """Every network ``stage_analyze`` builds from three_regime_specs(5, 201)."""
+    root = tmp_path_factory.mktemp("bench201")
+    specs, labels = three_regime_specs(5, 201)
+    write_dataset(specs, labels, root / "data")
+    out = {}
+    for overlap in (0.2, 0.9):
+        config = PipelineConfig(overlap=overlap)
+        by_trial = stage_analyze(root / "data", root / f"out{overlap}", config)
+        out[overlap] = [tn for trial in by_trial.values() for tn in trial.values()]
+    return out
+
+
+@pytest.mark.parametrize("overlap", [0.2, 0.9])
+def test_small_worldness_matches_the_per_null_reference_on_benchmark_networks(
+    benchmark_networks, overlap
+):
+    networks = benchmark_networks[overlap]
+    assert len(networks) == 30
+    for tn in networks:
+        got = temporal_small_worldness(tn)
+        assert sw_hex(got) == sw_hex(reference_small_worldness(tn, 20, 0))
+
+
+def test_latency_counts_past_255_relays():
+    # 0 reaches `relays` nodes in window 0, all of which reach node r + 1 in window 1
+    for relays in (255, 256):
+        layers = np.zeros((2, relays + 2, relays + 2), dtype=bool)
+        layers[0, 0, 1 : relays + 1] = layers[0, 1 : relays + 1, 0] = True
+        layers[1, relays + 1, 1 : relays + 1] = layers[1, 1 : relays + 1, relays + 1] = True
+        tn = TemporalNetwork(
+            nodes=tuple(f"n{k}" for k in range(relays + 2)), layers=layers,
+            binarize_rule={}, metric="JDET",
+        )
+        report = reachability_and_latency(tn)
+        assert report.latency[0, relays + 1] == 2.0
+        assert report.fastest_path_counts[0, relays + 1] == relays
 
 
 def test_feature_vector_of_complete_network():
