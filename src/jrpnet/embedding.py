@@ -18,8 +18,9 @@ variables, so "the AMI has reached its minimum" is judged against the
 first-order chi-square bias floor (bins-1)^2 / (2 n) rather than against
 zero, and plateau-shaped minima are resolved to the midpoint of their
 basin instead of to whichever lag float jitter happens to favor.  The
-curve is computed in doubling prefixes of lags (8, 16, ...) and in full
-only when the first minimum is above the floor, or there is none.
+delay estimator computes the curve in doubling prefixes of lags (8, 16,
+...), each lag once, and extends it to every lag only when the first
+minimum is above the floor, or there is none.
 """
 
 from __future__ import annotations
@@ -87,6 +88,22 @@ def _bin_codes(x: np.ndarray) -> np.ndarray:
     return np.minimum((x - lo) * (AMI_BINS / width), AMI_BINS - 1).astype(np.int64)
 
 
+def _ami_lags(codes: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Plug-in AMI (nats) between bin codes and their lag-k copies, k=first..last."""
+    out = np.empty(last - first + 1)
+    for k in range(first, last + 1):
+        a = codes[:-k]
+        b = codes[k:]
+        joint = np.bincount(a * AMI_BINS + b, minlength=AMI_BINS * AMI_BINS).astype(float)
+        joint /= a.size
+        pa = joint.reshape(AMI_BINS, AMI_BINS).sum(axis=1)
+        pb = joint.reshape(AMI_BINS, AMI_BINS).sum(axis=0)
+        denom = np.outer(pa, pb).ravel()
+        nz = joint > 0.0
+        out[k - first] = float(np.sum(joint[nz] * np.log(joint[nz] / denom[nz])))
+    return out
+
+
 def ami_curve(samples, tau_max: int) -> np.ndarray:
     """Average mutual information (nats) between x(t) and x(t+k), k=1..tau_max.
 
@@ -98,19 +115,7 @@ def ami_curve(samples, tau_max: int) -> np.ndarray:
         raise DegenerateInputError("AMI of a constant signal is undefined")
     if tau_max >= x.size:
         raise InputError(f"tau_max {tau_max} must be below the signal length {x.size}")
-    codes = _bin_codes(x)
-    out = np.empty(tau_max)
-    for k in range(1, tau_max + 1):
-        a = codes[:-k]
-        b = codes[k:]
-        joint = np.bincount(a * AMI_BINS + b, minlength=AMI_BINS * AMI_BINS).astype(float)
-        joint /= a.size
-        pa = joint.reshape(AMI_BINS, AMI_BINS).sum(axis=1)
-        pb = joint.reshape(AMI_BINS, AMI_BINS).sum(axis=0)
-        denom = np.outer(pa, pb).ravel()
-        nz = joint > 0.0
-        out[k - 1] = float(np.sum(joint[nz] * np.log(joint[nz] / denom[nz])))
-    return out
+    return _ami_lags(_bin_codes(x), 1, tau_max)
 
 
 def estimate_delay(samples, tau_max: int | None = None) -> int:
@@ -138,22 +143,21 @@ def estimate_delay(samples, tau_max: int | None = None) -> int:
     # plug-in histogram estimate); curves at or below twice this floor
     # carry no dependence structure worth waiting for.
     floor = (AMI_BINS - 1) ** 2 / (2.0 * (x.size - 1))
+    codes = _bin_codes(x)
+    v = _ami_lags(codes, 1, min(8, tau_max))
+    if v[0] <= 2.0 * floor:
+        return 1
     # A lag's AMI does not depend on tau_max, so the curve grows in doubling
-    # prefixes until it shows an interior minimum; only the plateau and
-    # no-minimum rules need all of it.
-    size = min(8, tau_max)
+    # prefixes, each lag computed once, until it shows an interior minimum;
+    # only the plateau and no-minimum rules need all of it.
     while True:
-        v = ami_curve(x, size)
-        if v[0] <= 2.0 * floor:
-            return 1
         interior = np.nonzero((v[1:-1] <= v[:-2]) & (v[1:-1] <= v[2:]))[0]
-        if interior.size or size == tau_max:
+        if interior.size or v.size == tau_max:
             break
-        size = min(2 * size, tau_max)
+        v = np.append(v, _ami_lags(codes, v.size + 1, min(2 * v.size, tau_max)))
     if interior.size and v[interior[0] + 1] <= 2.0 * floor:
         return int(np.nonzero(v <= 2.0 * floor)[0][0]) + 1
-    if size < tau_max:
-        v = ami_curve(x, tau_max)
+    v = np.append(v, _ami_lags(codes, v.size + 1, tau_max))
     if interior.size == 0:
         drops = np.nonzero(v < v[0] / np.e)[0]
         return int(drops[0]) + 1 if drops.size else 1

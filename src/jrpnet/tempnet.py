@@ -108,6 +108,7 @@ def _check(tn: TemporalNetwork) -> None:
 def _latency_matrix(layers: np.ndarray) -> np.ndarray:
     """Earliest-arrival windows of a (..., T, n, n) layer stack, shape (..., n, n),
     by a boolean reachability sweep (boolean matmul: relay counts cannot wrap)."""
+    layers = layers.astype(bool, copy=False)
     n = layers.shape[-1]
     reached = np.broadcast_to(np.eye(n, dtype=bool), (*layers.shape[:-3], n, n)).copy()
     latency = np.where(reached, 0.0, np.inf)
@@ -236,21 +237,16 @@ def _rewire(
     """Degree-preserving swaps of one simple undirected layer, in place.
 
     ``edges`` is the layer's edge list and ``neighbors[u]`` the bitmask
-    of u's neighbors.  Each of 4*m attempts draws two edge indices and,
-    when they differ, a coin from ``words[i:]`` by ``_bounded``'s rule,
-    inlined while it accepts; returns the index of the first word left.
+    of u's neighbors.  Each of 4*m attempts draws two edge indices by
+    ``_bounded`` and, when they differ, a coin from ``words[i:]``;
+    returns the index of the first word left.
     """
     m = len(edges)
     if m < 2:
         return i
-    threshold = ((1 << 32) - m) % m
     for _ in range(4 * m):
-        s1, s2 = words[i] * m, words[i + 1] * m
-        if s1 & 0xFFFFFFFF < threshold or s2 & 0xFFFFFFFF < threshold:
-            k1, i = _bounded(words, i, m, rng)
-            k2, i = _bounded(words, i, m, rng)
-        else:
-            k1, k2, i = s1 >> 32, s2 >> 32, i + 2
+        k1, i = _bounded(words, i, m, rng)
+        k2, i = _bounded(words, i, m, rng)
         if k1 == k2:
             continue
         a, b = edges[k1]

@@ -175,19 +175,45 @@ def test_delay_equals_the_full_curve_decision():
     assert rules == {"first lag at floor", "no minimum", "minimum at floor", "plateau"}
 
 
-def test_delay_asks_for_at_most_16_lags_per_benchmark_channel(monkeypatch):
-    asked = []
-    full_curve = embedding.ami_curve
+def count_lags(monkeypatch):
+    """Record how many AMI lags each call of ``_ami_lags`` computes."""
+    computed = []
+    lags = embedding._ami_lags
     monkeypatch.setattr(
-        embedding, "ami_curve", lambda x, tau_max: asked.append(tau_max) or full_curve(x, tau_max)
+        embedding,
+        "_ami_lags",
+        lambda codes, first, last: computed.append(last - first + 1) or lags(codes, first, last),
     )
+    return computed
+
+
+def test_delay_computes_each_lag_at_most_once(monkeypatch):
+    computed = count_lags(monkeypatch)
+    full = 0
+    for x in delay_test_signals(np.random.default_rng(13), 80):
+        for tau_max in (None, 17, 127):
+            if tau_max is not None and tau_max >= x.size:
+                continue
+            rule = delay_oracle(x, tau_max)[1]
+            computed.clear()
+            estimate_delay(x, tau_max)
+            lags = max(2, x.size // 4) if tau_max is None else tau_max
+            assert sum(computed) <= lags
+            if rule in ("no minimum", "plateau"):
+                assert sum(computed) == lags
+                full += 1
+    assert full
+
+
+def test_delay_computes_at_most_16_lags_per_benchmark_channel(monkeypatch):
+    computed = count_lags(monkeypatch)
     per_channel = []
 
     def delay(x, tau_max):
-        asked.clear()
+        computed.clear()
         tau = estimate_delay(x, tau_max=tau_max)
+        per_channel.append(sum(computed))
         assert tau == delay_oracle(x, tau_max)[0]
-        per_channel.append(max(asked))
         return tau
 
     monkeypatch.setattr(pipeline, "estimate_delay", delay)

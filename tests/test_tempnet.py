@@ -440,6 +440,22 @@ def test_latency_counts_past_255_relays():
         assert report.fastest_path_counts[0, relays + 1] == relays
 
 
+def test_integer_layer_stacks_read_as_their_bool_stacks():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        n, T = int(rng.integers(2, 8)), int(rng.integers(2, 6))
+        upper = np.triu(rng.random((T, n, n)) < rng.uniform(0.1, 0.9), k=1)
+        layers = upper | upper.transpose(0, 2, 1)
+        want = _latency_matrix(layers)
+        for dtype in (np.uint8, np.int64):
+            np.testing.assert_array_equal(_latency_matrix(layers.astype(dtype)), want)
+        tn = TemporalNetwork(
+            nodes=tuple(f"n{k}" for k in range(n)), layers=layers.astype(np.uint8),
+            binarize_rule={}, metric="JDET",
+        )
+        assert reachability_and_latency(tn).latency.tolist() == want.tolist()
+
+
 def test_feature_vector_of_complete_network():
     tn = complete_network(3, 2)
     features = feature_vector(tn, n_null=3)
