@@ -19,7 +19,7 @@ from .recurrence import NORMS
 
 __all__ = ["CONFIG_SCHEMA_VERSION", "STAGE_FIELDS", "WEIGHT_METRICS", "PipelineConfig", "load_config"]
 
-CONFIG_SCHEMA_VERSION = 3
+CONFIG_SCHEMA_VERSION = 4
 
 #: The stages in order, each with the config fields its own code reads.
 #: An artifact depends on its stage's fields and on every earlier stage's;

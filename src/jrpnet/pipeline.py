@@ -18,27 +18,27 @@ it covers to the sha256 of that trial's CSV and sidecar bytes), and the
 fields that name it (trial, kind, metric, target).  The stamps of the
 evaluation report and the models also carry a digest of every trial's
 discretized class per target, so relabeling a trial makes them stale
-while a rescore that keeps every class does not.
+while a rescore that keeps every class does not.  Every artifact is
+also sealed with the sha256 of its content: a ``digest`` field over the
+rest of a JSON artifact as one canonical line, a ``digest`` field in a
+network file's header over the header without it and the record lines,
+and a first ``# digest=`` line over the rest of ``features.csv``.
 
 One rule decides reuse: a stored artifact is current when it holds
-every field of the envelope its stage would write now, and the part of
-its payload that a later step reads decodes.  Each stage runs the stage
-before it, returns its own artifact if that is current, and otherwise
-computes and writes it; so a command first brings every earlier stage
-up to date.  The per-trial pieces are a trial's network files, current
-only all together and while they decode in full (a record per window,
-and per window and metric in the weighted file), and its entry in
-``embedding_params.json`` (current when the slice of the file's stamp
-for that trial is, and the entry is a channel map).  ``features.csv``
-(rows one per stamped trial and metric) with ``reachability.json``,
-``evaluation.json`` (a numeric accuracy and selected lambda per target
-and metric) and each model (fit at that selected lambda) are current or
-stale as a whole.  Networks reach the features stage only through their
-files: a freshly analyzed trial is read back as a reused one is.  An
-unchanged rerun computes and writes nothing, and running stages one by
-one writes what one run writes.
-Writes are atomic (tmp file + rename), so interrupted runs never leave
-partial artifacts behind.
+every field of the envelope its stage would write now and its content
+hashes to its digest.  A file that does not parse or does not hash is
+stale, never an error.  Each stage runs the stage before it, returns
+its own artifact if that is current, and otherwise computes and writes
+it; so a command first brings every earlier stage up to date.  The
+per-trial pieces are a trial's network files, current only all
+together, and its entry in ``embedding_params.json``, current when the
+slice of the file's stamp for that trial is.  ``features.csv`` with
+``reachability.json``, ``evaluation.json`` and each model are current
+or stale as a whole.  Networks reach the features stage only through
+their files: a freshly analyzed trial is read back as a reused one is.
+An unchanged rerun computes and writes nothing, and running stages one
+by one writes what one run writes.  Writes are atomic (tmp file +
+rename), so interrupted runs never leave partial artifacts behind.
 """
 
 from __future__ import annotations
@@ -139,12 +139,20 @@ def _json_line(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":"))
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _write_jsonl(path: str, header: dict, records: list[dict]) -> None:
-    _write_text(path, "".join(_json_line(obj) + "\n" for obj in [header, *records]))
+    """Header line sealed with the digest of the file as it reads without it."""
+    body = "".join("\n" + _json_line(obj) for obj in records) + "\n"
+    sealed = {**header, "digest": _sha256(_json_line(header) + body)}
+    _write_text(path, _json_line(sealed) + body)
 
 
 def _write_json(path: str, obj: dict) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, allow_nan=False, indent=2) + "\n")
+    sealed = {**obj, "digest": _sha256(_json_line(obj))}
+    _write_text(path, json.dumps(sealed, sort_keys=True, allow_nan=False, indent=2) + "\n")
 
 
 def discover_trials(data_dir: str | os.PathLike) -> list[TrialPaths]:
@@ -342,19 +350,42 @@ def _envelope(stage: str, config: PipelineConfig, digests: dict, classes=None, *
 
 
 def _current(stored, envelope: dict) -> bool:
-    """The one reuse check: a stored artifact, or network-file header,
-    holds every field of the envelope its stage writes now."""
+    """The envelope half of the one reuse check: a stored artifact, or
+    network-file header, as its read helper returns it once it hashes to
+    its digest, holds every field of the envelope its stage writes now."""
     return isinstance(stored, dict) and all(stored.get(k) == v for k, v in envelope.items())
 
 
+def _unsealed(obj, tail: str = "") -> dict | None:
+    """``obj`` without its digest, or None unless it is a map whose
+    ``digest`` is the sha256 of its other fields' JSON line and ``tail``.
+    Raises ValueError if those fields hold a NaN or infinity."""
+    if not isinstance(obj, dict):
+        return None
+    rest = {k: v for k, v in obj.items() if k != "digest"}
+    return rest if obj.get("digest") == _sha256(_json_line(rest) + tail) else None
+
+
 def _read_json(path: str) -> dict | None:
-    """A JSON artifact as stored, or None if it is missing or unreadable."""
+    """A JSON artifact as written, or None if it is missing, unreadable or
+    does not hash to its digest."""
     try:
         with open(path, encoding="utf-8") as fh:
-            artifact = json.load(fh)
-    except (OSError, ValueError):  # missing or unparseable
+            return _unsealed(json.load(fh))
+    except (OSError, ValueError):  # missing, unparseable, or holds a NaN
         return None
-    return artifact if isinstance(artifact, dict) else None
+
+
+def _read_jsonl(path: str) -> tuple[dict, list[str]] | None:
+    """A network file's header and record lines, or None if it is missing,
+    unreadable or does not hash to the digest in its header."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            head, newline, rest = fh.read().partition("\n")
+        header = _unsealed(json.loads(head), newline + rest)
+    except (OSError, ValueError):  # missing, unparseable, or holds a NaN
+        return None
+    return None if header is None else (header, rest.splitlines())
 
 
 def _network_files(
@@ -373,47 +404,28 @@ def _network_files(
     return files
 
 
-def _binary_network(header: dict, *records: dict) -> TemporalNetwork:
-    nodes = tuple(header["nodes"])
-    n = len(nodes)
-    layers = np.zeros((len(records), n, n), dtype=bool)
-    for t, rec in enumerate(records):
-        for i, j in rec["edges"]:
-            layers[t, i, j] = layers[t, j, i] = True
-    return TemporalNetwork(
-        nodes=nodes,
-        layers=layers,
-        binarize_rule=dict(header["binarize_rule"]),
-        metric=header["metric"],
-    )
-
-
 def _read_networks(
     out_dir: str, trial_id: str, config: PipelineConfig, digest: str
 ) -> dict[str, TemporalNetwork] | None:
     """A trial's binarized networks by metric, read back from its files; or
-    None unless all of its network files are current and decode in full:
-    the weighted file, read first, holds one record per window and metric
-    in that order for windows 0..T-1, T at least 1, and each binarized
-    file the records of those windows in order."""
+    None unless all of its network files are current.  The weighted file
+    is only hashed; the records of each binarized file, one per window in
+    order, are its layers."""
     networks = {}
     for kind, (path, envelope) in _network_files(out_dir, trial_id, config, digest).items():
-        try:
-            with open(path, encoding="utf-8") as fh:
-                header, *records = [json.loads(line) for line in fh if line.strip()]
-            if kind == "weighted":
-                windows = range(len(records) // len(config.metrics))
-                keys = [(r["window"], r["metric"]) for r in records]
-                want = [(t, metric) for t in windows for metric in config.metrics]
-            else:
-                keys, want = [r["window"] for r in records], list(windows)
-            if not (_current(header, envelope) and windows and keys == want):
-                return None
-            if kind != "weighted":
-                networks[kind] = _binary_network(header, *records)
-        # missing, unparseable, no header line, or records that build no network
-        except (OSError, IndexError, KeyError, TypeError, ValueError):
+        stored = _read_jsonl(path)
+        if stored is None or not _current(stored[0], envelope):
             return None
+        header, records = stored
+        if kind != "weighted":
+            nodes = tuple(header["nodes"])
+            layers = np.zeros((len(records), len(nodes), len(nodes)), dtype=bool)
+            for t, record in enumerate(records):
+                for i, j in json.loads(record)["edges"]:
+                    layers[t, i, j] = layers[t, j, i] = True
+            networks[kind] = TemporalNetwork(
+                nodes, layers, header["binarize_rule"], header["metric"]
+            )
     return networks
 
 
@@ -422,19 +434,17 @@ def read_features_csv(path: str) -> tuple[dict, list[str], list[dict]]:
     if not os.path.isfile(path):
         raise InputError(f"features file {path} does not exist")
     with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line]
+        seal, _, text = fh.read().partition("\n")
+    if seal != f"# digest={_sha256(text)}":
+        raise InputError(f"features file {path} does not hash to its digest")
+    lines = [line for line in text.splitlines() if line]
     stamps = [line.partition("=")[2] for line in lines if line.startswith("# stamp=")]
-    body = [line.split(",") for line in lines if not line.startswith("# ")]
-    header = body[0] if body else []
-    if header[:2] != ["trial_id", "metric"]:
-        raise InputError(f"features file {path} has unexpected columns {header[:2]}")
+    header, *body = [line.split(",") for line in lines if not line.startswith("# ")]
     rows = [
         {"trial_id": cells[0], "metric": cells[1], "values": [float(c) for c in cells[2:]]}
-        for cells in body[1:]
+        for cells in body
     ]
-    if any(len(r["values"]) != len(header) - 2 for r in rows):
-        raise InputError(f"features file {path} has rows of the wrong length")
-    return (json.loads(stamps[0]) if stamps else {}), header[2:], rows
+    return json.loads(stamps[0]), header[2:], rows
 
 
 def _reachability_json(rep: ReachabilityReport) -> dict:
@@ -450,36 +460,16 @@ def _reachability_json(rep: ReachabilityReport) -> dict:
 def _class_digest(table: FeatureTable) -> str:
     """sha256 of every trial's discretized class per target."""
     classes = {target: dict(zip(table.trial_ids, table.labels[target])) for target in TARGETS}
-    return hashlib.sha256(_json_line(classes).encode()).hexdigest()
+    return _sha256(_json_line(classes))
 
 
-def _features_current(path: str, envelope: dict, metrics: tuple[str, ...]) -> bool:
-    """Whether ``features.csv`` is current: its stamp is the envelope's,
-    and it holds the rows ``stage_features`` writes, one per stamped trial
-    and configured metric, in that order."""
+def _features_current(path: str, envelope: dict) -> bool:
+    """Whether ``features.csv`` hashes to its digest and its stamp is the envelope's."""
     try:
-        stamp, _, rows = read_features_csv(path)
-    except (InputError, ValueError):  # missing or unreadable
+        stamp, _, _ = read_features_csv(path)
+    except InputError:  # missing or damaged
         return False
-    keys = [(tid, metric) for tid in sorted(envelope["stamp"]["trials"]) for metric in metrics]
-    return _current({"stamp": stamp}, envelope) and [
-        (r["trial_id"], r["metric"]) for r in rows
-    ] == keys
-
-
-def _selected_lambdas(report: dict, config: PipelineConfig) -> dict | None:
-    """Each (target, metric)'s selected lambda in an evaluation report, or
-    None unless every entry holds a numeric accuracy and selected lambda."""
-    try:
-        entries = {(t, m): report["results"][t][m] for t in TARGETS for m in config.metrics}
-        numeric = all(
-            isinstance(e[k], (int, float))
-            for e in entries.values()
-            for k in ("accuracy", "selected_lambda")
-        )
-    except (KeyError, TypeError):  # an entry missing or not a map
-        return None
-    return {key: float(e["selected_lambda"]) for key, e in entries.items()} if numeric else None
+    return _current({"stamp": stamp}, envelope)
 
 
 def _labeled_tables(
@@ -517,16 +507,13 @@ def _labeled_tables(
 
 def _current_entry(stored: dict, trial_id: str, config: PipelineConfig, digest: str):
     """A trial's entry in a stored ``embedding_params.json``, or None if
-    the slice of the file's stamp for that trial is stale or the entry is
-    not a map of channel embeddings."""
+    the slice of the file's stamp for that trial is stale."""
     try:
         stamp = {**stored["stamp"], "trials": {trial_id: stored["stamp"]["trials"][trial_id]}}
-        entry = stored["trials"][trial_id]
-        _embeddings_from_json(entry)
-    except (AttributeError, KeyError, TypeError, ValueError):  # no such slice or entry
+    except KeyError:  # no stored file, or no entry for the trial
         return None
     envelope = _envelope("embed-params", config, {trial_id: digest})
-    return entry if _current({"stamp": stamp}, envelope) else None
+    return stored["trials"][trial_id] if _current({"stamp": stamp}, envelope) else None
 
 
 # ---------------------------------------------------------------------------
@@ -595,9 +582,7 @@ def stage_features(
     path = os.path.join(out_dir, "features.csv")
     reach_path = os.path.join(out_dir, "reachability.json")
     envelope = _envelope("features", config, digests)
-    if _features_current(path, envelope, config.metrics) and _current(
-        _read_json(reach_path), envelope
-    ):
+    if _features_current(path, envelope) and _current(_read_json(reach_path), envelope):
         return path
     trial_ids = sorted(networks)
     first = config.metrics[0]
@@ -632,7 +617,8 @@ def stage_features(
         for metric in config.metrics:
             values = features[tid][metric].values()
             lines.append(",".join([tid, metric] + [repr(float(v)) for v in values]))
-    _write_text(path, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _write_text(path, f"# digest={_sha256(text)}\n{text}")
 
     reach = {
         tid: {metric: _reachability_json(f.reachability) for metric, f in features[tid].items()}
@@ -656,7 +642,7 @@ def stage_evaluate(
     envelope = _envelope("evaluate", config, digests, _class_digest(tables[config.metrics[0]]))
     path = os.path.join(out_dir, "evaluation.json")
     report = _read_json(path)
-    if _current(report, envelope) and _selected_lambdas(report, config):
+    if _current(report, envelope):
         return report
     results: dict[str, dict[str, dict]] = {}
     with _stage("evaluate"):
@@ -697,7 +683,7 @@ def stage_train(
             if target not in TARGETS:
                 raise InputError(f"unknown target {target!r}; choose from {TARGETS}")
     out_dir = os.fspath(out_dir)
-    lambdas = _selected_lambdas(stage_evaluate(data_dir, out_dir, config, jobs), config)
+    results = stage_evaluate(data_dir, out_dir, config, jobs)["results"]
     tables, digests = _labeled_tables(data_dir, out_dir, config)
     classes = _class_digest(tables[config.metrics[0]])
 
@@ -709,10 +695,8 @@ def stage_train(
                 envelope = _envelope(
                     "train", config, digests, classes, target=target, metric=metric
                 )
-                lam = lambdas[target, metric]
-                stored = _read_json(path) or {}
-                fit_at_lam = _current(stored.get("model"), {"lambda": lam})
-                if not (_current(stored, envelope) and fit_at_lam):
+                if not _current(_read_json(path), envelope):
+                    lam = results[target][metric]["selected_lambda"]
                     model = fit_lasso(tables[metric], target, lam)
                     _write_json(path, {**envelope, "model": model_to_dict(model)})
                 written.append(path)

@@ -28,7 +28,7 @@ def test_default_values():
         "tau_max": None,
         "m_max": 10,
     }
-    assert CONFIG_SCHEMA_VERSION == 3
+    assert CONFIG_SCHEMA_VERSION == 4
 
 
 def test_every_field_belongs_to_exactly_one_stage():

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import shutil
@@ -351,7 +352,10 @@ def test_trial_removed_after_run_is_not_learned_from(nine_trials, tmp_path, stag
     ],
     ids=["embed-params", "analyze", "features", "evaluate"],
 )
-def test_other_schema_version_is_recomputed(dataset, pipeline_out, tmp_path, name, stage):
+def test_other_schema_version_is_recomputed(
+    dataset, pipeline_out, tmp_path, monkeypatch, name, stage
+):
+    # the edited file is resealed, so only its envelope makes it stale
     out_dir, _ = pipeline_out
     old = tmp_path / "old"
     shutil.copytree(out_dir, old)
@@ -362,9 +366,36 @@ def test_other_schema_version_is_recomputed(dataset, pipeline_out, tmp_path, nam
         path.read_text(),
     )
     assert n == 1
-    path.write_text(text)
+    path.write_text(_resealed(text, path.suffix))
+    embedded, _ = _count_trial_work(monkeypatch)
     stage(dataset, old, CONFIG)
     assert _tree(old) == _tree(out_dir)
+    # entries of another schema are estimated again, though their values are the same
+    assert embedded == (trial_ids(dataset) if name == "embedding_params.json" else [])
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _json_line(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _resealed(text, suffix):
+    """``text``, an edited artifact whose file name ends in ``suffix``, with
+    its digest rewritten to match its content again: the edit then reaches
+    the envelope check rather than the digest check."""
+    if suffix == ".csv":
+        # a digest line over the lines after it
+        _, _, rest = text.partition("\n")
+        return f"# digest={_sha256(rest)}\n{rest}"
+    # a digest field over the other fields as one JSON line, followed in a
+    # network file by the record lines
+    head, newline, rest = text.partition("\n") if suffix == ".jsonl" else (text, "", "")
+    sealed = {k: v for k, v in json.loads(head).items() if k != "digest"}
+    sealed["digest"] = _sha256(_json_line(sealed) + newline + rest)
+    return _json_line(sealed) + newline + rest
 
 
 def _emptied(data):
@@ -396,6 +427,20 @@ def _last_line_cut(data):
     return b"".join(data.splitlines(keepends=True)[:-1])
 
 
+def _last_window_cut(data):
+    # a window boundary: every record of the last window goes, and the file
+    # still holds one record per window (and metric) for the windows left
+    lines = data.splitlines(keepends=True)
+    last = json.loads(lines[-1])["window"]
+    return b"".join(line for line in lines if json.loads(line).get("window") != last)
+
+
+def _cell_changed(data):
+    # the last row's last value, still a number
+    head, _, cell = data.rstrip(b"\n").rpartition(b",")
+    return head + b"," + repr(float(cell) + 1.0).encode() + b"\n"
+
+
 def _json_edited(edit):
     """A damage that applies ``edit`` to a JSON artifact."""
 
@@ -413,9 +458,9 @@ def _report_edited(edit):
 
 
 def _case(name, command, damage, id, removed=()):
-    """A damage case: the file, the command that must recompute it, the
-    damage (a function of the file's bytes, or the name of the file copied
-    over it) and the output files removed besides."""
+    """A damage case: the file (or a pattern of files), the command that
+    must recompute it, the damage (a function of the file's bytes, or the
+    name of the file copied over it) and the output files removed besides."""
     return pytest.param(name, command, damage, removed, id=id)
 
 
@@ -444,7 +489,7 @@ DAMAGES = [
     _case(
         "model_arousal_JDET.json",
         "train",
-        lambda data: data.replace(b'"arousal"', b'"valence"'),
+        lambda data: _resealed(data.decode().replace('"arousal"', '"valence"'), ".json").encode(),
         id="train-other-target",
     ),
     # a current stamp on a network file of another kind or metric
@@ -514,6 +559,30 @@ DAMAGES = [
         _json_edited(lambda model: model["model"].update({"lambda": 123.0})),
         id="train-other-lambda",
     ),
+    # damage that decodes as the payload a writer could have written: every
+    # network file of a trial cut consistently at a window boundary, a
+    # report's accuracy replaced by another number or by NaN, and a
+    # feature value replaced by another number
+    _case(
+        "networks/dense_000.*.jsonl",
+        "features",
+        _last_window_cut,
+        id="analyze-all-cut-at-a-window",
+        removed=["features.csv"],
+    ),
+    _case(
+        "evaluation.json",
+        "evaluate",
+        _report_edited(lambda results: results["valence"]["JDET"].update(accuracy=0.125)),
+        id="evaluate-other-accuracy",
+    ),
+    _case(
+        "evaluation.json",
+        "evaluate",
+        _report_edited(lambda results: results["valence"]["JDET"].update(accuracy=math.nan)),
+        id="evaluate-accuracy-nan",
+    ),
+    _case("features.csv", "evaluate", _cell_changed, id="features-value-changed"),
 ]
 
 
@@ -537,20 +606,22 @@ def test_damaged_artifact_is_recomputed(
     out_dir, _ = pipeline_out
     damaged = tmp_path / "damaged"
     shutil.copytree(out_dir, damaged)
-    path = damaged / name
-    if callable(damage):
-        path.write_bytes(damage(path.read_bytes()))
-    else:
-        shutil.copy(damaged / damage, path)
+    paths = sorted(damaged.glob(name))
+    assert paths
+    for path in paths:
+        if callable(damage):
+            path.write_bytes(damage(path.read_bytes()))
+        else:
+            shutil.copy(damaged / damage, path)
     for other in removed:
         (damaged / other).unlink()
     assert _cli(command, dataset, damaged, tmp_path) == 0
     assert _tree(damaged) == _tree(out_dir)
 
 
-def test_embedding_entry_that_is_not_a_channel_map_is_reembedded(dataset, pipeline_out, tmp_path):
-    # the entry's stamp slice is current, but the entry is no channel
-    # map: the trial is embedded and analyzed again, not a crash
+def test_edited_embedding_entry_is_reembedded(dataset, pipeline_out, tmp_path):
+    # the entry's stamp slice is current, but the file no longer hashes to
+    # its digest: the trial is embedded and analyzed again, not a crash
     out_dir, _ = pipeline_out
     damaged = tmp_path / "damaged"
     shutil.copytree(out_dir, damaged)
