@@ -2,22 +2,21 @@
 
 Self-reported scores on the 1..9 scale become three classes (low,
 medium, high).  Classification is one-vs-rest L1-penalized logistic
-regression fit by cyclic coordinate descent on internally standardized
-features; the penalty uses the mean-loss form
+regression on internally standardized features; the penalty uses the
+mean-loss form
 
     (1/n) sum_i logloss_i + lambda * ||beta||_1
 
 so the same lambda means the same amount of shrinkage regardless of
-sample count.  The coordinate sweeps use glmnet's covariance updates
-(Friedman, Hastie & Tibshirani 2010, J. Stat. Softw. 33(1), section
-2.2): each outer step forms the weighted Gram matrix of the features
-once, so a coordinate update is scalar work plus p multiply-adds when
-the coefficient moves, instead of two length-n vector operations.  The
-iterates are those of the residual-update form up to rounding.  Model
-selection is stratified k-fold cross-validation over a log-spaced
-lambda grid, preferring the sparser (larger) lambda on ties.  Fits that
-spend the sweep budget without converging are logged as one warning per
-call that names the target.
+sample count.  Every fit runs one pathwise coordinate descent (Friedman,
+Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)): each class is fit down
+a descending lambda path, warm-started from its fit at the previous
+lambda, with covariance-update sweeps.  A final model is the one-point
+path at the selected lambda; stratified k-fold cross-validation fits the
+log-spaced grid as one path per fold, keeps its predictions as
+``CLASS_ORDER`` indices and prefers the sparser (larger) lambda on ties.
+Fits that spend the sweep budget without converging are logged as one
+warning per call that names the target.
 """
 
 from __future__ import annotations
@@ -158,11 +157,10 @@ def _fit_binary(
         beta = np.zeros(p)
         ybar = float(y.mean())
         intercept = math.log(ybar / (1.0 - ybar))
-        z = XsT.T @ beta + intercept
     else:
         beta = init[0].copy()
         intercept = float(init[1])
-        z = XsT.T @ beta + intercept
+    z = XsT.T @ beta + intercept
 
     inv_n = 1.0 / n
     cols = range(p)
@@ -244,46 +242,63 @@ def _warn_unconverged(target: str, unconverged: int, fits: int) -> None:
         log.warning(msg, target, unconverged, fits, MAX_SWEEPS)
 
 
-def _target_classes(table: FeatureTable, target: str) -> list[str]:
+def _class_codes(
+    table: FeatureTable, target: str, finite: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """``target``'s labels as ``CLASS_ORDER`` indices and the ascending indices
+    of the classes present, once they are known classes, at least two of
+    them; with ``finite``, every feature must also be finite."""
     if target not in table.labels:
         raise InputError(f"table carries no labels for target {target!r}")
     labels = table.labels[target]
     bad = sorted(set(labels) - set(CLASS_ORDER))
     if bad:
         raise InputError(f"unknown classes {bad}; expected {list(CLASS_ORDER)}")
-    return [c for c in CLASS_ORDER if c in labels]
+    codes = np.array([CLASS_ORDER.index(c) for c in labels], dtype=int)
+    present = np.unique(codes)
+    if len(present) < 2:
+        raise InputError(f"target {target!r} has {len(present)} class(es); need at least 2")
+    if finite and not np.all(np.isfinite(table.X)):
+        raise InputError("feature table contains non-finite values")
+    return codes, present
+
+
+def _fit_path(
+    X: np.ndarray, labels: np.ndarray, classes: np.ndarray, lambdas
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """One-vs-rest fits of each of ``classes`` down the descending ``lambdas``,
+    each warm-started from its class's fit at the previous lambda (a
+    one-point path starts cold).  Returns the standardization mean and
+    scale, the weights ``(lambda, class, feature)``, the intercepts
+    ``(lambda, class)`` and the number of fits that hit MAX_SWEEPS."""
+    Xs, mean, scale = _standardize(X)
+    XsT = np.ascontiguousarray(Xs.T)
+    weights = np.zeros((len(lambdas), len(classes), X.shape[1]))
+    intercepts = np.zeros((len(lambdas), len(classes)))
+    unconverged = 0
+    for c, cls in enumerate(classes):
+        y = (labels == cls).astype(float)
+        init = None
+        for g, lam in enumerate(lambdas):
+            weights[g, c], intercepts[g, c], converged = _fit_binary(XsT, y, lam, init)
+            init = (weights[g, c], intercepts[g, c])
+            unconverged += not converged
+    return mean, scale, weights, intercepts, unconverged
 
 
 def fit_lasso(table: FeatureTable, target: str, lam: float) -> SparseLinearModel:
-    """Fit one-vs-rest L1 logistic models for ``target`` at one lambda.
-
-    The coordinate-descent solver is deterministic.
-    """
+    """Fit one-vs-rest L1 logistic models for ``target`` at one lambda,
+    the one-point lambda path; the coordinate-descent solver is deterministic."""
     if lam < 0.0:
         raise InputError(f"lambda must be >= 0, got {lam}")
-    if not np.all(np.isfinite(table.X)):
-        raise InputError("feature table contains non-finite values")
-    present = _target_classes(table, target)
-    if len(present) < 2:
-        raise InputError(
-            f"target {target!r} has {len(present)} class(es); need at least 2"
-        )
-    Xs, mean, scale = _standardize(table.X)
-    XsT = np.ascontiguousarray(Xs.T)
-    labels = np.array(table.labels[target])
-    weights = np.zeros((len(present), len(table.columns)))
-    intercepts = np.zeros(len(present))
-    unconverged = 0
-    for c, cls in enumerate(present):
-        y = (labels == cls).astype(float)
-        weights[c], intercepts[c], converged = _fit_binary(XsT, y, lam)
-        unconverged += not converged
+    codes, present = _class_codes(table, target)
+    mean, scale, weights, intercepts, unconverged = _fit_path(table.X, codes, present, (lam,))
     _warn_unconverged(target, unconverged, len(present))
     return SparseLinearModel(
         columns=table.columns,
-        classes=tuple(present),
-        weights=weights,
-        intercepts=intercepts,
+        classes=tuple(CLASS_ORDER[c] for c in present),
+        weights=weights[0],
+        intercepts=intercepts[0],
         mean=mean,
         scale=scale,
         lam=float(lam),
@@ -304,12 +319,11 @@ def lambda_grid(
     """
     if points < 2:
         raise InputError(f"grid needs at least 2 points, got {points}")
-    present = _target_classes(table, target)
+    codes, present = _class_codes(table, target, finite=False)
     Xs, _, _ = _standardize(table.X)
-    labels = np.array(table.labels[target])
     lam_max = 0.0
     for cls in present:
-        y = (labels == cls).astype(float)
+        y = (codes == cls).astype(float)
         lam_max = max(lam_max, float(np.abs(Xs.T @ (y - y.mean())).max()) / len(y))
     if lam_max <= 0.0:
         raise NumericError("all features are uninformative; lambda grid is degenerate")
@@ -319,11 +333,11 @@ def lambda_grid(
     return tuple(np.geomspace(lam_max, lam_max * span, points))
 
 
-def _stratified_folds(labels: np.ndarray, k: int, seed: int) -> np.ndarray:
-    fold_of = np.empty(len(labels), dtype=int)
+def _stratified_folds(codes: np.ndarray, k: int, seed: int) -> np.ndarray:
+    fold_of = np.empty(len(codes), dtype=int)
     rng = generator(seed, "cv-folds")
-    for cls in CLASS_ORDER:
-        members = np.nonzero(labels == cls)[0]
+    for code, cls in enumerate(CLASS_ORDER):
+        members = np.nonzero(codes == code)[0]
         if members.size == 0:
             continue
         if members.size < k:
@@ -345,67 +359,40 @@ def cross_validate(
 ) -> CrossValResult:
     """Stratified k-fold cross-validation over a lambda grid.
 
-    The reported accuracy and confusion matrix pool the validation
-    predictions of every fold at the selected lambda.
+    Each fold fits the whole grid as one lambda path.  The reported
+    accuracy and confusion matrix pool the validation predictions of
+    every fold at the selected lambda.
     """
     if k < 2:
         raise InputError(f"k must be >= 2, got {k}")
-    present = _target_classes(table, target)
-    if len(present) < 2:
-        raise InputError(f"target {target!r} needs at least 2 classes")
-    if not np.all(np.isfinite(table.X)):
-        raise InputError("feature table contains non-finite values")
+    codes, present = _class_codes(table, target)
     if lambdas is None:
         lambdas = lambda_grid(table, target)
     grid = sorted((float(l) for l in lambdas), reverse=True)
-    labels = np.array(table.labels[target])
-    fold_of = _stratified_folds(labels, k, seed)
+    # a fold takes at most ceil(m / k) < m of a class's m >= k members,
+    # so every training split holds every present class
+    fold_of = _stratified_folds(codes, k, seed)
 
-    predictions = np.empty((len(grid), len(labels)), dtype=object)
+    predictions = np.empty((len(grid), len(codes)), dtype=int)  # CLASS_ORDER indices
     fits = unconverged = 0
     for fold in range(k):
         train = fold_of != fold
-        val = ~train
-        fold_classes = [c for c in CLASS_ORDER if c in labels[train]]
-        if len(fold_classes) < 2:
-            raise InputError(f"fold {fold} training split has fewer than 2 classes")
-        Xs, mean, scale = _standardize(table.X[train])
-        XsT = np.ascontiguousarray(Xs.T)
-        ys = [(labels[train] == cls).astype(float) for cls in fold_classes]
-        Xval = (table.X[val] - mean) / scale
-        # Descend the grid, warm-starting each class's fit from the
-        # previous lambda; the converged solutions match cold starts
-        # within the coordinate tolerance at a fraction of the sweeps.
-        inits: list[tuple[np.ndarray, float] | None] = [None] * len(fold_classes)
-        for g, lam in enumerate(grid):
-            W = np.zeros((len(fold_classes), len(table.columns)))
-            b = np.zeros(len(fold_classes))
-            for c in range(len(fold_classes)):
-                W[c], b[c], converged = _fit_binary(XsT, ys[c], lam, inits[c])
-                inits[c] = (W[c], b[c])
-                fits += 1
-                unconverged += not converged
-            scores = Xval @ W.T + b
-            predictions[g, val] = [fold_classes[i] for i in np.argmax(scores, axis=1)]
-
+        mean, scale, W, b, missed = _fit_path(table.X[train], codes[train], present, grid)
+        scores = ((table.X[~train] - mean) / scale) @ W.transpose(0, 2, 1) + b[:, None, :]
+        predictions[:, ~train] = present[np.argmax(scores, axis=2)]
+        fits += b.size
+        unconverged += missed
     _warn_unconverged(target, unconverged, fits)
 
-    fold_acc = np.empty((len(grid), k))
-    for g in range(len(grid)):
-        for fold in range(k):
-            val = fold_of == fold
-            fold_acc[g, fold] = float(np.mean(predictions[g, val] == labels[val]))
+    correct = predictions == codes
+    in_fold = fold_of == np.arange(k)[:, None]  # (fold, trial)
+    fold_acc = (correct[:, None, :] & in_fold).sum(axis=2) / in_fold.sum(axis=1)
     mean_acc = fold_acc.mean(axis=1)
     best = int(np.argmax(mean_acc))  # grid is descending, so ties pick larger lambda
-
-    pooled = predictions[best]
-    accuracy = float(np.mean(pooled == labels))
-    confusion = np.zeros((len(CLASS_ORDER), len(CLASS_ORDER)), dtype=int)
-    order = {cls: i for i, cls in enumerate(CLASS_ORDER)}
-    for true, pred in zip(labels, pooled):
-        confusion[order[true], order[pred]] += 1
+    n = len(CLASS_ORDER)
+    confusion = np.bincount(codes * n + predictions[best], minlength=n * n).reshape(n, n)
     return CrossValResult(
-        accuracy=accuracy,
+        accuracy=float(np.mean(correct[best])),
         confusion=confusion,
         selected_lambda=grid[best],
         fold_accuracies=tuple(fold_acc[best]),

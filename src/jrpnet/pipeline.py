@@ -83,7 +83,6 @@ from .netbuild import (
 from .recurrence import threshold_for_rate
 from .seeding import derive_seed
 from .tempnet import (
-    FEATURE_SCHEMA_VERSION,
     ReachabilityReport,
     feature_vector,
     reachability_and_latency,  # noqa: F401  (bound here for perfbench/tracing.py)
@@ -338,10 +337,9 @@ def _envelope(stage: str, config: PipelineConfig, digests: dict, classes=None, *
     ``metric``, ``target``)."""
     stages = list(STAGE_FIELDS)
     fields = [k for s in stages[: stages.index(stage) + 1] for k in STAGE_FIELDS[s]]
-    values = config.to_dict()
     stamp = {
         "schema_version": CONFIG_SCHEMA_VERSION,
-        "config": {k: values[k] for k in fields},
+        "config": {k: getattr(config, k) for k in fields},
         "trials": dict(digests),
     }
     if classes is not None:
@@ -609,7 +607,6 @@ def stage_features(
 
     names = features[trial_ids[0]][first].names(nodes)
     lines = [
-        f"# schema_version={FEATURE_SCHEMA_VERSION}",
         f"# stamp={_json_line(envelope['stamp'])}",
         ",".join(["trial_id", "metric"] + names),
     ]

@@ -26,7 +26,6 @@ from .netbuild import TemporalNetwork
 from .seeding import generator
 
 __all__ = [
-    "FEATURE_SCHEMA_VERSION",
     "ReachabilityReport",
     "TemporalFeatures",
     "SmallWorldness",
@@ -36,10 +35,8 @@ __all__ = [
     "feature_vector",
 ]
 
-#: Bump when the feature layout below changes.
-FEATURE_SCHEMA_VERSION = 1
-
-#: The scalar feature columns in order; a ``corr_<node>`` column per node follows.
+#: The scalar feature columns in order; a ``corr_<node>`` column per node
+#: follows.  A change of this layout bumps ``config.CONFIG_SCHEMA_VERSION``.
 SCALAR_FEATURES = (
     "efficiency",
     "mean_latency",

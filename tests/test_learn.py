@@ -20,6 +20,7 @@ from jrpnet.learn import (
     lambda_grid,
     model_to_dict,
 )
+from jrpnet.seeding import generator
 
 
 def make_table(n=45, p=6, seed=0, target="valence", separation=2.0):
@@ -279,6 +280,9 @@ def test_lambda_grid_shape_and_pinning():
         lambda_grid(flat, "valence")
     with pytest.raises(InputError, match="2 points"):
         lambda_grid(table, "valence", points=1)
+    single = FeatureTable(table.trial_ids, table.columns, table.X, {"valence": ("low",) * 30})
+    with pytest.raises(InputError, match="at least 2"):
+        lambda_grid(single, "valence")
 
 
 def test_model_roundtrip_and_schema_guard():
@@ -434,5 +438,121 @@ def test_cross_validation_matches_the_residual_form(monkeypatch, shape):
     got = cross_validate(table, "valence", k=3, seed=5)
     monkeypatch.setattr(learn, "_fit_binary", reference_fit_binary)
     want = cross_validate(table, "valence", k=3, seed=5)
+    for field, value in vars(got).items():
+        assert np.array_equal(value, getattr(want, field)), field
+
+
+def test_every_fit_walks_one_warm_started_lambda_path(monkeypatch):
+    table = make_table(n=30, p=4, seed=15)
+    grid = lambda_grid(table, "valence", points=5)
+    calls = []  # every _fit_binary call as (XsT, y, lam, init, result)
+    fit = learn._fit_binary
+
+    def recording(XsT, y, lam, init=None):
+        result = fit(XsT, y, lam, init)
+        calls.append((XsT, y, lam, init, result))
+        return result
+
+    monkeypatch.setattr(learn, "_fit_binary", recording)
+    cross_validate(table, "valence", lambdas=grid[::-1], k=3, seed=0)
+    assert len(calls) == 3 * 3 * len(grid)  # folds x classes x grid points
+    paths = {}
+    for call in calls:  # one path per fold (its standardized matrix) and class
+        paths.setdefault((id(call[0]), call[1].tobytes()), []).append(call)
+    assert len(paths) == 3 * 3
+    for path in paths.values():
+        assert [lam for _, _, lam, _, _ in path] == list(grid)
+        assert path[0][3] is None
+        for prev, call in zip(path, path[1:]):
+            beta, intercept, _ = prev[4]
+            assert np.array_equal(call[3][0], beta) and call[3][1] == intercept
+
+    calls.clear()
+    fit_lasso(table, "valence", grid[2])
+    assert len(calls) == 3
+    assert len({call[1].tobytes() for call in calls}) == 3
+    assert all(init is None and lam == grid[2] for _, _, lam, init, _ in calls)
+
+
+def reference_cross_validate(table, target, lambdas, k, seed):
+    """The per-grid-point loops of ``cross_validate`` before its one lambda
+    path per fold and integer class codes, kept as the oracle."""
+    grid = sorted((float(l) for l in lambdas), reverse=True)
+    labels = np.array(table.labels[target])
+    fold_of = np.empty(len(labels), dtype=int)
+    rng = generator(seed, "cv-folds")
+    for cls in CLASS_ORDER:
+        members = np.nonzero(labels == cls)[0]
+        if members.size:
+            members = members[rng.permutation(members.size)]
+            fold_of[members] = np.arange(members.size) % k
+
+    predictions = np.empty((len(grid), len(labels)), dtype=object)
+    for fold in range(k):
+        train = fold_of != fold
+        val = ~train
+        fold_classes = [c for c in CLASS_ORDER if c in labels[train]]
+        Xs, mean, scale = learn._standardize(table.X[train])
+        XsT = np.ascontiguousarray(Xs.T)
+        ys = [(labels[train] == cls).astype(float) for cls in fold_classes]
+        Xval = (table.X[val] - mean) / scale
+        inits = [None] * len(fold_classes)
+        for g, lam in enumerate(grid):
+            W = np.zeros((len(fold_classes), len(table.columns)))
+            b = np.zeros(len(fold_classes))
+            for c in range(len(fold_classes)):
+                W[c], b[c], _ = learn._fit_binary(XsT, ys[c], lam, inits[c])
+                inits[c] = (W[c], b[c])
+            scores = Xval @ W.T + b
+            predictions[g, val] = [fold_classes[i] for i in np.argmax(scores, axis=1)]
+
+    fold_acc = np.empty((len(grid), k))
+    for g in range(len(grid)):
+        for fold in range(k):
+            val = fold_of == fold
+            fold_acc[g, fold] = float(np.mean(predictions[g, val] == labels[val]))
+    mean_acc = fold_acc.mean(axis=1)
+    best = int(np.argmax(mean_acc))
+    pooled = predictions[best]
+    confusion = np.zeros((len(CLASS_ORDER), len(CLASS_ORDER)), dtype=int)
+    for true, pred in zip(labels, pooled):
+        confusion[CLASS_ORDER.index(true), CLASS_ORDER.index(pred)] += 1
+    return CrossValResult(
+        accuracy=float(np.mean(pooled == labels)),
+        confusion=confusion,
+        selected_lambda=grid[best],
+        fold_accuracies=tuple(fold_acc[best]),
+        lambda_grid=tuple(grid),
+        mean_accuracy_per_lambda=tuple(mean_acc),
+    )
+
+
+def two_class_table(n, p, seed):
+    """make_table with its medium class relabeled high."""
+    table = make_table(n=n, p=p, seed=seed)
+    labels = tuple("high" if c == "medium" else c for c in table.labels["valence"])
+    return FeatureTable(table.trial_ids, table.columns, table.X, {"valence": labels})
+
+
+REFERENCE_CASES = [
+    # (table, k): n > p, n < p, a weak signal, two classes
+    (lambda: make_table(n=30, p=4, seed=15), 3),
+    (lambda: make_table(n=45, p=6, seed=24, separation=1.0), 5),
+    (lambda: make_table(n=15, p=20, seed=25), 3),
+    (lambda: make_table(n=60, p=12, seed=26, separation=0.5), 4),
+    (lambda: two_class_table(n=36, p=5, seed=27), 3),
+]
+
+
+@pytest.mark.parametrize("max_sweeps", [1, learn.MAX_SWEEPS])
+@pytest.mark.parametrize("grid", ["default", "tied"])
+@pytest.mark.parametrize("case", range(len(REFERENCE_CASES)))
+def test_cross_validation_matches_the_per_lambda_loops(monkeypatch, case, grid, max_sweeps):
+    monkeypatch.setattr(learn, "MAX_SWEEPS", max_sweeps)
+    make, k = REFERENCE_CASES[case]
+    table = make()
+    lambdas = lambda_grid(table, "valence") if grid == "default" else (1e5, 1e6)
+    got = cross_validate(table, "valence", lambdas=lambdas, k=k, seed=case)
+    want = reference_cross_validate(table, "valence", lambdas, k, case)
     for field, value in vars(got).items():
         assert np.array_equal(value, getattr(want, field)), field

@@ -113,6 +113,15 @@ def test_features_csv_layout(dataset, pipeline_out):
         assert len(row["values"]) == len(columns)
 
 
+def test_features_csv_comments_are_its_digest_and_stamp(pipeline_out):
+    out_dir, _ = pipeline_out
+    lines = (out_dir / "features.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.partition("=")[0] for line in lines if line.startswith("#")] == [
+        "# digest",
+        "# stamp",
+    ]
+
+
 def test_evaluation_report_layout(pipeline_out):
     _, report = pipeline_out
     assert report["stamp"]["config"] == CONFIG.to_dict()

@@ -6,7 +6,6 @@ import pytest
 from jrpnet.errors import InputError
 from jrpnet.netbuild import TemporalNetwork
 from jrpnet.tempnet import (
-    FEATURE_SCHEMA_VERSION,
     feature_vector,
     reachability_and_latency,
     temporal_correlation,
@@ -471,7 +470,6 @@ def test_feature_vector_of_complete_network():
     names = features.names(tn.nodes)
     assert names[-3:] == ["corr_n0", "corr_n1", "corr_n2"]
     assert len(names) == len(features.values())
-    assert FEATURE_SCHEMA_VERSION == 1
 
 
 def test_feature_vector_of_empty_network_is_flagged_zeros():
