@@ -1,9 +1,13 @@
 """Command-line driver.
 
-One subcommand per pipeline stage plus ``synth`` for generating labeled
-synthetic datasets and ``pipeline`` for the whole chain.  A JSON config
-file (via ``--config``) feeds every stage; individual flags override
-config fields, which override the built-in defaults.
+One subcommand per pipeline stage (``embed-params``, ``analyze``,
+``features``, ``evaluate``, ``train``), ``pipeline`` for the whole chain,
+and ``synth`` for generating labeled synthetic datasets.  Every stage
+command takes the same flags: ``--in``, ``--out``, ``--config``,
+``--seed`` and ``--jobs``, plus ``--target`` on ``train``.  A JSON config
+file (via ``--config``) feeds every stage alike, and ``--seed`` overrides
+its seed, so running the stages one by one writes what ``pipeline``
+writes.
 
 Exit codes: 0 success, 2 malformed input, 3 numeric or degenerate data.
 """
@@ -14,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .config import WEIGHT_METRICS, PipelineConfig, load_config
+from .config import load_config
 from .errors import InputError, JrpnetError
 from .pipeline import (
     TARGETS,
@@ -28,6 +32,47 @@ from .pipeline import (
 from . import synth
 
 __all__ = ["main", "build_parser"]
+
+
+def _evaluation_lines(report: dict, out: str) -> str:
+    return "\n".join(
+        f"{target}/{metric}: accuracy {entry['accuracy']:.3f} "
+        f"at lambda {entry['selected_lambda']:.5g}"
+        for target, per_metric in sorted(report["results"].items())
+        for metric, entry in sorted(per_metric.items())
+    )
+
+
+#: stage command -> (help text, stage function, the text to print given
+#: the stage's result and the output directory)
+_STAGES = {
+    "embed-params": (
+        "estimate embedding parameters per channel",
+        stage_embed_params,
+        lambda artifact, out: json.dumps(artifact["trials"], indent=2, sort_keys=True),
+    ),
+    "analyze": (
+        "build weighted and binarized networks",
+        stage_analyze,
+        lambda networks, out: f"networks of {len(networks)} trials in {out}/networks",
+    ),
+    "features": (
+        "compute temporal features per trial",
+        stage_features,
+        lambda path, out: f"wrote {path}",
+    ),
+    "train": (
+        "fit final models at the cross-validated lambda",
+        stage_train,
+        lambda paths, out: "\n".join(f"wrote {path}" for path in paths),
+    ),
+    "evaluate": (
+        "cross-validate and write the evaluation report",
+        stage_evaluate,
+        _evaluation_lines,
+    ),
+    "pipeline": ("run every stage end to end", run_pipeline, _evaluation_lines),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -51,35 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="JSON coupling spec (single trial, trial list, or preset)")
     add_common(p, with_in=False)
-
-    p = sub.add_parser("embed-params", help="estimate embedding parameters per channel")
-    add_common(p)
-
-    p = sub.add_parser("analyze", help="build weighted and binarized networks")
-    p.add_argument("--metric", choices=WEIGHT_METRICS, help="override weight metric")
-    add_common(p)
-
-    p = sub.add_parser("features", help="compute temporal features per trial")
-    add_common(p)
-
-    p = sub.add_parser("train", help="fit final models at the cross-validated lambda")
-    p.add_argument("--target", choices=TARGETS + ("both",), default="both")
-    add_common(p)
-
-    p = sub.add_parser("evaluate", help="cross-validate and write the evaluation report")
-    add_common(p)
-
-    p = sub.add_parser("pipeline", help="run every stage end to end")
-    p.add_argument("--metric", choices=WEIGHT_METRICS, help="override weight metric")
-    add_common(p)
+    for command, (help_text, _, _) in _STAGES.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "train":
+            p.add_argument("--target", choices=TARGETS + ("both",), default="both")
+        add_common(p)
     return parser
-
-
-def _config_from(args: argparse.Namespace) -> PipelineConfig:
-    overrides = {"seed": args.seed}
-    if getattr(args, "metric", None) is not None:
-        overrides["weight_metric"] = args.metric
-    return load_config(args.config, **overrides)
 
 
 def _cmd_synth(args: argparse.Namespace) -> None:
@@ -97,74 +119,22 @@ def _cmd_synth(args: argparse.Namespace) -> None:
         synth.write_dataset(specs, labels, args.out)
         print(f"wrote {len(specs)} trials to {args.out}")
         return
-    spec = synth.CouplingSpec.from_dict(raw)
-    recording = synth.generate(spec)
-    csv_path, _ = synth.write_recording(recording, args.out)
-    spec_path = csv_path[: -len(".csv")] + ".spec.json"
-    with open(spec_path, "w", encoding="utf-8") as fh:
-        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {csv_path}")
+    print(f"wrote {synth.write_trial(synth.CouplingSpec.from_dict(raw), args.out)}")
 
 
-def _cmd_embed_params(args: argparse.Namespace) -> None:
-    config = _config_from(args)
-    artifact = stage_embed_params(args.data_dir, args.out, config, args.jobs)
-    print(json.dumps(artifact["trials"], indent=2, sort_keys=True))
-
-
-def _cmd_analyze(args: argparse.Namespace) -> None:
-    config = _config_from(args)
-    networks = stage_analyze(args.data_dir, args.out, config, args.jobs)
-    print(f"networks of {len(networks)} trials in {args.out}/networks")
-
-
-def _cmd_features(args: argparse.Namespace) -> None:
-    config = _config_from(args)
-    path = stage_features(args.data_dir, args.out, config, args.jobs)
-    print(f"wrote {path}")
-
-
-def _cmd_train(args: argparse.Namespace) -> None:
-    config = _config_from(args)
-    targets = TARGETS if args.target == "both" else (args.target,)
-    written = stage_train(args.data_dir, args.out, config, targets, args.jobs)
-    for path in written:
-        print(f"wrote {path}")
-
-
-def _print_evaluation(report: dict) -> None:
-    for target, per_metric in sorted(report["results"].items()):
-        for metric, entry in sorted(per_metric.items()):
-            print(
-                f"{target}/{metric}: accuracy {entry['accuracy']:.3f} "
-                f"at lambda {entry['selected_lambda']:.5g}"
-            )
-
-
-def _cmd_evaluate(args: argparse.Namespace) -> None:
-    _print_evaluation(stage_evaluate(args.data_dir, args.out, _config_from(args), args.jobs))
-
-
-def _cmd_pipeline(args: argparse.Namespace) -> None:
-    _print_evaluation(run_pipeline(args.data_dir, args.out, _config_from(args), args.jobs))
-
-
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "embed-params": _cmd_embed_params,
-    "analyze": _cmd_analyze,
-    "features": _cmd_features,
-    "train": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "pipeline": _cmd_pipeline,
-}
+def _cmd_stage(args: argparse.Namespace) -> None:
+    _, stage, show = _STAGES[args.command]
+    config = load_config(args.config, seed=args.seed)
+    extra = {}
+    if args.command == "train":
+        extra["targets"] = TARGETS if args.target == "both" else (args.target,)
+    print(show(stage(args.data_dir, args.out, config, jobs=args.jobs, **extra), args.out))
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        (_cmd_synth if args.command == "synth" else _cmd_stage)(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

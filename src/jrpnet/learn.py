@@ -242,12 +242,10 @@ def _warn_unconverged(target: str, unconverged: int, fits: int) -> None:
         log.warning(msg, target, unconverged, fits, MAX_SWEEPS)
 
 
-def _class_codes(
-    table: FeatureTable, target: str, finite: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
+def _class_codes(table: FeatureTable, target: str) -> tuple[np.ndarray, np.ndarray]:
     """``target``'s labels as ``CLASS_ORDER`` indices and the ascending indices
     of the classes present, once they are known classes, at least two of
-    them; with ``finite``, every feature must also be finite."""
+    them, and every feature is finite."""
     if target not in table.labels:
         raise InputError(f"table carries no labels for target {target!r}")
     labels = table.labels[target]
@@ -258,7 +256,7 @@ def _class_codes(
     present = np.unique(codes)
     if len(present) < 2:
         raise InputError(f"target {target!r} has {len(present)} class(es); need at least 2")
-    if finite and not np.all(np.isfinite(table.X)):
+    if not np.all(np.isfinite(table.X)):
         raise InputError("feature table contains non-finite values")
     return codes, present
 
@@ -319,7 +317,7 @@ def lambda_grid(
     """
     if points < 2:
         raise InputError(f"grid needs at least 2 points, got {points}")
-    codes, present = _class_codes(table, target, finite=False)
+    codes, present = _class_codes(table, target)
     Xs, _, _ = _standardize(table.X)
     lam_max = 0.0
     for cls in present:

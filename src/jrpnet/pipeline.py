@@ -27,14 +27,16 @@ and a first ``# digest=`` line over the rest of ``features.csv``.
 One rule decides reuse: a stored artifact is current when it holds
 every field of the envelope its stage would write now and its content
 hashes to its digest.  A file that does not parse or does not hash is
-stale, never an error.  Each stage runs the stage before it, returns
-its own artifact if that is current, and otherwise computes and writes
-it; so a command first brings every earlier stage up to date.  The
-per-trial pieces are a trial's network files, current only all
-together, and its entry in ``embedding_params.json``, current when the
-slice of the file's stamp for that trial is.  ``features.csv`` with
-``reachability.json``, ``evaluation.json`` and each model are current
-or stale as a whole.  Networks reach the features stage only through
+stale, never an error.  Each stage checks the inputs that only it
+reads (``evaluate`` and ``train`` load ``labels.csv``), runs the stage
+before it, returns its own artifact if that is current, and otherwise
+computes and writes it; so a missing or malformed labels file fails
+before any trial is embedded, and a command first brings every earlier
+stage up to date.  The per-trial pieces are a trial's network files,
+current only all together, and its entry in ``embedding_params.json``,
+current when the slice of the file's stamp for that trial is.
+``features.csv`` with ``reachability.json``, ``evaluation.json`` and
+each model are current or stale as a whole.  Networks reach the features stage only through
 their files: a freshly analyzed trial is read back as a reused one is.
 An unchanged rerun computes and writes nothing, and running stages one
 by one writes what one run writes.  Writes are atomic (tmp file +
@@ -56,6 +58,7 @@ from .config import CONFIG_SCHEMA_VERSION, STAGE_FIELDS, PipelineConfig
 from .embedding import EmbeddingParams, embed, estimate_delay, estimate_dimension
 from .errors import DegenerateInputError, InputError, JrpnetError
 from .ingest import (
+    LabelRecord,
     Recording,
     load_labels,
     load_recording,
@@ -470,36 +473,39 @@ def _features_current(path: str, envelope: dict) -> bool:
     return _current({"stamp": stamp}, envelope)
 
 
+def _read_labels(data_dir: str | os.PathLike, stage: str) -> dict[str, LabelRecord]:
+    """The labels of every trial in ``data_dir``, by trial id."""
+    trials = discover_trials(data_dir)
+    path = os.path.join(os.fspath(data_dir), "labels.csv")
+    with _stage(stage):
+        if not os.path.isfile(path):
+            raise InputError(f"labels file {path} does not exist")
+        labels = {rec.trial_id: rec for rec in load_labels(path)}
+        missing = [t.trial_id for t in trials if t.trial_id not in labels]
+        if missing:
+            raise InputError(f"trials without labels: {missing}")
+    return labels
+
+
 def _labeled_tables(
-    data_dir: str, out_dir: str, config: PipelineConfig
+    out_dir: str, config: PipelineConfig, labels: dict[str, LabelRecord]
 ) -> tuple[dict[str, FeatureTable], dict[str, str]]:
     """Per-metric feature tables from the current ``features.csv`` with
     discretized labels attached, and the trial digests of its stamp."""
     stamp, columns, rows = read_features_csv(os.path.join(out_dir, "features.csv"))
-    labels_path = os.path.join(os.fspath(data_dir), "labels.csv")
-    with _stage("evaluate"):
-        if not os.path.isfile(labels_path):
-            raise InputError(f"labels file {labels_path} does not exist")
-        labels = {rec.trial_id: rec for rec in load_labels(labels_path)}
-
-        tables: dict[str, FeatureTable] = {}
-        for metric in config.metrics:
-            subset = [r for r in rows if r["metric"] == metric]
-            missing = [r["trial_id"] for r in subset if r["trial_id"] not in labels]
-            if missing:
-                raise InputError(f"trials without labels: {missing}")
-            classes = {
-                target: tuple(
-                    discretize_score(getattr(labels[r["trial_id"]], target)) for r in subset
-                )
-                for target in TARGETS
-            }
-            tables[metric] = FeatureTable(
-                trial_ids=tuple(r["trial_id"] for r in subset),
-                columns=tuple(columns),
-                X=np.array([r["values"] for r in subset], dtype=float),
-                labels=classes,
-            )
+    tables: dict[str, FeatureTable] = {}
+    for metric in config.metrics:
+        subset = [r for r in rows if r["metric"] == metric]
+        classes = {
+            target: tuple(discretize_score(getattr(labels[r["trial_id"]], target)) for r in subset)
+            for target in TARGETS
+        }
+        tables[metric] = FeatureTable(
+            trial_ids=tuple(r["trial_id"] for r in subset),
+            columns=tuple(columns),
+            X=np.array([r["values"] for r in subset], dtype=float),
+            labels=classes,
+        )
     return tables, stamp["trials"]
 
 
@@ -633,9 +639,10 @@ def stage_evaluate(
 ) -> dict:
     """Cross-validate every (target, metric) pair and write the report,
     unless it is current."""
+    labels = _read_labels(data_dir, "evaluate")
     out_dir = os.fspath(out_dir)
     stage_features(data_dir, out_dir, config, jobs)
-    tables, digests = _labeled_tables(data_dir, out_dir, config)
+    tables, digests = _labeled_tables(out_dir, config, labels)
     envelope = _envelope("evaluate", config, digests, _class_digest(tables[config.metrics[0]]))
     path = os.path.join(out_dir, "evaluation.json")
     report = _read_json(path)
@@ -679,9 +686,10 @@ def stage_train(
         for target in targets:
             if target not in TARGETS:
                 raise InputError(f"unknown target {target!r}; choose from {TARGETS}")
+    labels = _read_labels(data_dir, "train")
     out_dir = os.fspath(out_dir)
     results = stage_evaluate(data_dir, out_dir, config, jobs)["results"]
-    tables, digests = _labeled_tables(data_dir, out_dir, config)
+    tables, digests = _labeled_tables(out_dir, config, labels)
     classes = _class_digest(tables[config.metrics[0]])
 
     written = []

@@ -31,6 +31,7 @@ __all__ = [
     "CouplingSpec",
     "generate",
     "write_recording",
+    "write_trial",
     "three_regime_specs",
     "dataset_from_json",
     "write_dataset",
@@ -218,6 +219,16 @@ def write_recording(recording: Recording, out_dir: str | os.PathLike) -> tuple[s
     return csv_path, schema_path
 
 
+def write_trial(spec: CouplingSpec, out_dir: str | os.PathLike) -> str:
+    """Generate one trial and write its CSV, sidecar schema and
+    ``<trial>.spec.json`` provenance record; returns the CSV path."""
+    csv_path, _ = write_recording(generate(spec), out_dir)
+    with open(csv_path[: -len(".csv")] + ".spec.json", "w", encoding="utf-8") as fh:
+        json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    return csv_path
+
+
 # Three-regime benchmark: four 2-channel modalities whose cross-modality
 # coupling is either widespread, confined to one pair, or absent.
 _REGIME_CHANNELS = ("m1a", "m1b", "m2a", "m2b", "m3a", "m3b", "m4a", "m4b")
@@ -338,12 +349,7 @@ def write_dataset(
     """Materialize recordings, sidecar schemas, specs, and a labels CSV."""
     os.makedirs(out_dir, exist_ok=True)
     for spec in specs:
-        recording = generate(spec)
-        write_recording(recording, out_dir)
-        spec_path = os.path.join(os.fspath(out_dir), f"{spec.trial_id}.spec.json")
-        with open(spec_path, "w", encoding="utf-8") as fh:
-            json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_trial(spec, out_dir)
     labels_path = os.path.join(os.fspath(out_dir), "labels.csv")
     with open(labels_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("trial_id,valence,arousal\n")

@@ -40,6 +40,13 @@ def config_file(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def jdet_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli-cfg") / "jdet.json"
+    path.write_text(json.dumps({**SMALL_CONFIG, "weight_metric": "JDET"}))
+    return path
+
+
 def test_error_hierarchy():
     assert issubclass(FormatError, InputError)
     assert issubclass(ParseError, InputError)
@@ -102,11 +109,33 @@ def test_pipeline_command(dataset, config_file, tmp_path, capsys):
     assert (out / "model_arousal_JLAM.json").is_file()
 
 
-def test_metric_flag_restricts_outputs(dataset, config_file, tmp_path, capsys):
+def _tree(root):
+    return {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in sorted(root.rglob("*"))
+        if p.is_file()
+    }
+
+
+def test_stages_one_by_one_write_what_pipeline_writes(dataset, jdet_config, tmp_path, capsys):
+    flags = ["--in", str(dataset), "--config", str(jdet_config), "--seed", "5"]
+    staged, whole = tmp_path / "staged", tmp_path / "whole"
+    for command in ("embed-params", "analyze", "features", "evaluate", "train"):
+        assert main([command, "--out", str(staged)] + flags) == 0
+    assert main(["pipeline", "--out", str(whole)] + flags) == 0
+    capsys.readouterr()
+    files = _tree(whole)
+    # embedding parameters, a weighted and a JDET network per trial,
+    # features, reachability, the report and one model per target
+    assert len(files) == 1 + 2 * 6 + 3 + 2
+    assert not [name for name in files if "JLAM" in name]
+    assert _tree(staged) == files
+
+
+def test_metric_flag_restricts_outputs(dataset, jdet_config, tmp_path, capsys):
     out = tmp_path / "out"
     code = main([
-        "analyze", "--in", str(dataset), "--out", str(out),
-        "--config", str(config_file), "--metric", "JDET",
+        "analyze", "--in", str(dataset), "--out", str(out), "--config", str(jdet_config),
     ])
     assert code == 0
     binaries = sorted(p.name for p in (out / "networks").glob("*.binary.jsonl"))
@@ -182,7 +211,9 @@ def test_bad_invocations(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["pipeline", "--in", str(tmp_path)])  # --out is required
     with pytest.raises(SystemExit):
-        main(["analyze", "--in", ".", "--out", ".", "--metric", "DET"])
+        main(["train", "--in", ".", "--out", ".", "--target", "nobody"])
+    with pytest.raises(SystemExit):  # weight_metric is set through --config
+        main(["analyze", "--in", ".", "--out", ".", "--metric", "JDET"])
     with pytest.raises(SystemExit):
         main(["no-such-command"])
     capsys.readouterr()

@@ -285,6 +285,17 @@ def test_lambda_grid_shape_and_pinning():
         lambda_grid(single, "valence")
 
 
+def test_lambda_grid_rejects_non_finite_features():
+    # one NaN cell is an input error, as in cross_validate, not an
+    # uninformative table
+    table = make_table(n=12, p=3, seed=17)
+    X = table.X.copy()
+    X[0, 0] = np.nan
+    bad = FeatureTable(table.trial_ids, table.columns, X, table.labels)
+    with pytest.raises(InputError, match="non-finite"):
+        lambda_grid(bad, "valence")
+
+
 def test_model_roundtrip_and_schema_guard():
     table = make_table(n=24, p=4, seed=19)
     model = fit_lasso(table, "valence", 0.04)

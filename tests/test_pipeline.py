@@ -260,6 +260,33 @@ def test_missing_labels_is_a_clear_error(dataset, pipeline_out, tmp_path):
         stage_evaluate(bare, partial, CONFIG)
 
 
+@pytest.mark.parametrize("stage", [stage_evaluate, stage_train])
+@pytest.mark.parametrize(
+    "labels, match",
+    [
+        (None, "does not exist"),
+        ("trial_id,valence\n", "header"),
+        ("trial_id,valence,arousal\ndense_000,5.0,5.0\n", "trials without labels"),
+    ],
+    ids=["missing", "malformed", "incomplete"],
+)
+def test_bad_labels_fail_before_any_trial_is_embedded(
+    dataset, tmp_path, monkeypatch, stage, labels, match
+):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for t in discover_trials(dataset):
+        os.link(t.csv_path, data_dir / os.path.basename(t.csv_path))
+        os.link(t.schema_path, data_dir / os.path.basename(t.schema_path))
+    if labels is not None:
+        (data_dir / "labels.csv").write_text(labels)
+    embedded, _ = _count_trial_work(monkeypatch)
+    with pytest.raises(InputError, match=match):
+        stage(data_dir, tmp_path / "out", CONFIG)
+    assert embedded == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_empty_data_dir_is_a_clear_error(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
