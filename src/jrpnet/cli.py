@@ -2,9 +2,10 @@
 
 One subcommand per pipeline stage (``embed-params``, ``analyze``,
 ``features``, ``evaluate``, ``train``), ``pipeline`` for the whole chain,
-and ``synth`` for generating labeled synthetic datasets.  Every stage
-command takes the same flags: ``--in``, ``--out``, ``--config``,
-``--seed`` and ``--jobs``, plus ``--target`` on ``train``.  A JSON config
+and ``synth`` for generating labeled synthetic datasets, which takes
+only ``--spec``, ``--out`` and ``--seed``.  Every stage command takes
+the same flags: ``--in``, ``--out``, ``--config``, ``--seed`` and
+``--jobs``, plus ``--target`` on ``train``.  A JSON config
 file (via ``--config``) feeds every stage alike, and ``--seed`` overrides
 its seed, so running the stages one by one writes what ``pipeline``
 writes.
@@ -20,6 +21,7 @@ import sys
 
 from .config import load_config
 from .errors import InputError, JrpnetError
+from .ingest import read_json_object
 from .pipeline import (
     TARGETS,
     run_pipeline,
@@ -85,36 +87,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_in: bool = True) -> None:
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
-        p.add_argument("--out", required=True, help="output directory")
-        if with_in:
-            p.add_argument("--in", dest="data_dir", required=True, help="data directory")
-
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="JSON coupling spec (single trial, trial list, or preset)")
-    add_common(p, with_in=False)
+    p.add_argument("--seed", type=int, help="override the spec seed")
+    p.add_argument("--out", required=True, help="output directory")
     for command, (help_text, _, _) in _STAGES.items():
         p = sub.add_parser(command, help=help_text)
         if command == "train":
             p.add_argument("--target", choices=TARGETS + ("both",), default="both")
-        add_common(p)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--seed", type=int, help="override the config seed")
+        p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--in", dest="data_dir", required=True, help="data directory")
     return parser
 
 
 def _cmd_synth(args: argparse.Namespace) -> None:
-    try:
-        with open(args.spec, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read spec {args.spec}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"spec {args.spec} is not valid JSON: {exc}") from exc
-    if args.seed is not None and isinstance(raw, dict) and "trials" not in raw:
+    raw = read_json_object(args.spec, "spec")
+    if args.seed is not None and "trials" not in raw:
         raw["seed"] = args.seed
-    if isinstance(raw, dict) and ("preset" in raw or "trials" in raw):
+    if "preset" in raw or "trials" in raw:
         specs, labels = synth.dataset_from_json(raw)
         synth.write_dataset(specs, labels, args.out)
         print(f"wrote {len(specs)} trials to {args.out}")

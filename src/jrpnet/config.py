@@ -9,11 +9,11 @@ flags override config-file fields, which override these defaults.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError
+from .ingest import check_keys, check_type, read_json_object
 from .netbuild import METRICS
 from .recurrence import NORMS
 
@@ -55,8 +55,10 @@ class PipelineConfig:
     m_max: int = 10
 
     def __post_init__(self) -> None:
-        if self.window_s <= 0:
-            raise InputError(f"window_s must be > 0, got {self.window_s}")
+        for f in fields(self):
+            check_type(f.name, getattr(self, f.name), f.type)
+        if not 0.0 < self.window_s < float("inf"):
+            raise InputError(f"window_s must be finite and > 0, got {self.window_s}")
         if not 0.0 <= self.overlap < 1.0:
             raise InputError(f"overlap must be in [0, 1), got {self.overlap}")
         if not 0.0 < self.target_rr < 1.0:
@@ -96,10 +98,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise InputError(f"unknown config keys: {unknown}")
+        check_keys("config", raw, (f.name for f in fields(cls)))
         return cls(**raw)
 
     def replace(self, **overrides) -> "PipelineConfig":
@@ -114,18 +113,6 @@ def load_config(path: str | os.PathLike | None, **overrides) -> PipelineConfig:
     Overrides with value None are ignored, so optional CLI flags can be
     passed through directly.
     """
-    raw: dict = {}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise InputError(f"config {path} must hold a JSON object")
-    for key, value in overrides.items():
-        if value is not None:
-            raw[key] = value
+    raw = {} if path is None else read_json_object(path, "config")
+    raw.update((key, value) for key, value in overrides.items() if value is not None)
     return PipelineConfig.from_dict(raw)

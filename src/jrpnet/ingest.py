@@ -3,10 +3,14 @@
 A recording is a CSV file (header = channel names, one sample per row)
 paired with a JSON sidecar that declares the sampling rate and the
 channel-to-modality map.  Labels live in a separate CSV keyed by trial
-id.  Segmentation z-scores each channel over the whole trial first, so
-distances and recurrence thresholds stay comparable across windows, then
-slices fixed-length windows at a uniform stride and drops any trailing
-partial window.
+id.  Each input format has one reader: ``_read_table`` for every CSV
+file (blank lines skipped, rows as wide as the header) and
+``read_json_object`` for every JSON file (sidecars, configs, synth
+specs; an object is required).  Callers check only their content, JSON
+values with ``check_keys`` and ``check_type``.  Segmentation z-scores
+each channel over the whole trial first, so distances and recurrence
+thresholds stay comparable across windows, then slices fixed-length
+windows at a uniform stride and drops any trailing partial window.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import numbers
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,6 +30,9 @@ __all__ = [
     "Recording",
     "Window",
     "LabelRecord",
+    "read_json_object",
+    "check_keys",
+    "check_type",
     "load_recording",
     "load_labels",
     "zscore_channels",
@@ -36,6 +44,14 @@ log = logging.getLogger(__name__)
 
 #: Peak-to-peak spread below which a channel counts as constant.
 CONSTANT_EPS = 1e-12
+
+#: annotation -> (the types it accepts, what an error calls them)
+_VALUE_TYPES = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "str": (str, "a string"),
+    "int | None": ((numbers.Integral, type(None)), "an integer or null"),
+}
 
 
 @dataclass(frozen=True)
@@ -79,16 +95,67 @@ class LabelRecord:
     arousal: float
 
 
-def _load_schema(schema_path: str | os.PathLike) -> tuple[float, dict[str, str]]:
+def read_json_object(path: str | os.PathLike, what: str) -> dict:
+    """Parse the JSON file at ``path``, which must hold an object; ``what``
+    names the file in every error."""
     try:
-        with open(schema_path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read schema {schema_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"schema {schema_path} is not valid JSON: {exc}") from exc
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise SchemaError(f"schema {schema_path} must be a JSON object")
+        raise FormatError(f"{what} {path} must hold a JSON object")
+    return raw
+
+
+def check_keys(what: str, raw: dict, known) -> None:
+    """InputError listing the keys of ``raw`` that ``known`` lacks."""
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise InputError(f"unknown {what} keys: {unknown}")
+
+
+def check_type(key: str, value, annotation: str) -> None:
+    """InputError naming ``key`` unless ``value`` fits ``annotation``, one
+    of ``"int"``, ``"float"``, ``"str"`` and ``"int | None"``; a bool is
+    never a number."""
+    accepted, kind = _VALUE_TYPES[annotation]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise InputError(f"{key} must be {kind}, got {value!r}")
+
+
+def _read_table(path: str | os.PathLike, what: str) -> tuple[list[str], list[list[str]]]:
+    """The stripped header cells and the data rows of a CSV file, skipping
+    blank lines; every row must be as wide as the header."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = [row for row in csv.reader(fh) if row]
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    except (csv.Error, ValueError) as exc:  # a malformed field or invalid UTF-8
+        raise ParseError(f"{what} {path} is not valid CSV: {exc}") from exc
+    if not rows:
+        raise FormatError(f"{path}: empty file")
+    header = [cell.strip() for cell in rows[0]]
+    for i, row in enumerate(rows[1:]):
+        if len(row) != len(header):
+            raise FormatError(f"{path}: row {i + 1} has {len(row)} cells, expected {len(header)}")
+    return header, rows[1:]
+
+
+def _number(path, header: list[str], i: int, j: int, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ParseError(
+            f"{path}: row {i + 1}, column {header[j]!r}: cannot parse {cell!r} as a number"
+        ) from None
+
+
+def _load_schema(schema_path: str | os.PathLike) -> tuple[float, dict[str, str]]:
+    raw = read_json_object(schema_path, "schema")
     try:
         rate = float(raw["sampling_rate_hz"])
         channels = raw["channels"]
@@ -98,13 +165,11 @@ def _load_schema(schema_path: str | os.PathLike) -> tuple[float, dict[str, str]]
         raise SchemaError(f"schema {schema_path}: bad sampling_rate_hz") from exc
     if not np.isfinite(rate) or rate <= 0:
         raise SchemaError(f"schema {schema_path}: sampling_rate_hz must be > 0")
-    if not isinstance(channels, dict) or not channels:
-        raise SchemaError(f"schema {schema_path}: channels must be a non-empty map")
-    for name, modality in channels.items():
-        if not isinstance(name, str) or not isinstance(modality, str) or not modality:
-            raise SchemaError(
-                f"schema {schema_path}: channel entries must map name to modality"
-            )
+    # JSON object keys are strings, so only the modalities need a check
+    if not isinstance(channels, dict) or not channels or not all(
+        isinstance(modality, str) and modality for modality in channels.values()
+    ):
+        raise SchemaError(f"schema {schema_path}: channels must map each name to a modality")
     return rate, dict(channels)
 
 
@@ -115,17 +180,7 @@ def load_recording(path: str | os.PathLike, schema_path: str | os.PathLike) -> R
     (any column order); samples are returned in schema order.
     """
     rate, channel_map = _load_schema(schema_path)
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise FormatError(f"{path}: empty file") from None
-            header = [h.strip() for h in header]
-            rows = list(reader)
-    except OSError as exc:
-        raise InputError(f"cannot read recording {path}: {exc}") from exc
+    header, rows = _read_table(path, "recording")
 
     missing = set(channel_map) - set(header)
     extra = set(header) - set(channel_map)
@@ -137,22 +192,13 @@ def load_recording(path: str | os.PathLike, schema_path: str | os.PathLike) -> R
         raise FormatError(f"{path}: duplicate channel columns in header")
     if not rows:
         raise FormatError(f"{path}: no sample rows")
-
-    n_cols = len(header)
-    data = np.empty((len(rows), n_cols), dtype=float)
-    for i, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise FormatError(
-                f"{path}: row {i + 1} has {len(row)} cells, expected {n_cols}"
-            )
-        for j, cell in enumerate(row):
-            try:
-                data[i, j] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {i + 1}, column {header[j]!r}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:  # parse again, cell by cell, to name the bad one
+        data = np.array([
+            [_number(path, header, i, j, cell) for j, cell in enumerate(row)]
+            for i, row in enumerate(rows)
+        ])
 
     # Reorder columns into schema order.
     order = [header.index(name) for name in channel_map]
@@ -170,45 +216,24 @@ def load_recording(path: str | os.PathLike, schema_path: str | os.PathLike) -> R
 
 def load_labels(path: str | os.PathLike) -> list[LabelRecord]:
     """Load trial labels; scores must lie in [1, 9] and trial ids be unique."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise FormatError(f"{path}: empty file") from None
-            rows = [r for r in reader if r]
-    except OSError as exc:
-        raise InputError(f"cannot read labels {path}: {exc}") from exc
-
+    header, rows = _read_table(path, "labels")
     required = ["trial_id", "valence", "arousal"]
     if [h for h in header if h in required] != required or not set(required) <= set(header):
         raise FormatError(f"{path}: header must contain columns {required}")
-    idx = {name: header.index(name) for name in required}
+    t, *scored = (header.index(name) for name in required)
 
     out: list[LabelRecord] = []
     seen: set[str] = set()
     for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise FormatError(f"{path}: row {i + 1} has {len(row)} cells")
-        trial_id = row[idx["trial_id"]].strip()
+        trial_id = row[t].strip()
         if trial_id in seen:
             raise InputError(f"{path}: duplicate trial_id {trial_id!r}")
         seen.add(trial_id)
-        scores = {}
-        for key in ("valence", "arousal"):
-            cell = row[idx[key]]
-            try:
-                scores[key] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {i + 1}: cannot parse {key} value {cell!r}"
-                ) from None
-            if not 1.0 <= scores[key] <= 9.0:
-                raise InputError(
-                    f"{path}: row {i + 1}: {key}={scores[key]} outside [1, 9]"
-                )
-        out.append(LabelRecord(trial_id, scores["valence"], scores["arousal"]))
+        scores = [_number(path, header, i, j, row[j]) for j in scored]
+        for j, score in zip(scored, scores):
+            if not 1.0 <= score <= 9.0:
+                raise InputError(f"{path}: row {i + 1}: {header[j]}={score} outside [1, 9]")
+        out.append(LabelRecord(trial_id, *scores))
     return out
 
 
@@ -230,13 +255,7 @@ def zscore_channels(recording: Recording) -> Recording:
             data[k] = 0.0
             continue
         data[k] = (x - x.mean()) / x.std()
-    return Recording(
-        trial_id=recording.trial_id,
-        sampling_rate_hz=recording.sampling_rate_hz,
-        channel_names=recording.channel_names,
-        modalities=recording.modalities,
-        samples=data,
-    )
+    return replace(recording, samples=data)
 
 
 def window_geometry(
@@ -278,19 +297,14 @@ def segment_windows(
     """
     length, stride = window_geometry(recording, window_s, overlap_fraction)
     normalized = zscore_channels(recording)
-    windows: list[Window] = []
-    start = 0
-    index = 0
-    while start + length <= recording.duration_samples:
-        windows.append(
-            Window(
-                index=index,
-                start_sample=start,
-                length_samples=length,
-                channel_names=recording.channel_names,
-                samples=normalized.samples[:, start : start + length].copy(),
-            )
+    starts = range(0, recording.duration_samples - length + 1, stride)
+    return [
+        Window(
+            index=index,
+            start_sample=start,
+            length_samples=length,
+            channel_names=recording.channel_names,
+            samples=normalized.samples[:, start : start + length].copy(),
         )
-        start += stride
-        index += 1
-    return windows
+        for index, start in enumerate(starts)
+    ]

@@ -17,14 +17,15 @@ never reshuffles the randomness of the others.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .errors import InputError
-from .ingest import Recording
+from .ingest import Recording, check_keys, check_type
 from .seeding import generator
 
 __all__ = [
@@ -45,6 +46,14 @@ OSCILLATOR_BAND_HZ = (0.8, 1.2)
 OSCILLATOR_GAIN = 2.0 * np.pi
 
 DYNAMICS = ("coupled_logistic", "coupled_oscillator")
+
+
+#: CouplingSpec field -> the cast from its JSON value
+_SPEC_CASTS = {
+    "n_channels": int, "modality_map": dict, "dynamics": str, "noise_sd": float,
+    "coupling_matrix": lambda value: np.array(value, dtype=float),
+    "length_samples": int, "sampling_rate_hz": float, "seed": int, "trial_id": str,
+}
 
 
 @dataclass(frozen=True)
@@ -88,12 +97,12 @@ class CouplingSpec:
             raise InputError(
                 f"unknown dynamics {self.dynamics!r}; choose one of {DYNAMICS}"
             )
-        if self.noise_sd < 0.0:
-            raise InputError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if not 0.0 <= self.noise_sd < np.inf:
+            raise InputError(f"noise_sd must be finite and >= 0, got {self.noise_sd}")
         if self.length_samples < 2:
             raise InputError(f"length_samples must be >= 2, got {self.length_samples}")
-        if self.sampling_rate_hz <= 0.0:
-            raise InputError(f"sampling_rate_hz must be > 0, got {self.sampling_rate_hz}")
+        if not 0.0 < self.sampling_rate_hz < np.inf:
+            raise InputError(f"sampling_rate_hz must be finite and > 0, got {self.sampling_rate_hz}")
         if self.dynamics == "coupled_logistic":
             row_sums = mu.sum(axis=1)
             if np.any(row_sums >= 1.0):
@@ -118,20 +127,19 @@ class CouplingSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CouplingSpec":
-        try:
-            return cls(
-                n_channels=int(raw["n_channels"]),
-                modality_map=dict(raw["modality_map"]),
-                coupling_matrix=np.array(raw["coupling_matrix"], dtype=float),
-                dynamics=raw.get("dynamics", "coupled_logistic"),
-                noise_sd=float(raw.get("noise_sd", 0.0)),
-                length_samples=int(raw.get("length_samples", 1280)),
-                sampling_rate_hz=float(raw.get("sampling_rate_hz", 128.0)),
-                seed=int(raw.get("seed", 0)),
-                trial_id=str(raw.get("trial_id", "synthetic")),
-            )
-        except KeyError as exc:
-            raise InputError(f"coupling spec lacks required key {exc}") from exc
+        """Spec from its JSON form; absent optional keys take the field
+        defaults."""
+        check_keys("coupling spec", raw, _SPEC_CASTS)
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in raw:
+                raise InputError(f"coupling spec lacks required key {f.name!r}")
+        kwargs = {}
+        for key, value in raw.items():
+            try:
+                kwargs[key] = _SPEC_CASTS[key](value)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"coupling spec {key}: {exc}") from exc
+        return cls(**kwargs)
 
 
 def _logistic(spec: CouplingSpec) -> np.ndarray:
@@ -308,33 +316,30 @@ def dataset_from_json(raw: dict) -> tuple[list[CouplingSpec], dict[str, tuple[fl
     if "preset" in raw:
         if raw["preset"] != "three_regime":
             raise InputError(f"unknown preset {raw['preset']!r}")
-        kwargs = {
-            key: raw[key]
-            for key in (
-                "n_per_regime",
-                "seed",
-                "strength",
-                "noise_sd",
-                "length_samples",
-                "sampling_rate_hz",
-            )
-            if key in raw
-        }
-        kwargs.setdefault("n_per_regime", 20)
-        kwargs.setdefault("seed", 0)
+        params = inspect.signature(three_regime_specs).parameters
+        kwargs = {"n_per_regime": 20, "seed": 0, **raw}
+        del kwargs["preset"]
+        check_keys("preset", kwargs, params)
+        for key, value in kwargs.items():
+            check_type(key, value, params[key].annotation)
         return three_regime_specs(**kwargs)
     if "trials" in raw:
+        trials = raw["trials"]
+        if not isinstance(trials, list) or not all(isinstance(t, dict) for t in trials):
+            raise InputError("dataset spec 'trials' must be a list of JSON objects")
         specs = []
         labels = {}
-        for entry in raw["trials"]:
+        for entry in trials:
             entry = dict(entry)
-            valence = float(entry.pop("valence", 5.0))
-            arousal = float(entry.pop("arousal", 5.0))
+            try:
+                scores = (float(entry.pop("valence", 5.0)), float(entry.pop("arousal", 5.0)))
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"dataset spec label: {exc}") from exc
             spec = CouplingSpec.from_dict(entry)
             if spec.trial_id in labels:
                 raise InputError(f"duplicate trial_id {spec.trial_id!r} in dataset spec")
             specs.append(spec)
-            labels[spec.trial_id] = (valence, arousal)
+            labels[spec.trial_id] = scores
         if not specs:
             raise InputError("dataset spec lists no trials")
         return specs, labels

@@ -216,6 +216,8 @@ def test_bad_invocations(tmp_path, capsys):
         main(["analyze", "--in", ".", "--out", ".", "--metric", "JDET"])
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+    with pytest.raises(SystemExit):  # synth takes only --spec, --out and --seed
+        main(["synth", "--spec", "s.json", "--out", ".", "--config", "c.json"])
     capsys.readouterr()
 
 
@@ -234,6 +236,42 @@ def test_config_file_validation_error_exits_2(dataset, tmp_path, capsys):
     ])
     assert code == 2
     assert "overlap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field,value", [("window_s", "5"), ("l_min", 3.0), ("k_folds", 2.5), ("n_null", True)]
+)
+def test_config_type_error_exits_2_before_any_trial_is_embedded(
+    dataset, tmp_path, capsys, field, value
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SMALL_CONFIG, field: value}))
+    out = tmp_path / "out"
+    code = main(["pipeline", "--in", str(dataset), "--out", str(out), "--config", str(bad)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field} must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec,needle",
+    [
+        ([1, 2], "must hold a JSON object"),
+        ({"preset": "three_regime", "n_per_regim": 1}, "n_per_regim"),
+        ({"preset": "three_regime", "n_per_regime": "two"}, "n_per_regime"),
+        ({"n_channels": 2, "modality_map": {"a": "A", "b": "B"},
+          "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]], "noise": 0.5}, "noise"),
+    ],
+)
+def test_malformed_synth_spec_exits_2(tmp_path, capsys, spec, needle):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert main(["synth", "--spec", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+    assert not out.exists()
 
 
 def test_degenerate_trial_in_a_worker_exits_3(tmp_path, capsys):

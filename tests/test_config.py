@@ -3,10 +3,11 @@
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from jrpnet.config import CONFIG_SCHEMA_VERSION, STAGE_FIELDS, PipelineConfig, load_config
-from jrpnet.errors import InputError
+from jrpnet.errors import FormatError, InputError, ParseError
 
 
 def test_default_values():
@@ -62,6 +63,8 @@ def test_replace_checks_the_merged_record():
     "field,value,needle",
     [
         ("window_s", 0.0, "window_s"),
+        ("window_s", float("nan"), "window_s"),
+        ("window_s", float("inf"), "window_s"),
         ("overlap", -0.1, "overlap"),
         ("target_rr", 1.0, "target_rr"),
         ("norm", "L3", "norm"),
@@ -75,11 +78,25 @@ def test_replace_checks_the_merged_record():
         ("k_folds", 1, "k_folds"),
         ("tau_max", 0, "tau_max"),
         ("m_max", 0, "m_max"),
+        # every value has its default's type, and a bool is no number
+        ("window_s", "5", "window_s must be a number"),
+        ("overlap", None, "overlap must be a number"),
+        ("l_min", 3.0, "l_min must be an integer"),
+        ("k_folds", 2.5, "k_folds must be an integer"),
+        ("n_null", True, "n_null must be an integer"),
+        ("lambda_span", False, "lambda_span must be a number"),
+        ("norm", 1, "norm must be a string"),
+        ("tau_max", 8.0, "tau_max must be an integer or null"),
     ],
 )
 def test_field_validation(field, value, needle):
     with pytest.raises(InputError, match=needle):
         PipelineConfig(**{field: value})
+
+
+def test_numbers_of_any_numeric_type_are_accepted():
+    cfg = PipelineConfig(window_s=4, seed=np.int64(3), overlap=np.float64(0.5), tau_max=None)
+    assert (cfg.window_s, cfg.seed, cfg.overlap) == (4, 3, 0.5)
 
 
 def test_load_config_precedence(tmp_path):
@@ -104,9 +121,9 @@ def test_load_config_file_errors(tmp_path):
         load_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    with pytest.raises(InputError, match="not valid JSON"):
+    with pytest.raises(ParseError, match="not valid JSON"):
         load_config(bad)
     array = tmp_path / "array.json"
     array.write_text("[1, 2]")
-    with pytest.raises(InputError, match="JSON object"):
+    with pytest.raises(FormatError, match="JSON object"):
         load_config(array)

@@ -82,6 +82,38 @@ def test_non_numeric_cell_is_parse_error(tmp_path):
         load_recording(csv_path, schema_path)
 
 
+def test_blank_lines_are_skipped(tmp_path):
+    csv_path, schema_path = write_trial(tmp_path)
+    clean = load_recording(csv_path, schema_path)
+    lines = csv_path.read_text().splitlines()
+    csv_path.write_text("\n".join(lines[:4] + [""] + lines[4:]) + "\n\n")
+    spaced = load_recording(csv_path, schema_path)
+    assert np.array_equal(spaced.samples, clean.samples)
+
+
+def test_recordings_and_labels_name_a_bad_cell_alike(tmp_path):
+    csv_path, schema_path = write_trial(tmp_path, rows=[[1.0, 2.0], [3.0, "oops"]])
+    with pytest.raises(ParseError, match="row 2, column 'b': cannot parse 'oops' as a number"):
+        load_recording(csv_path, schema_path)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("trial_id,valence,arousal\nt01,2.5,7.0\nt02,x,7.0\n")
+    with pytest.raises(ParseError, match="row 2, column 'valence': cannot parse 'x' as a number"):
+        load_labels(labels)
+
+
+def test_unreadable_files_are_input_errors(tmp_path):
+    csv_path, schema_path = write_trial(tmp_path)
+    with pytest.raises(InputError, match="cannot read recording"):
+        load_recording(tmp_path / "missing.csv", schema_path)
+    with pytest.raises(InputError, match="cannot read labels"):
+        load_labels(tmp_path / "missing.csv")
+    with pytest.raises(InputError, match="cannot read schema"):
+        load_recording(csv_path, tmp_path / "missing.schema.json")
+    csv_path.write_bytes(b"a,b\n\xff,1\n")
+    with pytest.raises(ParseError, match="not valid CSV"):
+        load_recording(csv_path, schema_path)
+
+
 def test_channel_set_mismatch_is_schema_error(tmp_path):
     csv_path, schema_path = write_trial(
         tmp_path, schema_channels={"a": "EEG", "b": "EEG", "c": "EEG"}
@@ -116,6 +148,12 @@ def test_schema_validation_errors(tmp_path):
         load_recording(csv_path, bad)
     bad.write_text(json.dumps({"sampling_rate_hz": -5, "channels": {"a": "EEG", "b": "EEG"}}))
     with pytest.raises(SchemaError, match="must be > 0"):
+        load_recording(csv_path, bad)
+    bad.write_text("[]")
+    with pytest.raises(FormatError, match="must hold a JSON object"):
+        load_recording(csv_path, bad)
+    bad.write_bytes(b"\xff{}")
+    with pytest.raises(ParseError, match="not valid JSON"):
         load_recording(csv_path, bad)
 
 

@@ -122,10 +122,14 @@ def test_spec_validation_errors():
         pair_spec(dynamics="pendulum")
     with pytest.raises(InputError, match="noise_sd"):
         pair_spec(noise_sd=-0.1)
+    with pytest.raises(InputError, match="noise_sd"):
+        pair_spec(noise_sd=float("nan"))
     with pytest.raises(InputError, match="length_samples"):
         pair_spec(length_samples=1)
     with pytest.raises(InputError, match="sampling_rate_hz"):
         pair_spec(sampling_rate_hz=0.0)
+    with pytest.raises(InputError, match="sampling_rate_hz"):
+        pair_spec(sampling_rate_hz=float("inf"))
 
 
 def test_spec_dict_roundtrip():
@@ -214,3 +218,34 @@ def test_dataset_from_json_trial_list():
         dataset_from_json({"trials": []})
     with pytest.raises(InputError, match="preset.*trials|trials.*preset"):
         dataset_from_json({})
+
+
+def test_spec_from_dict_rejects_what_it_cannot_use():
+    required = {
+        "n_channels": 2,
+        "modality_map": {"a": "EEG", "b": "EMG"},
+        "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]],
+    }
+    # absent optional keys take the dataclass defaults
+    assert CouplingSpec.from_dict(required).to_dict() == CouplingSpec(**required).to_dict()
+    with pytest.raises(InputError, match=r"unknown coupling spec keys: \['noise'\]"):
+        CouplingSpec.from_dict({**required, "noise": 0.5})
+    with pytest.raises(InputError, match="seed"):
+        CouplingSpec.from_dict({**required, "seed": "x"})
+    with pytest.raises(InputError, match="coupling_matrix"):
+        CouplingSpec.from_dict({**required, "coupling_matrix": [[0.0, 0.2], [0.2]]})
+
+
+def test_dataset_from_json_rejects_what_it_cannot_use():
+    with pytest.raises(InputError, match=r"unknown preset keys: \['n_per_regim'\]"):
+        dataset_from_json({"preset": "three_regime", "n_per_regime": 1, "n_per_regim": 1})
+    with pytest.raises(InputError, match="n_per_regime must be an integer"):
+        dataset_from_json({"preset": "three_regime", "n_per_regime": "two"})
+    with pytest.raises(InputError, match="strength must be a number"):
+        dataset_from_json({"preset": "three_regime", "n_per_regime": 1, "strength": True})
+    entry = pair_spec(mu_ab=0.2).to_dict()
+    for trials in ([entry, 1], [entry, [["trial_id", "t2"]]], {"t1": entry}):
+        with pytest.raises(InputError, match="list of JSON objects"):
+            dataset_from_json({"trials": trials})
+    with pytest.raises(InputError, match="label"):
+        dataset_from_json({"trials": [{**entry, "valence": "high"}]})
