@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="JSON coupling spec (single trial, trial list, or preset)")
-    p.add_argument("--seed", type=int, help="override the spec seed")
+    p.add_argument("--seed", type=int, help="override the seed of a single spec or preset")
     p.add_argument("--out", required=True, help="output directory")
     for command, (help_text, _, _) in _STAGES.items():
         p = sub.add_parser(command, help=help_text)
@@ -105,7 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args: argparse.Namespace) -> None:
     raw = read_json_object(args.spec, "spec")
-    if args.seed is not None and "trials" not in raw:
+    if args.seed is not None:
+        if "trials" in raw:
+            raise InputError(
+                "--seed does not apply to a trial list: each listed trial carries its own seed"
+            )
         raw["seed"] = args.seed
     if "preset" in raw or "trials" in raw:
         specs, labels = synth.dataset_from_json(raw)

@@ -10,7 +10,11 @@ windows.
 The dimension scan only asks whether each m's false-neighbor fraction is
 below a threshold, so a rejected m's fraction is not fully counted: its
 nearest-neighbor queries stop as soon as the false neighbors found so far
-decide it.  Only the accepted m is counted over every state.
+decide it.  Only the accepted m is counted over every state.  The rows
+are queried in chunks, each sized to reach the rejecting count at the
+false-neighbor rate seen so far, with 20% headroom.  The count only
+grows, so it stays below the rejecting count in every chunk exactly when
+it does over all states: chunk sizes change the work, never the answer.
 
 AMI uses a plug-in histogram estimate over 16 equal-width bins.  Finite
 sampling biases such a histogram away from zero even for independent
@@ -54,6 +58,12 @@ FNN_RTOL = 10.0
 FNN_ATOL = 2.0
 #: A dimension is accepted once the false-neighbor fraction drops below this.
 FNN_THRESHOLD = 0.05
+#: Leaf size of the scan's KD-tree, built unbalanced and without shrunk
+#: node boxes.  Build plus a query of 20% of the rows, summed over the 120
+#: benchmark channels on 2 vCPUs, at m = 10: 318 ms at leaf size 8, 261 ms
+#: at 16, 205 ms at 64, at or near the best at every m.  The whole scan
+#: took 0.90 s at 16, 0.75 s at 64 and 1.55 s at 4096 (a single leaf).
+FNN_LEAF_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -189,24 +199,28 @@ def _false_neighbor_counts(
 ):
     """Cumulative Kennel false-neighbor counts when growing dimension m -> m+1.
 
-    The states are queried in row chunks, ``first`` rows and then twice
-    the previous chunk each time; after each chunk this yields the number
-    of false neighbors among all rows queried so far.  The last value
-    counts every state.  ``scale`` is the signal's standard deviation and
-    ``repeated`` its :func:`_repeated_values` mask.
+    The states are queried in row chunks; after each chunk this yields the
+    number of false neighbors among all rows queried so far, and the last
+    value counts every state.  The first chunk holds ``first`` rows, the
+    count that rejects m; each next one is sized to find the false
+    neighbors still missing at the rate seen so far, plus 20%, or takes
+    every remaining row while none has been found.  The counts are
+    cumulative, so whether one of them reaches ``first`` depends on the
+    data alone, not on the chunking.  ``scale`` is the signal's standard
+    deviation and ``repeated`` its :func:`_repeated_values` mask.
     """
     n_usable = x.size - m * tau
     states = np.stack([x[i * tau : i * tau + n_usable] for i in range(m)], axis=1)
     ahead = x[m * tau : m * tau + n_usable]
-    tree = cKDTree(states)
+    tree = cKDTree(states, leafsize=FNN_LEAF_SIZE, balanced_tree=False, compact_nodes=False)
     # Exact repeats of periodic signals give dist ~ 0 with extra at float
     # noise; those are true recurrences, not false neighbors, so the
     # relative criterion also demands growth above machine noise.
     noise_floor = 1e-9 * scale
     lowest = second = None
-    count, start, size = 0, 0, max(1, first)
+    count, start, stop = 0, 0, max(1, first)
     while start < n_usable:
-        stop = min(start + size, n_usable)
+        stop = min(stop, n_usable)
         rows = np.arange(start, stop)
         dist, idx = tree.query(states[start:stop], k=2)
         # with repeated states the query point itself may come second, behind
@@ -231,7 +245,9 @@ def _false_neighbor_counts(
         crit_abs = np.sqrt(dist**2 + extra**2) > FNN_ATOL * scale
         count += int(np.count_nonzero(crit_rel | crit_abs))
         yield count
-        start, size = stop, 2 * size
+        missing = max(first - count, 1)
+        start = stop
+        stop += math.ceil(1.2 * missing * stop / count) if count else n_usable
 
 
 def estimate_dimension(

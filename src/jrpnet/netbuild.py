@@ -27,7 +27,7 @@ from .embedding import EmbeddingParams, embed
 from .errors import InputError
 from .ingest import CONSTANT_EPS, Window
 from .recurrence import RecurrenceMatrix, joint_recurrence_plot, recurrence_plot
-from .rqa import DEFAULT_L_MIN, DEFAULT_V_MIN, determinism, laminarity
+from .rqa import DEFAULT_L_MIN, DEFAULT_V_MIN, determinism, laminarity, off_diagonal
 
 __all__ = [
     "METRICS",
@@ -80,10 +80,6 @@ class TemporalNetwork:
         return len(self.nodes)
 
 
-def _metric_value(jrp, metric: str, l_min: int, v_min: int) -> float:
-    return determinism(jrp, l_min) if metric == "JDET" else laminarity(jrp, v_min)
-
-
 def _window_plot(
     window: Window,
     name: str,
@@ -123,12 +119,12 @@ def channel_graphs(
     symmetric ``(windows, channels, channels)`` array in window order, NaN
     where absent (always on the diagonal).
 
-    All metrics share the same joint recurrence plots, so asking for both
-    costs one JRP pass.  A channel's plot shares the rows it has in common
-    with its plot in the window before, so overlapping windows compute
-    only their new states' distances.  Channels marked None in
-    ``embeddings``, or constant within a window, contribute absent
-    weights, the constant ones with a warning.
+    All metrics share the same joint recurrence plots and the same padded
+    off-diagonal copy of each, so asking for both costs one JRP pass.  A
+    channel's plot shares the rows it has in common with its plot in the
+    window before, so overlapping windows compute only their new states'
+    distances.  Channels marked None in ``embeddings``, or constant within
+    a window, contribute absent weights, the constant ones with a warning.
     """
     for metric in metrics:
         if metric not in METRICS:
@@ -153,9 +149,9 @@ def channel_graphs(
                 rp_i, rp_j = plots[names[i]], plots[names[j]]
                 if rp_i is None or rp_j is None:
                     continue
-                jrp = joint_recurrence_plot(rp_i, rp_j)
+                lines = off_diagonal(joint_recurrence_plot(rp_i, rp_j))
                 for m in metrics:
-                    value = _metric_value(jrp, m, l_min, v_min)
+                    value = determinism(lines, l_min) if m == "JDET" else laminarity(lines, v_min)
                     weights[m][t, i, j] = value
                     weights[m][t, j, i] = value
     return weights

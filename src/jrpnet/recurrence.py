@@ -83,11 +83,13 @@ def threshold_for_rate(
     if not 0.0 < target_rr <= 1.0:
         raise InputError(f"target_rr must be in (0, 1], got {target_rr}")
     states = _states(trajectory)
-    dists = pdist(states, metric=_metric(norm))
-    if not np.any(dists > 0.0):
+    metric = _metric(norm)
+    # every distance is zero exactly when every state is the same point
+    if not np.ptp(states, axis=0).any():
         raise DegenerateInputError(
             "all pairwise distances are zero; cannot calibrate a threshold"
         )
+    dists = pdist(states, metric=metric)
     # Each unordered pair appears twice among the ordered off-diagonal
     # distances; quantiles are taken over that full population.  In the
     # doubled sorted array entry j equals sorted(dists)[j // 2], so the

@@ -14,27 +14,43 @@ number of such starts.  A run of length L >= l has L - l + 1 starts of
 l ones and L - l starts of l + 1 ones, so l * N_l - (l - 1) * N_{l+1}
 is exactly the number of points on lines of length >= l.  Counts stay
 integers, so the fractions are exact.
+
+Both measures erode the same padded copy of the matrix and divide by the
+same off-diagonal count: :func:`off_diagonal` makes that copy once, and
+either function takes it in place of the matrix.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InputError
 from .recurrence import RecurrenceMatrix
 
-__all__ = ["determinism", "laminarity"]
+__all__ = ["OffDiagonal", "off_diagonal", "determinism", "laminarity"]
 
 DEFAULT_L_MIN = 3
 DEFAULT_V_MIN = 3
 
 
-def _padded_off_diagonal(matrix: RecurrenceMatrix | np.ndarray) -> tuple[np.ndarray, int]:
+class OffDiagonal(NamedTuple):
     """The bits of a square n x n matrix with the main diagonal cleared,
-    row-major with a zero column appended to every row, as a flat array,
-    and n.  In that layout the next cell down a column is ``n + 1`` on,
-    the next one down a diagonal ``n + 2`` on, and no diagonal wraps into
-    the next row: it runs into the zero column first."""
+    row-major with a zero column appended to every row, as a flat array;
+    n; and the number of set bits.  In that layout the next cell down a
+    column is ``n + 1`` on, the next one down a diagonal ``n + 2`` on, and
+    no diagonal wraps into the next row: it runs into the zero column
+    first."""
+
+    flat: np.ndarray
+    size_n: int
+    total: int
+
+
+def off_diagonal(matrix: RecurrenceMatrix | np.ndarray) -> OffDiagonal:
+    """The padded off-diagonal copy that :func:`determinism` and
+    :func:`laminarity` erode; make it once to ask both of one matrix."""
     bits = matrix.bits if isinstance(matrix, RecurrenceMatrix) else np.asarray(matrix)
     if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
         raise InputError("recurrence matrix must be square")
@@ -43,11 +59,13 @@ def _padded_off_diagonal(matrix: RecurrenceMatrix | np.ndarray) -> tuple[np.ndar
     padded[:, :n] = bits
     flat = padded.ravel()
     flat[:: n + 2] = False
-    return flat, n
+    return OffDiagonal(flat, n, int(np.count_nonzero(flat)))
 
 
-def _lines(matrix: RecurrenceMatrix | np.ndarray, length: int, diagonal: bool):
-    """Off-diagonal recurrence points, and those on lines of >= length.
+def _lines(
+    matrix: RecurrenceMatrix | np.ndarray | OffDiagonal, length: int, diagonal: bool
+) -> float:
+    """Fraction of the off-diagonal recurrence points on lines of >= length.
 
     After k - 1 ANDs with shifted copies, a set cell starts k consecutive
     ones down-right (diagonal) or down (vertical).  Only starts whose run
@@ -56,7 +74,8 @@ def _lines(matrix: RecurrenceMatrix | np.ndarray, length: int, diagonal: bool):
     """
     if length < 2:
         raise InputError(f"{'l_min' if diagonal else 'v_min'} must be >= 2, got {length}")
-    flat, n = _padded_off_diagonal(matrix)
+    lines = matrix if isinstance(matrix, OffDiagonal) else off_diagonal(matrix)
+    flat, n = lines.flat, lines.size_n
     step = n + 2 if diagonal else n + 1
     runs = flat.copy()
     starts = []  # N_length, then N_length+1
@@ -66,22 +85,20 @@ def _lines(matrix: RecurrenceMatrix | np.ndarray, length: int, diagonal: bool):
         if k >= length - 1:
             starts.append(np.count_nonzero(runs[:size]))
     points = length * starts[0] - (length - 1) * starts[1]
-    return np.count_nonzero(flat), points
+    return points / lines.total if lines.total else 0.0
 
 
-def _ratio(num: int, den: int) -> float:
-    return num / den if den else 0.0
-
-
-def determinism(matrix: RecurrenceMatrix | np.ndarray, l_min: int = DEFAULT_L_MIN) -> float:
+def determinism(
+    matrix: RecurrenceMatrix | np.ndarray | OffDiagonal, l_min: int = DEFAULT_L_MIN
+) -> float:
     """Fraction of off-diagonal recurrence points on diagonal lines of
     length >= l_min; 0 when no off-diagonal points exist."""
-    total, points = _lines(matrix, l_min, diagonal=True)
-    return _ratio(points, total)
+    return _lines(matrix, l_min, diagonal=True)
 
 
-def laminarity(matrix: RecurrenceMatrix | np.ndarray, v_min: int = DEFAULT_V_MIN) -> float:
+def laminarity(
+    matrix: RecurrenceMatrix | np.ndarray | OffDiagonal, v_min: int = DEFAULT_V_MIN
+) -> float:
     """Fraction of off-diagonal recurrence points on vertical lines of
     length >= v_min; main-diagonal points are removed before lines form."""
-    total, points = _lines(matrix, v_min, diagonal=False)
-    return _ratio(points, total)
+    return _lines(matrix, v_min, diagonal=False)

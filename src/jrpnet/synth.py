@@ -135,6 +135,8 @@ class CouplingSpec:
                 raise InputError(f"coupling spec lacks required key {f.name!r}")
         kwargs = {}
         for key, value in raw.items():
+            if _SPEC_CASTS[key] is int:
+                check_type(f"coupling spec {key}", value, "int")
             try:
                 kwargs[key] = _SPEC_CASTS[key](value)
             except (TypeError, ValueError) as exc:
@@ -311,7 +313,8 @@ def dataset_from_json(raw: dict) -> tuple[list[CouplingSpec], dict[str, tuple[fl
 
     Preset form: {"preset": "three_regime", "n_per_regime": 20, "seed": 0,
     ...optional overrides...}.  Trial-list form: {"trials": [spec, ...]}
-    where each spec may add "valence"/"arousal" labels (default 5.0).
+    where each spec may add "valence"/"arousal" labels in [1, 9] (default
+    5.0).
     """
     if "preset" in raw:
         if raw["preset"] != "three_regime":
@@ -335,6 +338,9 @@ def dataset_from_json(raw: dict) -> tuple[list[CouplingSpec], dict[str, tuple[fl
                 scores = (float(entry.pop("valence", 5.0)), float(entry.pop("arousal", 5.0)))
             except (TypeError, ValueError) as exc:
                 raise InputError(f"dataset spec label: {exc}") from exc
+            for name, score in zip(("valence", "arousal"), scores):
+                if not 1.0 <= score <= 9.0:
+                    raise InputError(f"dataset spec label {name}={score} outside [1, 9]")
             spec = CouplingSpec.from_dict(entry)
             if spec.trial_id in labels:
                 raise InputError(f"duplicate trial_id {spec.trial_id!r} in dataset spec")

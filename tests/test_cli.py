@@ -91,6 +91,24 @@ def test_synth_single_spec_and_seed_override(tmp_path, capsys):
     assert json.loads((out2 / "solo.spec.json").read_text())["seed"] == 9
 
 
+def test_synth_seed_does_not_apply_to_a_trial_list(tmp_path, capsys):
+    entry = {
+        "n_channels": 2,
+        "modality_map": {"a": "EEG", "b": "EMG"},
+        "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]],
+        "length_samples": 32,
+    }
+    spec = tmp_path / "list.json"
+    spec.write_text(json.dumps({"trials": [{**entry, "trial_id": "t1", "seed": 3}]}))
+    out = tmp_path / "out"
+    assert main(["synth", "--spec", str(spec), "--out", str(out), "--seed", "9"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --seed") and "its own seed" in err[0]
+    assert not out.exists()
+    assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+    assert json.loads((out / "t1.spec.json").read_text())["seed"] == 3
+
+
 def test_pipeline_command(dataset, config_file, tmp_path, capsys):
     out = tmp_path / "out"
     code = main([
@@ -262,6 +280,11 @@ def test_config_type_error_exits_2_before_any_trial_is_embedded(
         ({"preset": "three_regime", "n_per_regime": "two"}, "n_per_regime"),
         ({"n_channels": 2, "modality_map": {"a": "A", "b": "B"},
           "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]], "noise": 0.5}, "noise"),
+        ({"n_channels": 2, "modality_map": {"a": "A", "b": "B"},
+          "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]], "seed": 2.9}, "seed must be an integer"),
+        ({"trials": [{"n_channels": 2, "modality_map": {"a": "A", "b": "B"},
+                      "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]], "valence": 12.0}]},
+         "valence=12.0 outside [1, 9]"),
     ],
 )
 def test_malformed_synth_spec_exits_2(tmp_path, capsys, spec, needle):

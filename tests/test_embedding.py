@@ -1,7 +1,10 @@
 """Delay estimation, false-nearest-neighbor dimension, embedding."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from jrpnet.embedding import (
     AMI_BINS,
@@ -238,10 +241,14 @@ def fnn_oracle(x, m, tau):
     n = x.size - m * tau
     states = np.stack([x[i * tau : i * tau + n] for i in range(m)], axis=1)
     ahead = x[m * tau : m * tau + n]
-    d = np.sqrt(((states[:, None, :] - states[None, :, :]) ** 2).sum(axis=2))
-    np.fill_diagonal(d, np.inf)
-    neighbor = np.argmin(d, axis=1)
-    dist = d[np.arange(n), neighbor]
+    neighbor, dist = np.empty(n, dtype=int), np.empty(n)
+    for a in range(0, n, 256):  # row blocks bound the memory, not the values
+        b = min(a + 256, n)
+        diff = states[a:b, None, :] - states[None, :, :]
+        d = np.sqrt(np.square(diff, out=diff).sum(axis=2))
+        d[np.arange(b - a), np.arange(a, b)] = np.inf
+        neighbor[a:b] = np.argmin(d, axis=1)
+        dist[a:b] = d[np.arange(b - a), neighbor[a:b]]
     extra = np.abs(ahead - ahead[neighbor])
     scale = x.std()
     crit_rel = (extra > FNN_RTOL * dist) & (extra > 1e-9 * scale)
@@ -292,6 +299,57 @@ def noisy_sines():
     noise = np.random.default_rng(5).normal(size=t.size)
     for level in (0.0, 0.05, 0.1, 0.2, 0.4):
         yield np.sin(2 * np.pi * t / 40.0) + level * noise
+
+
+def chunked_fractions(x, m, tau):
+    """The scan's fraction for first chunks of 1, 7, the rejecting count
+    and every row: chunk sizes follow the counts, so each gives another
+    chunking."""
+    n = x.size - m * tau
+    return {fnn_fraction(x, m, tau, first) for first in (1, 7, math.ceil(FNN_THRESHOLD * n), n)}
+
+
+def test_fnn_fraction_does_not_depend_on_the_chunking():
+    for x in noisy_sines():
+        for m in range(1, 7):
+            assert len(chunked_fractions(x, m, 10)) == 1
+
+
+@pytest.mark.parametrize("level, m", [
+    pytest.param(0, 1, marks=pytest.mark.xfail(strict=True, reason=(
+        "the noise-free sine at m = 1 has states equally near two distinct "
+        "states, and the tree, not the lowest index, picks the neighbor"
+    ))),
+    *[(level, m) for level in range(5) for m in range(1, 7) if (level, m) != (0, 1)],
+])
+def test_every_chunking_counts_the_oracle_fraction(level, m):
+    x = list(noisy_sines())[level]
+    assert chunked_fractions(x, m, 10) == {fnn_oracle(x, m, 10)}
+
+
+def test_dimension_queries_at_most_a_fifth_of_the_benchmark_states(monkeypatch):
+    queried = [0]
+
+    class CountingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried[0] += len(x)
+            return super().query(x, *args, **kwargs)
+
+    monkeypatch.setattr(embedding, "cKDTree", CountingTree)
+    states = [0]
+
+    def dimension(x, tau, m_max, threshold=FNN_THRESHOLD):
+        x = np.asarray(x, dtype=float)
+        states[0] += sum(x.size - m * tau for m in range(1, m_max + 1))
+        est = estimate_dimension(x, tau, m_max, threshold)
+        assert est == dimension_oracle(x, tau, m_max, threshold)
+        return est
+
+    monkeypatch.setattr(pipeline, "estimate_dimension", dimension)
+    specs, _ = three_regime_specs(1, 201)
+    for spec in specs:
+        pipeline.estimate_trial_embeddings(generate(spec), PipelineConfig())
+    assert states[0] and queried[0] <= 0.2 * states[0]
 
 
 def test_dimension_equals_the_full_fraction_decision():

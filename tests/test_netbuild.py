@@ -20,7 +20,7 @@ from jrpnet.netbuild import (
     weighted_records,
 )
 from jrpnet.recurrence import NORMS, joint_recurrence_plot, recurrence_plot, threshold_for_rate
-from jrpnet.rqa import determinism, laminarity
+from jrpnet.rqa import determinism, laminarity, off_diagonal
 from jrpnet.synth import CouplingSpec, generate
 
 
@@ -109,6 +109,17 @@ def test_metrics_share_one_graph_pass():
     single = channel_graphs([window], embeddings, ("JLAM",))
     assert list(both) == ["JDET", "JLAM"] and list(single) == ["JLAM"]
     assert np.array_equal(both["JLAM"], single["JLAM"], equal_nan=True)
+
+
+def test_each_jrp_is_padded_once_for_both_metrics(monkeypatch):
+    window = logistic_window(4, 90, seed=12)
+    padded = []
+    monkeypatch.setattr(
+        netbuild, "off_diagonal", lambda jrp: padded.append(jrp) or off_diagonal(jrp)
+    )
+    weights = channel_graphs([window, replace(window, index=1)], simple_embeddings(window))
+    assert len(padded) == 2 * 6
+    assert np.isfinite(weights["JDET"][:, 0, 1]).all()
 
 
 def test_constant_channel_gets_absent_weights(caplog):

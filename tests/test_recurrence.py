@@ -137,6 +137,13 @@ def test_threshold_degenerate_inputs():
         threshold_for_rate(states, 0.1)
     with pytest.raises(InputError):
         threshold_for_rate(np.random.default_rng(0).normal(size=(10, 1)), 0.0)
+    # an unknown norm is named before the states are found degenerate
+    with pytest.raises(InputError, match="unknown norm"):
+        threshold_for_rate(np.zeros((10, 2)), 0.1, "L3")
+    # states that differ in one coordinate only are not degenerate
+    states = np.zeros((10, 3))
+    states[::2, 2] = 1.0
+    assert threshold_for_rate(states, 0.6, "Linf") == 1.0
 
 
 def test_invalid_inputs():

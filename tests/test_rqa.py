@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from jrpnet.errors import InputError
-from jrpnet.rqa import determinism, laminarity
+from jrpnet.recurrence import RecurrenceMatrix
+from jrpnet.rqa import determinism, laminarity, off_diagonal
 
 
 def diagonal_run_lengths(bits):
@@ -193,3 +194,28 @@ def test_matrices_shorter_than_the_line_minimum_have_no_lines(l_min):
     # columns hold one line of exactly l points each: 2l of (l + 1) l points
     ones = np.ones((l_min + 1, l_min + 1), dtype=bool)
     assert determinism(ones, l_min) == laminarity(ones, l_min) == 2 / (l_min + 1)
+
+
+def test_one_padded_copy_serves_both_measures():
+    # the shared copy must give what each function computes from the matrix,
+    # and the two erosions must leave it intact for each other
+    rng = np.random.default_rng(91)
+    matrices = [rng.random((n, n)) < rng.uniform(0.05, 0.6) for n in rng.integers(1, 40, 40)]
+    matrices += [random_symmetric(rng, 25, 0.3), np.ones((12, 12), dtype=bool), np.eye(9, dtype=bool)]
+    hand = np.eye(6, dtype=bool)
+    for i in range(3):
+        hand[i, i + 1] = hand[i + 1, i] = True
+    hand[0, 5] = hand[5, 0] = True
+    matrices.append(hand)
+    for bits in matrices:
+        lines = off_diagonal(bits)
+        assert lines.size_n == len(bits)
+        assert lines.total == sum(diagonal_run_lengths(bits)) == sum(vertical_run_lengths(bits))
+        for length in (2, 3, 5):
+            assert determinism(lines, length) == determinism(bits, length) == brute_det(bits, length)
+            assert laminarity(lines, length) == laminarity(bits, length) == brute_lam(bits, length)
+    plot = RecurrenceMatrix(size_n=6, bits=hand, epsilon=1.0, norm="L1", kind="RP")
+    assert off_diagonal(plot).total == off_diagonal(hand).total == 8
+    assert determinism(off_diagonal(plot), 3) == 0.75
+    with pytest.raises(InputError):
+        off_diagonal(np.ones((3, 4), dtype=bool))

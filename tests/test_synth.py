@@ -234,6 +234,12 @@ def test_spec_from_dict_rejects_what_it_cannot_use():
         CouplingSpec.from_dict({**required, "seed": "x"})
     with pytest.raises(InputError, match="coupling_matrix"):
         CouplingSpec.from_dict({**required, "coupling_matrix": [[0.0, 0.2], [0.2]]})
+    # integer fields take integers, not numbers int() would truncate
+    for key, value in (("seed", 2.9), ("length_samples", 64.9), ("seed", True),
+                       ("n_channels", 2.0), ("length_samples", "64")):
+        with pytest.raises(InputError, match=f"coupling spec {key} must be an integer"):
+            CouplingSpec.from_dict({**required, key: value})
+    assert CouplingSpec.from_dict({**required, "seed": np.int64(7)}).seed == 7
 
 
 def test_dataset_from_json_rejects_what_it_cannot_use():
@@ -249,3 +255,8 @@ def test_dataset_from_json_rejects_what_it_cannot_use():
             dataset_from_json({"trials": trials})
     with pytest.raises(InputError, match="label"):
         dataset_from_json({"trials": [{**entry, "valence": "high"}]})
+    for key, value in (("valence", 12.0), ("arousal", 0.5), ("valence", float("nan"))):
+        with pytest.raises(InputError, match=rf"label {key}=.* outside \[1, 9\]"):
+            dataset_from_json({"trials": [{**entry, key: value}]})
+    specs, labels = dataset_from_json({"trials": [{**entry, "valence": 1, "arousal": 9.0}]})
+    assert labels == {entry["trial_id"]: (1.0, 9.0)}
