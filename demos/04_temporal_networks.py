@@ -55,7 +55,7 @@ embeddings = estimate_trial_embeddings(recording, config)
 # One call per trial gives one (windows, channels, channels) array per
 # metric; each window's recurrence plots reuse the rows they share with
 # the window before.
-weights = channel_graphs(windows, embeddings, ("JDET",))["JDET"]
+weights = channel_graphs(windows, embeddings)["JDET"]
 print(f"{len(weights)} windows, JDET weights of window 0:")
 with np.printoptions(precision=3, suppress=True):
     print(weights[0])

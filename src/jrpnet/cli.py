@@ -5,10 +5,10 @@ One subcommand per pipeline stage (``embed-params``, ``analyze``,
 and ``synth`` for generating labeled synthetic datasets, which takes
 only ``--spec``, ``--out`` and ``--seed``.  Every stage command takes
 the same flags: ``--in``, ``--out``, ``--config``, ``--seed`` and
-``--jobs``, plus ``--target`` on ``train``.  A JSON config
-file (via ``--config``) feeds every stage alike, and ``--seed`` overrides
-its seed, so running the stages one by one writes what ``pipeline``
-writes.
+``--jobs``.  A JSON config file (via ``--config``) feeds every stage
+alike, and ``--seed`` overrides its seed, so running the stages one by
+one writes what ``pipeline`` writes: both weight metrics, and a model
+per target and metric.
 
 Exit codes: 0 success, 2 malformed input, 3 numeric or degenerate data.
 """
@@ -23,7 +23,6 @@ from .config import load_config
 from .errors import InputError, JrpnetError
 from .ingest import read_json_object
 from .pipeline import (
-    TARGETS,
     run_pipeline,
     stage_analyze,
     stage_embed_params,
@@ -93,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     for command, (help_text, _, _) in _STAGES.items():
         p = sub.add_parser(command, help=help_text)
-        if command == "train":
-            p.add_argument("--target", choices=TARGETS + ("both",), default="both")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
@@ -122,10 +119,7 @@ def _cmd_synth(args: argparse.Namespace) -> None:
 def _cmd_stage(args: argparse.Namespace) -> None:
     _, stage, show = _STAGES[args.command]
     config = load_config(args.config, seed=args.seed)
-    extra = {}
-    if args.command == "train":
-        extra["targets"] = TARGETS if args.target == "both" else (args.target,)
-    print(show(stage(args.data_dir, args.out, config, jobs=args.jobs, **extra), args.out))
+    print(show(stage(args.data_dir, args.out, config, jobs=args.jobs), args.out))
 
 
 def main(argv: list[str] | None = None) -> int:

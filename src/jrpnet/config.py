@@ -14,10 +14,9 @@ from dataclasses import asdict, dataclass, fields
 
 from .errors import InputError
 from .ingest import check_keys, check_type, read_json_object
-from .netbuild import METRICS
 from .recurrence import NORMS
 
-__all__ = ["CONFIG_SCHEMA_VERSION", "STAGE_FIELDS", "WEIGHT_METRICS", "PipelineConfig", "load_config"]
+__all__ = ["CONFIG_SCHEMA_VERSION", "STAGE_FIELDS", "PipelineConfig", "load_config"]
 
 CONFIG_SCHEMA_VERSION = 4
 
@@ -26,15 +25,11 @@ CONFIG_SCHEMA_VERSION = 4
 #: train reads nothing evaluate does not.
 STAGE_FIELDS: dict[str, tuple[str, ...]] = {
     "embed-params": ("target_rr", "norm", "tau_max", "m_max"),
-    "analyze": ("window_s", "overlap", "l_min", "v_min", "binarize_rho", "weight_metric"),
+    "analyze": ("window_s", "overlap", "l_min", "v_min", "binarize_rho"),
     "features": ("n_null", "seed"),
     "evaluate": ("lambda_points", "lambda_span", "k_folds"),
     "train": (),
 }
-
-#: Values of ``weight_metric``: one metric, or every one.
-WEIGHT_METRICS = (*METRICS, "both")
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -45,7 +40,6 @@ class PipelineConfig:
     l_min: int = 3
     v_min: int = 3
     binarize_rho: float = 0.5
-    weight_metric: str = "both"
     n_null: int = 20
     lambda_points: int = 20
     lambda_span: float = 1e-3
@@ -69,10 +63,6 @@ class PipelineConfig:
             raise InputError("l_min and v_min must be >= 2")
         if not 0.0 < self.binarize_rho <= 1.0:
             raise InputError(f"binarize_rho must be in (0, 1], got {self.binarize_rho}")
-        if self.weight_metric not in WEIGHT_METRICS:
-            raise InputError(
-                f"weight_metric must be one of {WEIGHT_METRICS}, got {self.weight_metric!r}"
-            )
         if self.n_null < 1:
             raise InputError(f"n_null must be >= 1, got {self.n_null}")
         if self.lambda_points < 2:
@@ -85,13 +75,6 @@ class PipelineConfig:
             raise InputError(f"tau_max must be >= 1 or null, got {self.tau_max}")
         if self.m_max < 1:
             raise InputError(f"m_max must be >= 1, got {self.m_max}")
-
-    @property
-    def metrics(self) -> tuple[str, ...]:
-        """Weight metrics the pipeline computes under this config."""
-        if self.weight_metric == "both":
-            return METRICS
-        return (self.weight_metric,)
 
     def to_dict(self) -> dict:
         return asdict(self)

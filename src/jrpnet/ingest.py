@@ -33,6 +33,7 @@ __all__ = [
     "read_json_object",
     "check_keys",
     "check_type",
+    "load_schema",
     "load_recording",
     "load_labels",
     "zscore_channels",
@@ -154,7 +155,9 @@ def _number(path, header: list[str], i: int, j: int, cell: str) -> float:
         ) from None
 
 
-def _load_schema(schema_path: str | os.PathLike) -> tuple[float, dict[str, str]]:
+def load_schema(schema_path: str | os.PathLike) -> tuple[float, dict[str, str]]:
+    """A sidecar's sampling rate and its map from channel name to modality,
+    in the sidecar's channel order."""
     raw = read_json_object(schema_path, "schema")
     try:
         rate = float(raw["sampling_rate_hz"])
@@ -179,7 +182,7 @@ def load_recording(path: str | os.PathLike, schema_path: str | os.PathLike) -> R
     The CSV header must contain exactly the channels named by the schema
     (any column order); samples are returned in schema order.
     """
-    rate, channel_map = _load_schema(schema_path)
+    rate, channel_map = load_schema(schema_path)
     header, rows = _read_table(path, "recording")
 
     missing = set(channel_map) - set(header)

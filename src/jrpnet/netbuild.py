@@ -110,32 +110,28 @@ def _window_plot(
 def channel_graphs(
     windows: list[Window],
     embeddings: dict[str, ChannelEmbedding | None],
-    metrics: tuple[str, ...] = METRICS,
     l_min: int = DEFAULT_L_MIN,
     v_min: int = DEFAULT_V_MIN,
     norm: str = "L1",
 ) -> dict[str, np.ndarray]:
-    """Pairwise joint-RQA weights of one trial's windows: per metric a
-    symmetric ``(windows, channels, channels)`` array in window order, NaN
-    where absent (always on the diagonal).
+    """Pairwise joint-RQA weights of one trial's windows: for each of
+    ``METRICS`` a symmetric ``(windows, channels, channels)`` array in
+    window order, NaN where absent (always on the diagonal).
 
-    All metrics share the same joint recurrence plots and the same padded
-    off-diagonal copy of each, so asking for both costs one JRP pass.  A
-    channel's plot shares the rows it has in common with its plot in the
-    window before, so overlapping windows compute only their new states'
-    distances.  Channels marked None in ``embeddings``, or constant within
-    a window, contribute absent weights, the constant ones with a warning.
+    Both metrics share the same joint recurrence plots and the same padded
+    off-diagonal copy of each, so they cost one JRP pass.  A channel's plot
+    shares the rows it has in common with its plot in the window before,
+    so overlapping windows compute only their new states' distances.
+    Channels marked None in ``embeddings``, or constant within a window,
+    contribute absent weights, the constant ones with a warning.
     """
-    for metric in metrics:
-        if metric not in METRICS:
-            raise InputError(f"unknown weight metric {metric!r}; choose one of {METRICS}")
     names = windows[0].channel_names if windows else ()
     missing = [n for n in names if n not in embeddings]
     if missing:
         raise InputError(f"no embedding provided for channels {missing}")
 
     n = len(names)
-    weights = {m: np.full((len(windows), n, n), np.nan) for m in metrics}
+    weights = {m: np.full((len(windows), n, n), np.nan) for m in METRICS}
     earlier: Window | None = None
     plots: dict[str, RecurrenceMatrix | None] = {}
     for t, window in enumerate(windows):
@@ -150,8 +146,8 @@ def channel_graphs(
                 if rp_i is None or rp_j is None:
                     continue
                 lines = off_diagonal(joint_recurrence_plot(rp_i, rp_j))
-                for m in metrics:
-                    value = determinism(lines, l_min) if m == "JDET" else laminarity(lines, v_min)
+                values = (determinism(lines, l_min), laminarity(lines, v_min))
+                for m, value in zip(METRICS, values):
                     weights[m][t, i, j] = value
                     weights[m][t, j, i] = value
     return weights

@@ -28,16 +28,18 @@ One rule decides reuse: a stored artifact is current when it holds
 every field of the envelope its stage would write now and its content
 hashes to its digest.  A file that does not parse or does not hash is
 stale, never an error.  Each stage checks the inputs that only it
-reads (``evaluate`` and ``train`` load ``labels.csv``), runs the stage
-before it, returns its own artifact if that is current, and otherwise
-computes and writes it; so a missing or malformed labels file fails
-before any trial is embedded, and a command first brings every earlier
-stage up to date.  The per-trial pieces are a trial's network files,
-current only all together, and its entry in ``embedding_params.json``,
-current when the slice of the file's stamp for that trial is.
-``features.csv`` with ``reachability.json``, ``evaluation.json`` and
-each model are current or stale as a whole.  Networks reach the features stage only through
-their files: a freshly analyzed trial is read back as a reused one is.
+reads (``features`` compares the trials' modality nodes in their
+sidecars, ``evaluate`` loads ``labels.csv``), runs the stage before it,
+returns its own artifact if that is current, and otherwise computes and
+writes it; so trials with different modality nodes and a missing or
+malformed labels file fail before any trial is embedded, and a command
+first brings every earlier stage up to date.  The per-trial pieces are
+a trial's network files, current only all together, and its entry in
+``embedding_params.json``, current when the slice of the file's stamp
+for that trial is.  ``features.csv`` with ``reachability.json``,
+``evaluation.json`` and each model are current or stale as a whole.
+Networks reach the features stage only through their files: a freshly
+analyzed trial is read back as a reused one is.
 An unchanged rerun computes and writes nothing, and running stages one
 by one writes what one run writes.  Writes are atomic (tmp file +
 rename), so interrupted runs never leave partial artifacts behind.
@@ -62,6 +64,7 @@ from .ingest import (
     Recording,
     load_labels,
     load_recording,
+    load_schema,
     segment_windows,
     window_geometry,
     zscore_channels,
@@ -75,6 +78,7 @@ from .learn import (
     model_to_dict,
 )
 from .netbuild import (
+    METRICS,
     ChannelEmbedding,
     TemporalNetwork,
     assemble_temporal_network,
@@ -255,12 +259,7 @@ def analyze_recording(
     """
     windows = segment_windows(recording, config.window_s, config.overlap)
     channel_weights = channel_graphs(
-        windows,
-        embeddings,
-        metrics=config.metrics,
-        l_min=config.l_min,
-        v_min=config.v_min,
-        norm=config.norm,
+        windows, embeddings, l_min=config.l_min, v_min=config.v_min, norm=config.norm
     )
     merged = {}
     for metric, weights in channel_weights.items():
@@ -400,7 +399,7 @@ def _network_files(
         return path, _envelope("analyze", config, {trial_id: digest}, trial_id=trial_id, **names)
 
     files = {"weighted": file("weighted", kind="weighted_graphs")}
-    for metric in config.metrics:
+    for metric in METRICS:
         files[metric] = file(f"{metric}.binary", kind="temporal_network", metric=metric)
     return files
 
@@ -473,6 +472,23 @@ def _features_current(path: str, envelope: dict) -> bool:
     return _current({"stamp": stamp}, envelope)
 
 
+def _common_nodes(trials: list[TrialPaths]) -> tuple[str, ...]:
+    """The modality nodes of every trial, read from its sidecar alone: the
+    sidecar's modalities in first-seen channel order.  InputError naming
+    the first trial whose nodes differ from the first trial's."""
+    first = trials[0].trial_id
+    nodes = {
+        t.trial_id: tuple(dict.fromkeys(load_schema(t.schema_path)[1].values())) for t in trials
+    }
+    for tid, own in nodes.items():
+        if own != nodes[first]:
+            raise InputError(
+                f"trial {tid} has modality nodes {own}, "
+                f"expected {nodes[first]} as in trial {first}"
+            )
+    return nodes[first]
+
+
 def _read_labels(data_dir: str | os.PathLike, stage: str) -> dict[str, LabelRecord]:
     """The labels of every trial in ``data_dir``, by trial id."""
     trials = discover_trials(data_dir)
@@ -488,13 +504,13 @@ def _read_labels(data_dir: str | os.PathLike, stage: str) -> dict[str, LabelReco
 
 
 def _labeled_tables(
-    out_dir: str, config: PipelineConfig, labels: dict[str, LabelRecord]
+    out_dir: str, labels: dict[str, LabelRecord]
 ) -> tuple[dict[str, FeatureTable], dict[str, str]]:
     """Per-metric feature tables from the current ``features.csv`` with
     discretized labels attached, and the trial digests of its stamp."""
     stamp, columns, rows = read_features_csv(os.path.join(out_dir, "features.csv"))
     tables: dict[str, FeatureTable] = {}
-    for metric in config.metrics:
+    for metric in METRICS:
         subset = [r for r in rows if r["metric"] == metric]
         classes = {
             target: tuple(discretize_score(getattr(labels[r["trial_id"]], target)) for r in subset)
@@ -581,6 +597,8 @@ def stage_features(
     """Write the feature CSV and the reachability audit report, unless
     both are current."""
     out_dir = os.fspath(out_dir)
+    with _stage("features"):
+        nodes = _common_nodes(discover_trials(data_dir))
     networks = stage_analyze(data_dir, out_dir, config, jobs)
     digests = _read_json(os.path.join(out_dir, "embedding_params.json"))["stamp"]["trials"]
     path = os.path.join(out_dir, "features.csv")
@@ -589,14 +607,6 @@ def stage_features(
     if _features_current(path, envelope) and _current(_read_json(reach_path), envelope):
         return path
     trial_ids = sorted(networks)
-    first = config.metrics[0]
-    nodes = networks[trial_ids[0]][first].nodes
-    for tid in trial_ids:
-        if networks[tid][first].nodes != nodes:
-            raise InputError(
-                f"trial {tid} has modality nodes {networks[tid][first].nodes}, "
-                f"expected {nodes} as in trial {trial_ids[0]}"
-            )
     # Serial on purpose: temporal features are cheap next to the resident
     # memory a worker pool would add to the run.
     features = {
@@ -611,13 +621,13 @@ def stage_features(
         for tid in trial_ids
     }
 
-    names = features[trial_ids[0]][first].names(nodes)
+    names = features[trial_ids[0]][METRICS[0]].names(nodes)
     lines = [
         f"# stamp={_json_line(envelope['stamp'])}",
         ",".join(["trial_id", "metric"] + names),
     ]
     for tid in trial_ids:
-        for metric in config.metrics:
+        for metric in METRICS:
             values = features[tid][metric].values()
             lines.append(",".join([tid, metric] + [repr(float(v)) for v in values]))
     text = "\n".join(lines) + "\n"
@@ -642,8 +652,8 @@ def stage_evaluate(
     labels = _read_labels(data_dir, "evaluate")
     out_dir = os.fspath(out_dir)
     stage_features(data_dir, out_dir, config, jobs)
-    tables, digests = _labeled_tables(out_dir, config, labels)
-    envelope = _envelope("evaluate", config, digests, _class_digest(tables[config.metrics[0]]))
+    tables, digests = _labeled_tables(out_dir, labels)
+    envelope = _envelope("evaluate", config, digests, _class_digest(tables[METRICS[0]]))
     path = os.path.join(out_dir, "evaluation.json")
     report = _read_json(path)
     if _current(report, envelope):
@@ -652,7 +662,7 @@ def stage_evaluate(
     with _stage("evaluate"):
         for target in TARGETS:
             results[target] = {}
-            for metric in config.metrics:
+            for metric in METRICS:
                 table = tables[metric]
                 grid = lambda_grid(
                     table, target, points=config.lambda_points, span=config.lambda_span
@@ -677,34 +687,32 @@ def stage_train(
     data_dir: str | os.PathLike,
     out_dir: str | os.PathLike,
     config: PipelineConfig,
-    targets: tuple[str, ...] = TARGETS,
     jobs: int = 1,
 ) -> list[str]:
-    """Fit final models at the cross-validated lambda and write those
-    that are not current."""
-    with _stage("train"):
-        for target in targets:
-            if target not in TARGETS:
-                raise InputError(f"unknown target {target!r}; choose from {TARGETS}")
-    labels = _read_labels(data_dir, "train")
-    out_dir = os.fspath(out_dir)
-    results = stage_evaluate(data_dir, out_dir, config, jobs)["results"]
-    tables, digests = _labeled_tables(out_dir, config, labels)
-    classes = _class_digest(tables[config.metrics[0]])
+    """Fit a final model per (target, metric) at the cross-validated
+    lambda and write those that are not current.
 
+    A model is stamped with the trials and classes of the report it takes
+    its lambda from, so the labels and features are read again only when
+    a model has to be refit.
+    """
+    out_dir = os.fspath(out_dir)
+    report = stage_evaluate(data_dir, out_dir, config, jobs)
+    digests, classes = report["stamp"]["trials"], report["stamp"]["classes"]
+    tables = None
     written = []
-    with _stage("train"):
-        for target in targets:
-            for metric in config.metrics:
-                path = os.path.join(out_dir, f"model_{target}_{metric}.json")
-                envelope = _envelope(
-                    "train", config, digests, classes, target=target, metric=metric
-                )
-                if not _current(_read_json(path), envelope):
-                    lam = results[target][metric]["selected_lambda"]
+    for target in TARGETS:
+        for metric in METRICS:
+            path = os.path.join(out_dir, f"model_{target}_{metric}.json")
+            envelope = _envelope("train", config, digests, classes, target=target, metric=metric)
+            if not _current(_read_json(path), envelope):
+                if tables is None:
+                    tables, _ = _labeled_tables(out_dir, _read_labels(data_dir, "train"))
+                lam = report["results"][target][metric]["selected_lambda"]
+                with _stage("train"):
                     model = fit_lasso(tables[metric], target, lam)
-                    _write_json(path, {**envelope, "model": model_to_dict(model)})
-                written.append(path)
+                _write_json(path, {**envelope, "model": model_to_dict(model)})
+            written.append(path)
     return written
 
 
@@ -715,5 +723,5 @@ def run_pipeline(
     jobs: int = 1,
 ) -> dict:
     """Every stage, through the last one's chain; returns the evaluation report."""
-    stage_train(data_dir, out_dir, config, TARGETS, jobs)
+    stage_train(data_dir, out_dir, config, jobs)
     return _read_json(os.path.join(os.fspath(out_dir), "evaluation.json"))

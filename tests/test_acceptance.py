@@ -16,7 +16,7 @@ from scipy.stats import mannwhitneyu
 from jrpnet.config import PipelineConfig
 from jrpnet.ingest import Window, zscore_channels
 from jrpnet.learn import FeatureTable, cross_validate, fit_lasso, lambda_grid
-from jrpnet.netbuild import TemporalNetwork, channel_graphs
+from jrpnet.netbuild import METRICS, TemporalNetwork, channel_graphs
 from jrpnet.pipeline import TARGETS, estimate_trial_embeddings, run_pipeline
 from jrpnet.recurrence import joint_recurrence_plot, recurrence_plot, threshold_for_rate
 from jrpnet.rqa import determinism, laminarity
@@ -250,7 +250,7 @@ def test_coupling_raises_joint_determinism():
                 channel_names=recording.channel_names,
                 samples=zscore_channels(recording).samples,
             )
-            weights = channel_graphs([window], embeddings, ("JDET",), norm=config.norm)["JDET"]
+            weights = channel_graphs([window], embeddings, norm=config.norm)["JDET"]
             bucket.append(weights[0, 0, 1])
     p = mannwhitneyu(coupled, uncoupled, alternative="greater").pvalue
     verdict(
@@ -266,7 +266,7 @@ def test_three_regime_benchmark_is_classified(tmp_path):
     start = time.perf_counter()
     config = PipelineConfig()
     seeds = (101, 102, 103, 104, 105)
-    sums = {(t, m): 0.0 for t in TARGETS for m in config.metrics}
+    sums = {(t, m): 0.0 for t in TARGETS for m in METRICS}
     for seed in seeds:
         data_dir = tmp_path / f"data_{seed}"
         out_dir = tmp_path / f"out_{seed}"
@@ -274,7 +274,7 @@ def test_three_regime_benchmark_is_classified(tmp_path):
         write_dataset(specs, labels, data_dir)
         report = run_pipeline(data_dir, out_dir, config)
         for t in TARGETS:
-            for m in config.metrics:
+            for m in METRICS:
                 sums[(t, m)] += report["results"][t][m]["accuracy"]
     means = {k: v / len(seeds) for k, v in sums.items()}
     detail = ", ".join(f"{t}/{m} {v:.3f}" for (t, m), v in sorted(means.items()))

@@ -40,13 +40,6 @@ def config_file(tmp_path_factory):
     return path
 
 
-@pytest.fixture(scope="module")
-def jdet_config(tmp_path_factory):
-    path = tmp_path_factory.mktemp("cli-cfg") / "jdet.json"
-    path.write_text(json.dumps({**SMALL_CONFIG, "weight_metric": "JDET"}))
-    return path
-
-
 def test_error_hierarchy():
     assert issubclass(FormatError, InputError)
     assert issubclass(ParseError, InputError)
@@ -135,30 +128,19 @@ def _tree(root):
     }
 
 
-def test_stages_one_by_one_write_what_pipeline_writes(dataset, jdet_config, tmp_path, capsys):
-    flags = ["--in", str(dataset), "--config", str(jdet_config), "--seed", "5"]
+def test_stages_one_by_one_write_what_pipeline_writes(dataset, config_file, tmp_path, capsys):
+    flags = ["--in", str(dataset), "--config", str(config_file), "--seed", "5"]
     staged, whole = tmp_path / "staged", tmp_path / "whole"
     for command in ("embed-params", "analyze", "features", "evaluate", "train"):
         assert main([command, "--out", str(staged)] + flags) == 0
     assert main(["pipeline", "--out", str(whole)] + flags) == 0
     capsys.readouterr()
     files = _tree(whole)
-    # embedding parameters, a weighted and a JDET network per trial,
-    # features, reachability, the report and one model per target
-    assert len(files) == 1 + 2 * 6 + 3 + 2
-    assert not [name for name in files if "JLAM" in name]
+    # embedding parameters, a weighted, a JDET and a JLAM network per
+    # trial, features, reachability, the report and one model per target
+    # and metric
+    assert len(files) == 1 + 3 * 6 + 3 + 4
     assert _tree(staged) == files
-
-
-def test_metric_flag_restricts_outputs(dataset, jdet_config, tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main([
-        "analyze", "--in", str(dataset), "--out", str(out), "--config", str(jdet_config),
-    ])
-    assert code == 0
-    binaries = sorted(p.name for p in (out / "networks").glob("*.binary.jsonl"))
-    assert binaries
-    assert all(".JDET." in name for name in binaries)
 
 
 def test_embed_params_prints_the_artifact(dataset, config_file, tmp_path, capsys):
@@ -228,15 +210,36 @@ def test_degenerate_trial_exits_3(tmp_path, capsys):
 def test_bad_invocations(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["pipeline", "--in", str(tmp_path)])  # --out is required
-    with pytest.raises(SystemExit):
-        main(["train", "--in", ".", "--out", ".", "--target", "nobody"])
-    with pytest.raises(SystemExit):  # weight_metric is set through --config
+    with pytest.raises(SystemExit):  # every run writes both metrics
         main(["analyze", "--in", ".", "--out", ".", "--metric", "JDET"])
     with pytest.raises(SystemExit):
         main(["no-such-command"])
     with pytest.raises(SystemExit):  # synth takes only --spec, --out and --seed
         main(["synth", "--spec", "s.json", "--out", ".", "--config", "c.json"])
     capsys.readouterr()
+
+
+def test_train_takes_no_target_flag(dataset, tmp_path, capsys):
+    # train fits a model per target and metric, so it has no --target
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--in", str(dataset), "--out", str(out), "--target", "valence"])
+    assert exc.value.code == 2
+    assert "--target" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_weight_metric_config_key_exits_2(dataset, tmp_path, capsys):
+    # every run computes both weight metrics, so the key is unknown
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SMALL_CONFIG, "weight_metric": "JDET"}))
+    out = tmp_path / "out"
+    code = main(["pipeline", "--in", str(dataset), "--out", str(out), "--config", str(bad)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unknown config keys")
+    assert "weight_metric" in err[0]
+    assert not out.exists()
 
 
 def test_nonexistent_data_dir_exits_2(tmp_path, capsys):

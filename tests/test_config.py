@@ -20,7 +20,6 @@ def test_default_values():
         "l_min": 3,
         "v_min": 3,
         "binarize_rho": 0.5,
-        "weight_metric": "both",
         "n_null": 20,
         "lambda_points": 20,
         "lambda_span": 1e-3,
@@ -36,12 +35,6 @@ def test_every_field_belongs_to_exactly_one_stage():
     assert list(STAGE_FIELDS) == ["embed-params", "analyze", "features", "evaluate", "train"]
     listed = [name for own in STAGE_FIELDS.values() for name in own]
     assert sorted(listed) == sorted(f.name for f in fields(PipelineConfig))
-
-
-def test_metrics_property():
-    assert PipelineConfig().metrics == ("JDET", "JLAM")
-    assert PipelineConfig(weight_metric="JDET").metrics == ("JDET",)
-    assert PipelineConfig(weight_metric="JLAM").metrics == ("JLAM",)
 
 
 def test_dict_roundtrip_and_unknown_keys():
@@ -71,7 +64,6 @@ def test_replace_checks_the_merged_record():
         ("l_min", 1, "l_min"),
         ("v_min", 0, "v_min"),
         ("binarize_rho", 0.0, "binarize_rho"),
-        ("weight_metric", "DET", "weight_metric"),
         ("n_null", 0, "n_null"),
         ("lambda_points", 1, "lambda_points"),
         ("lambda_span", 1.5, "lambda_span"),

@@ -102,15 +102,6 @@ def test_six_channels_fill_all_fifteen_pairs():
         assert np.array_equal(w, w.T, equal_nan=True)
 
 
-def test_metrics_share_one_graph_pass():
-    window = logistic_window(3, 90, seed=11)
-    embeddings = simple_embeddings(window)
-    both = channel_graphs([window], embeddings)
-    single = channel_graphs([window], embeddings, ("JLAM",))
-    assert list(both) == ["JDET", "JLAM"] and list(single) == ["JLAM"]
-    assert np.array_equal(both["JLAM"], single["JLAM"], equal_nan=True)
-
-
 def test_each_jrp_is_padded_once_for_both_metrics(monkeypatch):
     window = logistic_window(4, 90, seed=12)
     padded = []
@@ -152,8 +143,6 @@ def test_channel_graph_input_errors():
     incomplete = {"ch0": embeddings["ch0"]}
     with pytest.raises(InputError, match="no embedding"):
         channel_graphs([window], incomplete)
-    with pytest.raises(InputError, match="weight metric"):
-        channel_graphs([window], embeddings, metrics=("DET",))
 
 
 def oracle_graphs(windows, embeddings, norm):

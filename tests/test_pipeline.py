@@ -16,6 +16,7 @@ from jrpnet.config import CONFIG_SCHEMA_VERSION, PipelineConfig
 from jrpnet.errors import InputError
 from jrpnet.ingest import load_recording
 from jrpnet.learn import CLASS_ORDER, discretize_score
+from jrpnet.netbuild import METRICS
 from jrpnet.pipeline import (
     TARGETS,
     analyze_recording,
@@ -83,7 +84,7 @@ def test_all_artifacts_exist(dataset, pipeline_out):
         assert (out_dir / name).is_file(), name
     for tid in trial_ids(dataset):
         assert (out_dir / "networks" / f"{tid}.weighted.jsonl").is_file()
-        for metric in CONFIG.metrics:
+        for metric in METRICS:
             assert (out_dir / "networks" / f"{tid}.{metric}.binary.jsonl").is_file()
 
 
@@ -126,7 +127,7 @@ def test_evaluation_report_layout(pipeline_out):
     _, report = pipeline_out
     assert report["stamp"]["config"] == CONFIG.to_dict()
     for target in TARGETS:
-        for metric in CONFIG.metrics:
+        for metric in METRICS:
             entry = report["results"][target][metric]
             assert 0.0 <= entry["accuracy"] <= 1.0
             confusion = entry["confusion"]
@@ -238,7 +239,7 @@ def test_reachability_report_layout(dataset, pipeline_out):
     out_dir, _ = pipeline_out
     report = json.loads((out_dir / "reachability.json").read_text())
     for tid in trial_ids(dataset):
-        for metric in CONFIG.metrics:
+        for metric in METRICS:
             entry = report["trials"][tid][metric]
             assert entry["nodes"] == ["M1", "M2", "M3", "M4"]
             for i, row in enumerate(entry["latency"]):
@@ -283,6 +284,29 @@ def test_bad_labels_fail_before_any_trial_is_embedded(
     embedded, _ = _count_trial_work(monkeypatch)
     with pytest.raises(InputError, match=match):
         stage(data_dir, tmp_path / "out", CONFIG)
+    assert embedded == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stage", [stage_features, stage_evaluate], ids=["features", "evaluate"])
+def test_different_modality_nodes_fail_before_any_trial_is_embedded(
+    dataset, tmp_path, monkeypatch, stage
+):
+    # a trial's nodes come from its sidecar alone: with the channel order
+    # of the last sidecar reversed, its modalities come first-seen in
+    # another order, and no trial is embedded before that shows
+    data_dir = tmp_path / "data"
+    shutil.copytree(dataset, data_dir)
+    first, *_, last = discover_trials(data_dir)
+    with open(last.schema_path, encoding="utf-8") as fh:
+        sidecar = json.load(fh)
+    sidecar["channels"] = dict(reversed(sidecar["channels"].items()))
+    with open(last.schema_path, "w", encoding="utf-8") as fh:
+        json.dump(sidecar, fh)
+    embedded, _ = _count_trial_work(monkeypatch)
+    with pytest.raises(InputError, match="^stage features: .*modality nodes") as exc:
+        stage(data_dir, tmp_path / "out", CONFIG)
+    assert first.trial_id in str(exc.value) and last.trial_id in str(exc.value)
     assert embedded == []
     assert not (tmp_path / "out").exists()
 
@@ -699,7 +723,7 @@ def test_confusion_rows_count_each_targets_classes(dataset, pipeline_out, tmp_pa
     report = stage_evaluate(relabeled, out, CONFIG)
     for target in TARGETS:
         counts = Counter(discretize_score(score) for score in scores[target].values())
-        for metric in CONFIG.metrics:
+        for metric in METRICS:
             confusion = report["results"][target][metric]["confusion"]
             assert [sum(row) for row in confusion] == [counts[c] for c in CLASS_ORDER]
 
@@ -798,6 +822,19 @@ def test_unchanged_rerun_reuses_every_trial(nine_trials, tmp_path, monkeypatch, 
     stage(data_dir, out, CONFIG)
     assert embedded == analyzed == []
     assert not calls
+    assert _tree(out) == _tree(out_dir)
+
+
+def test_unchanged_rerun_reads_labels_and_features_once(nine_trials, tmp_path, monkeypatch):
+    # each model is stamped with the trials and classes of the report it
+    # takes its lambda from, so train reads neither labels.csv nor
+    # features.csv again while its models are current
+    data_dir, out_dir = nine_trials
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    calls = _count_calls(monkeypatch, "read_features_csv", "load_labels", "discover_trials")
+    run_pipeline(data_dir, out, CONFIG)
+    assert calls == {"read_features_csv": 2, "load_labels": 1, "discover_trials": 4}
     assert _tree(out) == _tree(out_dir)
 
 
@@ -954,13 +991,6 @@ def test_rescore_that_keeps_every_class_reuses_the_report(nine_trials, tmp_path,
     stage_train(rescored, out, CONFIG)
     assert not calls, "evaluation.json learned from the same classes"
     assert _tree(out) == _tree(out_dir)
-
-
-def test_unknown_target_is_rejected_before_any_work(dataset, tmp_path):
-    out = tmp_path / "out"
-    with pytest.raises(InputError, match="unknown target 'mood'"):
-        stage_train(dataset, out, CONFIG, targets=("mood",))
-    assert not out.exists() or not any(out.iterdir())
 
 
 def test_pool_is_capped_at_the_trial_count(dataset, pipeline_out, tmp_path, monkeypatch):
