@@ -33,13 +33,19 @@ sidecars, ``evaluate`` loads ``labels.csv``), runs the stage before it,
 returns its own artifact if that is current, and otherwise computes and
 writes it; so trials with different modality nodes and a missing or
 malformed labels file fail before any trial is embedded, and a command
-first brings every earlier stage up to date.  The per-trial pieces are
+first brings every earlier stage up to date.  A command lists and
+hashes its trials once, when it starts, and every stage it runs covers
+that one trial set: a trial added or removed during a command belongs
+to the next command (a removed trial whose files the command still has
+to read stops it with an input error).  The per-trial pieces are
 a trial's network files, current only all together, and its entry in
 ``embedding_params.json``, current when the slice of the file's stamp
 for that trial is.  ``features.csv`` with ``reachability.json``,
 ``evaluation.json`` and each model are current or stale as a whole.
 Networks reach the features stage only through their files: a freshly
-analyzed trial is read back as a reused one is.
+analyzed trial is read back as a reused one is.  The network files of a
+trial no longer in the data directory are deleted, and ``train`` refits
+from the feature tables that ``evaluate`` read.
 An unchanged rerun computes and writes nothing, and running stages one
 by one writes what one run writes.  Writes are atomic (tmp file +
 rename), so interrupted runs never leave partial artifacts behind.
@@ -331,6 +337,27 @@ def _trial_digests(trials: list[TrialPaths]) -> dict[str, str]:
     return digests
 
 
+@dataclass
+class _Run:
+    """What one command covers: the trials of its data directory and their
+    digests, taken once when it starts; and what ``evaluate`` passes on,
+    the labeled feature tables it read and its report."""
+
+    data_dir: str
+    trials: list[TrialPaths]
+    digests: dict[str, str]
+    tables: dict[str, FeatureTable] | None = None
+    report: dict | None = None
+
+
+def _run(source: str | os.PathLike | _Run) -> _Run:
+    """The caller's run, or a new one over the data directory ``source``."""
+    if isinstance(source, _Run):
+        return source
+    trials = discover_trials(source)
+    return _Run(os.fspath(source), trials, _trial_digests(trials))
+
+
 def _envelope(stage: str, config: PipelineConfig, digests: dict, classes=None, **names) -> dict:
     """What an artifact of ``stage`` over the :func:`_trial_digests`
     ``digests`` is written with and checked against: the stamp of what it
@@ -404,15 +431,13 @@ def _network_files(
     return files
 
 
-def _read_networks(
-    out_dir: str, trial_id: str, config: PipelineConfig, digest: str
-) -> dict[str, TemporalNetwork] | None:
-    """A trial's binarized networks by metric, read back from its files; or
-    None unless all of its network files are current.  The weighted file
-    is only hashed; the records of each binarized file, one per window in
-    order, are its layers."""
+def _read_networks(files: dict[str, tuple[str, dict]]) -> dict[str, TemporalNetwork] | None:
+    """A trial's binarized networks by metric, read back from its
+    :func:`_network_files` ``files``; or None unless all of them are
+    current.  The weighted file is only hashed; the records of each
+    binarized file, one per window in order, are its layers."""
     networks = {}
-    for kind, (path, envelope) in _network_files(out_dir, trial_id, config, digest).items():
+    for kind, (path, envelope) in files.items():
         stored = _read_jsonl(path)
         if stored is None or not _current(stored[0], envelope):
             return None
@@ -489,26 +514,23 @@ def _common_nodes(trials: list[TrialPaths]) -> tuple[str, ...]:
     return nodes[first]
 
 
-def _read_labels(data_dir: str | os.PathLike, stage: str) -> dict[str, LabelRecord]:
-    """The labels of every trial in ``data_dir``, by trial id."""
-    trials = discover_trials(data_dir)
-    path = os.path.join(os.fspath(data_dir), "labels.csv")
+def _read_labels(run: _Run, stage: str) -> dict[str, LabelRecord]:
+    """The labels of every trial of ``run``, by trial id."""
+    path = os.path.join(run.data_dir, "labels.csv")
     with _stage(stage):
         if not os.path.isfile(path):
             raise InputError(f"labels file {path} does not exist")
         labels = {rec.trial_id: rec for rec in load_labels(path)}
-        missing = [t.trial_id for t in trials if t.trial_id not in labels]
+        missing = [t.trial_id for t in run.trials if t.trial_id not in labels]
         if missing:
             raise InputError(f"trials without labels: {missing}")
     return labels
 
 
-def _labeled_tables(
-    out_dir: str, labels: dict[str, LabelRecord]
-) -> tuple[dict[str, FeatureTable], dict[str, str]]:
+def _labeled_tables(out_dir: str, labels: dict[str, LabelRecord]) -> dict[str, FeatureTable]:
     """Per-metric feature tables from the current ``features.csv`` with
-    discretized labels attached, and the trial digests of its stamp."""
-    stamp, columns, rows = read_features_csv(os.path.join(out_dir, "features.csv"))
+    discretized labels attached."""
+    _, columns, rows = read_features_csv(os.path.join(out_dir, "features.csv"))
     tables: dict[str, FeatureTable] = {}
     for metric in METRICS:
         subset = [r for r in rows if r["metric"] == metric]
@@ -522,7 +544,7 @@ def _labeled_tables(
             X=np.array([r["values"] for r in subset], dtype=float),
             labels=classes,
         )
-    return tables, stamp["trials"]
+    return tables
 
 
 def _current_entry(stored: dict, trial_id: str, config: PipelineConfig, digest: str):
@@ -541,7 +563,7 @@ def _current_entry(stored: dict, trial_id: str, config: PipelineConfig, digest: 
 
 
 def stage_embed_params(
-    data_dir: str | os.PathLike,
+    data_dir: str | os.PathLike | _Run,
     out_dir: str | os.PathLike,
     config: PipelineConfig,
     jobs: int = 1,
@@ -549,21 +571,20 @@ def stage_embed_params(
     """Estimate and persist per-channel embedding parameters of every
     trial whose entry is not current; current entries are kept, and an
     unchanged file is not rewritten."""
-    trials = discover_trials(data_dir)
-    digests = _trial_digests(trials)
+    run = _run(data_dir)
     path = os.path.join(os.fspath(out_dir), "embedding_params.json")
     stored = _read_json(path) or {}
-    params = {tid: _current_entry(stored, tid, config, d) for tid, d in digests.items()}
-    todo = [t for t in trials if params[t.trial_id] is None]
+    params = {tid: _current_entry(stored, tid, config, d) for tid, d in run.digests.items()}
+    todo = [t for t in run.trials if params[t.trial_id] is None]
     params.update(_run_trials("embed-params", _embed_task, todo, config, jobs))
-    artifact = {**_envelope("embed-params", config, digests), "trials": params}
+    artifact = {**_envelope("embed-params", config, run.digests), "trials": params}
     if artifact != stored:
         _write_json(path, artifact)
     return artifact
 
 
 def stage_analyze(
-    data_dir: str | os.PathLike,
+    data_dir: str | os.PathLike | _Run,
     out_dir: str | os.PathLike,
     config: PipelineConfig,
     jobs: int = 1,
@@ -571,39 +592,44 @@ def stage_analyze(
     """Binarized temporal networks of every trial, by trial id and metric.
 
     Only the trials whose network files are not current are analyzed and
-    their files written.  Every trial's networks, fresh or reused, are
-    read back from its files.
+    their files written, and the network files of any other trial are
+    deleted.  Every trial's networks, fresh or reused, are read back from
+    its files.
     """
-    out_dir = os.fspath(out_dir)
-    embedded = stage_embed_params(data_dir, out_dir, config, jobs)
-    digests = embedded["stamp"]["trials"]
-    networks = {tid: _read_networks(out_dir, tid, config, d) for tid, d in digests.items()}
-    todo = [t for t in discover_trials(data_dir) if networks[t.trial_id] is None]
+    run, out_dir = _run(data_dir), os.fspath(out_dir)
+    embedded = stage_embed_params(run, out_dir, config, jobs)
+    files = {tid: _network_files(out_dir, tid, config, d) for tid, d in run.digests.items()}
+    networks = {tid: _read_networks(by_kind) for tid, by_kind in files.items()}
+    todo = [t for t in run.trials if networks[t.trial_id] is None]
     results = _run_trials("analyze", analyze_recording, todo, config, jobs, embedded["trials"])
-    for tid, files in results.items():
-        for kind, (path, envelope) in _network_files(out_dir, tid, config, digests[tid]).items():
-            fields, records = files[kind]
+    for tid, produced in results.items():
+        for kind, (path, envelope) in files[tid].items():
+            fields, records = produced[kind]
             _write_jsonl(path, {**envelope, **fields}, records)
-        networks[tid] = _read_networks(out_dir, tid, config, digests[tid])
+        networks[tid] = _read_networks(files[tid])
+    kept = {path for by_kind in files.values() for path, _ in by_kind.values()}
+    for name in os.listdir(os.path.join(out_dir, "networks")):
+        path = os.path.join(out_dir, "networks", name)
+        if name.endswith(".jsonl") and path not in kept:
+            os.remove(path)
     return networks
 
 
 def stage_features(
-    data_dir: str | os.PathLike,
+    data_dir: str | os.PathLike | _Run,
     out_dir: str | os.PathLike,
     config: PipelineConfig,
     jobs: int = 1,
 ) -> str:
     """Write the feature CSV and the reachability audit report, unless
     both are current."""
-    out_dir = os.fspath(out_dir)
+    run, out_dir = _run(data_dir), os.fspath(out_dir)
     with _stage("features"):
-        nodes = _common_nodes(discover_trials(data_dir))
-    networks = stage_analyze(data_dir, out_dir, config, jobs)
-    digests = _read_json(os.path.join(out_dir, "embedding_params.json"))["stamp"]["trials"]
+        nodes = _common_nodes(run.trials)
+    networks = stage_analyze(run, out_dir, config, jobs)
     path = os.path.join(out_dir, "features.csv")
     reach_path = os.path.join(out_dir, "reachability.json")
-    envelope = _envelope("features", config, digests)
+    envelope = _envelope("features", config, run.digests)
     if _features_current(path, envelope) and _current(_read_json(reach_path), envelope):
         return path
     trial_ids = sorted(networks)
@@ -642,22 +668,22 @@ def stage_features(
 
 
 def stage_evaluate(
-    data_dir: str | os.PathLike,
+    data_dir: str | os.PathLike | _Run,
     out_dir: str | os.PathLike,
     config: PipelineConfig,
     jobs: int = 1,
 ) -> dict:
     """Cross-validate every (target, metric) pair and write the report,
     unless it is current."""
-    labels = _read_labels(data_dir, "evaluate")
-    out_dir = os.fspath(out_dir)
-    stage_features(data_dir, out_dir, config, jobs)
-    tables, digests = _labeled_tables(out_dir, labels)
-    envelope = _envelope("evaluate", config, digests, _class_digest(tables[METRICS[0]]))
+    run, out_dir = _run(data_dir), os.fspath(out_dir)
+    labels = _read_labels(run, "evaluate")
+    stage_features(run, out_dir, config, jobs)
+    tables = run.tables = _labeled_tables(out_dir, labels)
+    envelope = _envelope("evaluate", config, run.digests, _class_digest(tables[METRICS[0]]))
     path = os.path.join(out_dir, "evaluation.json")
-    report = _read_json(path)
-    if _current(report, envelope):
-        return report
+    run.report = _read_json(path)
+    if _current(run.report, envelope):
+        return run.report
     results: dict[str, dict[str, dict]] = {}
     with _stage("evaluate"):
         for target in TARGETS:
@@ -678,13 +704,13 @@ def stage_evaluate(
                     "mean_accuracy_per_lambda": list(cv.mean_accuracy_per_lambda),
                     "n_trials": len(table.trial_ids),
                 }
-    report = {**envelope, "results": results}
-    _write_json(path, report)
-    return report
+    run.report = {**envelope, "results": results}
+    _write_json(path, run.report)
+    return run.report
 
 
 def stage_train(
-    data_dir: str | os.PathLike,
+    data_dir: str | os.PathLike | _Run,
     out_dir: str | os.PathLike,
     config: PipelineConfig,
     jobs: int = 1,
@@ -693,24 +719,21 @@ def stage_train(
     lambda and write those that are not current.
 
     A model is stamped with the trials and classes of the report it takes
-    its lambda from, so the labels and features are read again only when
-    a model has to be refit.
+    its lambda from, and refit from the feature tables that ``evaluate``
+    read.
     """
-    out_dir = os.fspath(out_dir)
-    report = stage_evaluate(data_dir, out_dir, config, jobs)
-    digests, classes = report["stamp"]["trials"], report["stamp"]["classes"]
-    tables = None
+    run, out_dir = _run(data_dir), os.fspath(out_dir)
+    report = stage_evaluate(run, out_dir, config, jobs)
+    digests, classes = run.digests, report["stamp"]["classes"]
     written = []
     for target in TARGETS:
         for metric in METRICS:
             path = os.path.join(out_dir, f"model_{target}_{metric}.json")
             envelope = _envelope("train", config, digests, classes, target=target, metric=metric)
             if not _current(_read_json(path), envelope):
-                if tables is None:
-                    tables, _ = _labeled_tables(out_dir, _read_labels(data_dir, "train"))
                 lam = report["results"][target][metric]["selected_lambda"]
                 with _stage("train"):
-                    model = fit_lasso(tables[metric], target, lam)
+                    model = fit_lasso(run.tables[metric], target, lam)
                 _write_json(path, {**envelope, "model": model_to_dict(model)})
             written.append(path)
     return written
@@ -723,5 +746,6 @@ def run_pipeline(
     jobs: int = 1,
 ) -> dict:
     """Every stage, through the last one's chain; returns the evaluation report."""
-    stage_train(data_dir, out_dir, config, jobs)
-    return _read_json(os.path.join(os.fspath(out_dir), "evaluation.json"))
+    run = _run(data_dir)
+    stage_train(run, out_dir, config, jobs)
+    return run.report

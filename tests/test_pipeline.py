@@ -826,16 +826,88 @@ def test_unchanged_rerun_reuses_every_trial(nine_trials, tmp_path, monkeypatch, 
 
 
 def test_unchanged_rerun_reads_labels_and_features_once(nine_trials, tmp_path, monkeypatch):
-    # each model is stamped with the trials and classes of the report it
-    # takes its lambda from, so train reads neither labels.csv nor
-    # features.csv again while its models are current
+    # the command lists and hashes its trials once, and evaluate passes the
+    # tables and the report it read on to train and to run_pipeline, so
+    # nothing reads labels.csv, features.csv or a JSON artifact again
     data_dir, out_dir = nine_trials
     out = tmp_path / "out"
     shutil.copytree(out_dir, out)
     calls = _count_calls(monkeypatch, "read_features_csv", "load_labels", "discover_trials")
+    read_json, reads = pipeline._read_json, Counter()
+
+    def counted(path):
+        reads[os.path.basename(path)] += 1
+        return read_json(path)
+
+    monkeypatch.setattr(pipeline, "_read_json", counted)
     run_pipeline(data_dir, out, CONFIG)
-    assert calls == {"read_features_csv": 2, "load_labels": 1, "discover_trials": 4}
+    assert calls == {"read_features_csv": 2, "load_labels": 1, "discover_trials": 1}
+    assert reads == {name: 1 for name in ARTIFACTS if name.endswith(".json")}
     assert _tree(out) == _tree(out_dir)
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [stage_embed_params, stage_analyze, stage_features, stage_evaluate, stage_train, run_pipeline],
+    ids=["embed-params", "analyze", "features", "evaluate", "train", "run"],
+)
+def test_each_command_lists_its_trials_once(dataset, tmp_path, monkeypatch, stage):
+    calls = _count_calls(monkeypatch, "discover_trials")
+    stage(dataset, tmp_path, CONFIG)
+    assert calls == {"discover_trials": 1}
+
+
+@pytest.fixture(scope="module")
+def eight_trials(nine_trials, tmp_path_factory):
+    """``nine_trials`` without its last trial (recording, sidecar, spec and
+    label), and a fresh run on it."""
+    data_dir, _ = nine_trials
+    removed = discover_trials(data_dir)[-1].trial_id
+    eight = tmp_path_factory.mktemp("eight")
+    for path in data_dir.iterdir():
+        if not path.name.startswith(f"{removed}."):
+            shutil.copy(path, eight)
+    lines = (data_dir / "labels.csv").read_text().splitlines(keepends=True)
+    kept = [line for line in lines if not line.startswith(f"{removed},")]
+    (eight / "labels.csv").write_text("".join(kept))
+    fresh = tmp_path_factory.mktemp("eight_out")
+    run_pipeline(eight, fresh, CONFIG)
+    return eight, fresh, removed
+
+
+def test_removed_trial_leaves_no_file_behind(nine_trials, eight_trials, tmp_path):
+    # a build is correct when it equals a clean one: the rerun deletes the
+    # removed trial's network files along with rewriting every stale artifact
+    _, out_dir = nine_trials
+    eight, fresh, removed = eight_trials
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    assert f"networks/{removed}.weighted.jsonl" in _tree(out)
+    run_pipeline(eight, out, CONFIG)
+    assert _tree(out) == _tree(fresh)
+
+
+def test_trial_added_mid_command_belongs_to_the_next(
+    nine_trials, eight_trials, tmp_path, monkeypatch
+):
+    # the command lists its trials when it starts: a trial copied in while
+    # the first trial is embedded is not one of them
+    data_dir, _ = nine_trials
+    eight, fresh, removed = eight_trials
+    grown, out = tmp_path / "grown", tmp_path / "out"
+    shutil.copytree(eight, grown)
+    shutil.copy(data_dir / "labels.csv", grown)
+
+    def copy_in_first(recording, config):
+        if not (grown / f"{removed}.csv").exists():
+            for suffix in (".csv", ".schema.json"):
+                shutil.copy(data_dir / f"{removed}{suffix}", grown)
+        return estimate_trial_embeddings(recording, config)
+
+    monkeypatch.setattr(pipeline, "estimate_trial_embeddings", copy_in_first)
+    run_pipeline(grown, out, CONFIG)
+    assert (grown / f"{removed}.csv").exists()
+    assert _tree(out) == _tree(fresh)
 
 
 def _count_calls(monkeypatch, *names):
