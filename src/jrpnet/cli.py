@@ -118,6 +118,8 @@ def _cmd_synth(args: argparse.Namespace) -> None:
 
 def _cmd_stage(args: argparse.Namespace) -> None:
     _, stage, show = _STAGES[args.command]
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     config = load_config(args.config, seed=args.seed)
     print(show(stage(args.data_dir, args.out, config, jobs=args.jobs), args.out))
 

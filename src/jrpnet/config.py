@@ -71,6 +71,8 @@ class PipelineConfig:
             raise InputError(f"lambda_span must be in (0, 1), got {self.lambda_span}")
         if self.k_folds < 2:
             raise InputError(f"k_folds must be >= 2, got {self.k_folds}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.tau_max is not None and self.tau_max < 1:
             raise InputError(f"tau_max must be >= 1 or null, got {self.tau_max}")
         if self.m_max < 1:

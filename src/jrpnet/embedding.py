@@ -7,6 +7,14 @@ once per channel on the full trial, and every window of that channel
 reuses the same parameters so recurrence plots stay size-aligned across
 windows.
 
+A state's nearest neighbor is the lowest-index state among all other
+states at the nearest distance, so the false-neighbor count is a function
+of the data alone, also when quantized samples make states coincide or
+lie equally far apart.  A KD-tree's three nearest states settle most
+rows; a row whose own state does not come first, or whose two nearest
+other states are equally far, is settled by exact distances to every
+state.
+
 The dimension scan only asks whether each m's false-neighbor fraction is
 below a threshold, so a rejected m's fraction is not fully counted: its
 nearest-neighbor queries stop as soon as the false neighbors found so far
@@ -183,31 +191,19 @@ def estimate_delay(samples, tau_max: int | None = None) -> int:
     return (a + b) // 2 + 1
 
 
-def _repeated_values(x: np.ndarray) -> np.ndarray:
-    """Mask of the samples whose value occurs more than once in ``x``."""
-    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
-    return counts[inverse.reshape(-1)] > 1
-
-
-def _false_neighbor_counts(
-    x: np.ndarray,
-    m: int,
-    tau: int,
-    scale: float,
-    repeated: np.ndarray,
-    first: int,
-):
+def _false_neighbor_counts(x: np.ndarray, m: int, tau: int, scale: float, first: int):
     """Cumulative Kennel false-neighbor counts when growing dimension m -> m+1.
 
-    The states are queried in row chunks; after each chunk this yields the
-    number of false neighbors among all rows queried so far, and the last
-    value counts every state.  The first chunk holds ``first`` rows, the
-    count that rejects m; each next one is sized to find the false
-    neighbors still missing at the rate seen so far, plus 20%, or takes
-    every remaining row while none has been found.  The counts are
-    cumulative, so whether one of them reaches ``first`` depends on the
-    data alone, not on the chunking.  ``scale`` is the signal's standard
-    deviation and ``repeated`` its :func:`_repeated_values` mask.
+    A state's neighbor is the lowest-index state among all other states at
+    the nearest distance.  The states are queried in row chunks; after each
+    chunk this yields the number of false neighbors among all rows queried
+    so far, and the last value counts every state.  The first chunk holds
+    ``first`` rows, the count that rejects m; each next one is sized to
+    find the false neighbors still missing at the rate seen so far, plus
+    20%, or takes every remaining row while none has been found.  The
+    counts are cumulative, so whether one of them reaches ``first``
+    depends on the data alone, not on the chunking.  ``scale`` is the
+    signal's standard deviation.
     """
     n_usable = x.size - m * tau
     states = np.stack([x[i * tau : i * tau + n_usable] for i in range(m)], axis=1)
@@ -217,29 +213,26 @@ def _false_neighbor_counts(
     # noise; those are true recurrences, not false neighbors, so the
     # relative criterion also demands growth above machine noise.
     noise_floor = 1e-9 * scale
-    lowest = second = None
+    # rows per block of exact distances: each block holds about 2**16 of them
+    block = max(1, 2**16 // n_usable)
     count, start, stop = 0, 0, max(1, first)
     while start < n_usable:
         stop = min(stop, n_usable)
         rows = np.arange(start, stop)
-        dist, idx = tree.query(states[start:stop], k=2)
-        # with repeated states the query point itself may come second, behind
-        # a coincident copy; the nearest other point is then that copy
-        neighbor = np.where(idx[:, 0] != rows, idx[:, 0], idx[:, 1])
-        dist = dist[:, 1]
-        # Exact copies of the neighbor tie with it, and the tree returns one
-        # of them in its own order; take the lowest index other than the
-        # query point among all states, so the count depends on the data
-        # alone.  A state with a copy starts with a repeated sample, so
-        # signals without repeated samples never group their states.
-        if repeated[neighbor].any():
-            if lowest is None:
-                all_rows = np.arange(n_usable)
-                group = np.unique(states, axis=0, return_inverse=True)[1].reshape(-1)
-                order = np.lexsort((all_rows, group))
-                at = np.searchsorted(group[order], group)
-                lowest, second = order[at], order[np.minimum(at + 1, n_usable - 1)]
-            neighbor = np.where(lowest[neighbor] != rows, lowest[neighbor], second[neighbor])
+        dist, idx = tree.query(states[start:stop], k=3)
+        # The tree orders equally near states its own way.  A row whose own
+        # state comes back first and whose two nearest other states differ
+        # in distance takes the second column; the rest are resolved by
+        # exact distances to every state, lowest index first.
+        tied = np.nonzero((idx[:, 0] != rows) | (dist[:, 1] == dist[:, 2]))[0]
+        neighbor, dist = idx[:, 1], dist[:, 1]
+        for a in range(0, tied.size, block):
+            at = tied[a : a + block]
+            diff = states[rows[at], None, :] - states[None, :, :]
+            d = np.sqrt(np.square(diff, out=diff).sum(axis=2))
+            d[np.arange(at.size), rows[at]] = np.inf
+            neighbor[at] = np.argmin(d, axis=1)
+            dist[at] = d[np.arange(at.size), neighbor[at]]
         extra = np.abs(ahead[start:stop] - ahead[neighbor])
         crit_rel = (extra > FNN_RTOL * dist) & (extra > noise_floor)
         crit_abs = np.sqrt(dist**2 + extra**2) > FNN_ATOL * scale
@@ -276,12 +269,12 @@ def estimate_dimension(
             f"need more than {m_max * tau + 1} samples to scan dimensions "
             f"up to {m_max} at tau={tau}, got {x.size}"
         )
-    scale, repeated = x.std(), _repeated_values(x)
+    scale = x.std()
     for m in range(1, m_max + 1):
         n_usable = x.size - m * tau
         # fewer rows than this cannot hold enough false neighbors to reject m
         first = math.ceil(threshold * n_usable)
-        counts = _false_neighbor_counts(x, m, tau, scale, repeated, first)
+        counts = _false_neighbor_counts(x, m, tau, scale, first)
         if all(count / n_usable < threshold for count in counts):
             return DimensionEstimate(dimension=m, saturated=False)
     return DimensionEstimate(dimension=m_max, saturated=True)

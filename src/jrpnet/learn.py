@@ -242,20 +242,33 @@ def _warn_unconverged(target: str, unconverged: int, fits: int) -> None:
         log.warning(msg, target, unconverged, fits, MAX_SWEEPS)
 
 
-def _class_codes(table: FeatureTable, target: str) -> tuple[np.ndarray, np.ndarray]:
-    """``target``'s labels as ``CLASS_ORDER`` indices and the ascending indices
-    of the classes present, once they are known classes, at least two of
-    them, and every feature is finite."""
-    if target not in table.labels:
-        raise InputError(f"table carries no labels for target {target!r}")
-    labels = table.labels[target]
+def _label_codes(labels, target: str, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """``target``'s class labels as ``CLASS_ORDER`` indices and the
+    ascending indices of the classes present, once they are known classes,
+    at least two of them, each with at least ``k`` members (``k``-fold
+    cross-validation needs one in every fold)."""
     bad = sorted(set(labels) - set(CLASS_ORDER))
     if bad:
         raise InputError(f"unknown classes {bad}; expected {list(CLASS_ORDER)}")
     codes = np.array([CLASS_ORDER.index(c) for c in labels], dtype=int)
-    present = np.unique(codes)
+    present, counts = np.unique(codes, return_counts=True)
     if len(present) < 2:
         raise InputError(f"target {target!r} has {len(present)} class(es); need at least 2")
+    for code, count in zip(present, counts):
+        if count < k:
+            raise InputError(
+                f"target {target!r}: class {CLASS_ORDER[code]!r} has {count} members; "
+                f"need at least {k} for {k}-fold cross-validation"
+            )
+    return codes, present
+
+
+def _class_codes(table: FeatureTable, target: str, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_label_codes` of ``target``'s labels in ``table``, once every
+    feature is finite."""
+    if target not in table.labels:
+        raise InputError(f"table carries no labels for target {target!r}")
+    codes, present = _label_codes(table.labels[target], target, k)
     if not np.all(np.isfinite(table.X)):
         raise InputError("feature table contains non-finite values")
     return codes, present
@@ -334,15 +347,8 @@ def lambda_grid(
 def _stratified_folds(codes: np.ndarray, k: int, seed: int) -> np.ndarray:
     fold_of = np.empty(len(codes), dtype=int)
     rng = generator(seed, "cv-folds")
-    for code, cls in enumerate(CLASS_ORDER):
+    for code in np.unique(codes):
         members = np.nonzero(codes == code)[0]
-        if members.size == 0:
-            continue
-        if members.size < k:
-            raise InputError(
-                f"class {cls!r} has {members.size} members; need at least {k} "
-                f"for {k}-fold cross-validation"
-            )
         members = members[rng.permutation(members.size)]
         fold_of[members] = np.arange(members.size) % k
     return fold_of
@@ -363,7 +369,7 @@ def cross_validate(
     """
     if k < 2:
         raise InputError(f"k must be >= 2, got {k}")
-    codes, present = _class_codes(table, target)
+    codes, present = _class_codes(table, target, k)
     if lambdas is None:
         lambdas = lambda_grid(table, target)
     grid = sorted((float(l) for l in lambdas), reverse=True)

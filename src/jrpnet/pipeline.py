@@ -29,18 +29,19 @@ every field of the envelope its stage would write now and its content
 hashes to its digest.  A file that does not parse or does not hash is
 stale, never an error.  Each stage checks the inputs that only it
 reads (``features`` compares the trials' modality nodes in their
-sidecars, ``evaluate`` loads ``labels.csv``), runs the stage before it,
-returns its own artifact if that is current, and otherwise computes and
-writes it; so trials with different modality nodes and a missing or
-malformed labels file fail before any trial is embedded, and a command
-first brings every earlier stage up to date.  A command lists and
-hashes its trials once, when it starts, and every stage it runs covers
-that one trial set: a trial added or removed during a command belongs
-to the next command (a removed trial whose files the command still has
-to read stops it with an input error).  The per-trial pieces are
-a trial's network files, current only all together, and its entry in
-``embedding_params.json``, current when the slice of the file's stamp
-for that trial is.  ``features.csv`` with ``reachability.json``,
+sidecars, ``evaluate`` loads ``labels.csv`` and checks that each
+target's classes can support the configured cross-validation), runs the
+stage before it, returns its own artifact if that is current, and
+otherwise computes and writes it; so trials with different modality
+nodes and a missing, malformed or too thinly labeled labels file fail
+before any trial is embedded, and a command first brings every earlier
+stage up to date.  A command lists and hashes its trials once, when it
+starts, and every stage it runs covers that one trial set: a trial
+added or removed during a command belongs to the next command (a
+removed trial whose files the command still has to read stops it with
+an input error).  The per-trial pieces are a trial's network files,
+current only all together, and its entry in ``embedding_params.json``,
+current when the slice of the file's stamp for that trial is.  ``features.csv`` with ``reachability.json``,
 ``evaluation.json`` and each model are current or stale as a whole.
 Networks reach the features stage only through their files: a freshly
 analyzed trial is read back as a reused one is.  The network files of a
@@ -66,7 +67,6 @@ from .config import CONFIG_SCHEMA_VERSION, STAGE_FIELDS, PipelineConfig
 from .embedding import EmbeddingParams, embed, estimate_delay, estimate_dimension
 from .errors import DegenerateInputError, InputError, JrpnetError
 from .ingest import (
-    LabelRecord,
     Recording,
     load_labels,
     load_recording,
@@ -77,6 +77,7 @@ from .ingest import (
 )
 from .learn import (
     FeatureTable,
+    _label_codes,
     cross_validate,
     discretize_score,
     fit_lasso,
@@ -361,9 +362,9 @@ def _run(source: str | os.PathLike | _Run) -> _Run:
 def _envelope(stage: str, config: PipelineConfig, digests: dict, classes=None, **names) -> dict:
     """What an artifact of ``stage`` over the :func:`_trial_digests`
     ``digests`` is written with and checked against: the stamp of what it
-    depends on (for a learned artifact also the :func:`_class_digest`
-    ``classes``), and ``names`` that name it (``trial_id``, ``kind``,
-    ``metric``, ``target``)."""
+    depends on (for a learned artifact also ``classes``, the sha256 of the
+    classes :func:`_read_labels` returns), and ``names`` that name it
+    (``trial_id``, ``kind``, ``metric``, ``target``)."""
     stages = list(STAGE_FIELDS)
     fields = [k for s in stages[: stages.index(stage) + 1] for k in STAGE_FIELDS[s]]
     stamp = {
@@ -482,12 +483,6 @@ def _reachability_json(rep: ReachabilityReport) -> dict:
     }
 
 
-def _class_digest(table: FeatureTable) -> str:
-    """sha256 of every trial's discretized class per target."""
-    classes = {target: dict(zip(table.trial_ids, table.labels[target])) for target in TARGETS}
-    return _sha256(_json_line(classes))
-
-
 def _features_current(path: str, envelope: dict) -> bool:
     """Whether ``features.csv`` hashes to its digest and its stamp is the envelope's."""
     try:
@@ -514,35 +509,42 @@ def _common_nodes(trials: list[TrialPaths]) -> tuple[str, ...]:
     return nodes[first]
 
 
-def _read_labels(run: _Run, stage: str) -> dict[str, LabelRecord]:
-    """The labels of every trial of ``run``, by trial id."""
+def _read_labels(run: _Run, k_folds: int) -> dict[str, dict[str, str]]:
+    """The discretized class of every trial of ``run``, by target and trial
+    id, once each target's classes can fill ``k_folds``-fold cross-validation."""
     path = os.path.join(run.data_dir, "labels.csv")
-    with _stage(stage):
+    with _stage("evaluate"):
         if not os.path.isfile(path):
             raise InputError(f"labels file {path} does not exist")
-        labels = {rec.trial_id: rec for rec in load_labels(path)}
-        missing = [t.trial_id for t in run.trials if t.trial_id not in labels]
+        records = {rec.trial_id: rec for rec in load_labels(path)}
+        missing = [t.trial_id for t in run.trials if t.trial_id not in records]
         if missing:
             raise InputError(f"trials without labels: {missing}")
-    return labels
+        classes = {}
+        for target in TARGETS:
+            classes[target] = {
+                t.trial_id: discretize_score(getattr(records[t.trial_id], target))
+                for t in run.trials
+            }
+            _label_codes(classes[target].values(), target, k_folds)
+    return classes
 
 
-def _labeled_tables(out_dir: str, labels: dict[str, LabelRecord]) -> dict[str, FeatureTable]:
+def _labeled_tables(out_dir: str, classes: dict[str, dict[str, str]]) -> dict[str, FeatureTable]:
     """Per-metric feature tables from the current ``features.csv`` with
-    discretized labels attached."""
+    the trials' ``classes`` attached."""
     _, columns, rows = read_features_csv(os.path.join(out_dir, "features.csv"))
     tables: dict[str, FeatureTable] = {}
     for metric in METRICS:
         subset = [r for r in rows if r["metric"] == metric]
-        classes = {
-            target: tuple(discretize_score(getattr(labels[r["trial_id"]], target)) for r in subset)
-            for target in TARGETS
-        }
         tables[metric] = FeatureTable(
             trial_ids=tuple(r["trial_id"] for r in subset),
             columns=tuple(columns),
             X=np.array([r["values"] for r in subset], dtype=float),
-            labels=classes,
+            labels={
+                target: tuple(by_trial[r["trial_id"]] for r in subset)
+                for target, by_trial in classes.items()
+            },
         )
     return tables
 
@@ -676,10 +678,10 @@ def stage_evaluate(
     """Cross-validate every (target, metric) pair and write the report,
     unless it is current."""
     run, out_dir = _run(data_dir), os.fspath(out_dir)
-    labels = _read_labels(run, "evaluate")
+    classes = _read_labels(run, config.k_folds)
     stage_features(run, out_dir, config, jobs)
-    tables = run.tables = _labeled_tables(out_dir, labels)
-    envelope = _envelope("evaluate", config, run.digests, _class_digest(tables[METRICS[0]]))
+    tables = run.tables = _labeled_tables(out_dir, classes)
+    envelope = _envelope("evaluate", config, run.digests, _sha256(_json_line(classes)))
     path = os.path.join(out_dir, "evaluation.json")
     run.report = _read_json(path)
     if _current(run.report, envelope):

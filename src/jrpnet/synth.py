@@ -103,6 +103,8 @@ class CouplingSpec:
             raise InputError(f"length_samples must be >= 2, got {self.length_samples}")
         if not 0.0 < self.sampling_rate_hz < np.inf:
             raise InputError(f"sampling_rate_hz must be finite and > 0, got {self.sampling_rate_hz}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.dynamics == "coupled_logistic":
             row_sums = mu.sum(axis=1)
             if np.any(row_sums >= 1.0):
@@ -279,6 +281,8 @@ def three_regime_specs(
     """
     if n_per_regime < 1:
         raise InputError(f"n_per_regime must be >= 1, got {n_per_regime}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     couplings = {
         "dense": _regime_coupling(_DENSE_PAIRS, strength),
         "sparse": _regime_coupling(_SPARSE_PAIRS, strength),

@@ -217,6 +217,10 @@ def test_bad_invocations(tmp_path, capsys):
     with pytest.raises(SystemExit):  # synth takes only --spec, --out and --seed
         main(["synth", "--spec", "s.json", "--out", ".", "--config", "c.json"])
     capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["features", "--in", str(tmp_path), "--out", str(out), "--jobs", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: --jobs must be >= 1, got 0"]
+    assert not out.exists()
 
 
 def test_train_takes_no_target_flag(dataset, tmp_path, capsys):
@@ -275,6 +279,26 @@ def test_config_type_error_exits_2_before_any_trial_is_embedded(
     assert not out.exists()
 
 
+def test_negative_seed_exits_2_before_any_trial_is_read(dataset, tmp_path, capsys):
+    # derive_seed needs a non-negative seed: the flag, the config file and a
+    # synth spec are all checked when they are read
+    out = tmp_path / "out"
+    assert main(["features", "--in", str(dataset), "--out", str(out), "--seed", "-5"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -5"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**SMALL_CONFIG, "seed": -1}))
+    assert main(["pipeline", "--in", str(dataset), "--out", str(out), "--config", str(bad)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert not out.exists()
+    preset = tmp_path / "preset.json"
+    preset.write_text(json.dumps({"preset": "three_regime", "n_per_regime": 1, "seed": -1}))
+    assert main(["synth", "--spec", str(preset), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -1"]
+    assert main(["synth", "--spec", str(preset), "--out", str(out), "--seed", "-3"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0, got -3"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "spec,needle",
     [
@@ -288,6 +312,8 @@ def test_config_type_error_exits_2_before_any_trial_is_embedded(
         ({"trials": [{"n_channels": 2, "modality_map": {"a": "A", "b": "B"},
                       "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]], "valence": 12.0}]},
          "valence=12.0 outside [1, 9]"),
+        ({"n_channels": 2, "modality_map": {"a": "A", "b": "B"},
+          "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]], "seed": -1}, "seed must be >= 0"),
     ],
 )
 def test_malformed_synth_spec_exits_2(tmp_path, capsys, spec, needle):

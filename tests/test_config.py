@@ -68,6 +68,7 @@ def test_replace_checks_the_merged_record():
         ("lambda_points", 1, "lambda_points"),
         ("lambda_span", 1.5, "lambda_span"),
         ("k_folds", 1, "k_folds"),
+        ("seed", -1, "seed must be >= 0"),
         ("tau_max", 0, "tau_max"),
         ("m_max", 0, "m_max"),
         # every value has its default's type, and a bool is no number

@@ -19,7 +19,7 @@ from jrpnet.embedding import (
 )
 from jrpnet import embedding, pipeline
 from jrpnet.config import PipelineConfig
-from jrpnet.embedding import _false_neighbor_counts, _repeated_values
+from jrpnet.embedding import _false_neighbor_counts
 from jrpnet.errors import DegenerateInputError, InputError
 from jrpnet.synth import generate, three_regime_specs
 
@@ -258,8 +258,7 @@ def fnn_oracle(x, m, tau):
 
 def fnn_fraction(x, m, tau, first):
     """False-neighbor fraction of the chunked scan, counted to the end."""
-    scale, repeated = x.std(), _repeated_values(x)
-    counts = list(_false_neighbor_counts(x, m, tau, scale, repeated, first))
+    counts = list(_false_neighbor_counts(x, m, tau, x.std(), first))
     assert counts == sorted(counts)
     return counts[-1] / (x.size - m * tau)
 
@@ -315,16 +314,52 @@ def test_fnn_fraction_does_not_depend_on_the_chunking():
             assert len(chunked_fractions(x, m, 10)) == 1
 
 
-@pytest.mark.parametrize("level, m", [
-    pytest.param(0, 1, marks=pytest.mark.xfail(strict=True, reason=(
-        "the noise-free sine at m = 1 has states equally near two distinct "
-        "states, and the tree, not the lowest index, picks the neighbor"
-    ))),
-    *[(level, m) for level in range(5) for m in range(1, 7) if (level, m) != (0, 1)],
-])
+@pytest.mark.parametrize("level, m", [(level, m) for level in range(5) for m in range(1, 7)])
 def test_every_chunking_counts_the_oracle_fraction(level, m):
     x = list(noisy_sines())[level]
     assert chunked_fractions(x, m, 10) == {fnn_oracle(x, m, 10)}
+
+
+def quantized(x, levels):
+    """``x`` as the integer codes of an ADC with ``levels`` levels over its range."""
+    return np.round((x - x.min()) * ((levels - 1) / np.ptp(x)))
+
+
+def quantized_signals():
+    # the sines and two benchmark channels, rounded as an ADC rounds them:
+    # states coincide, and distinct states lie exactly equally far apart
+    recording = generate(three_regime_specs(1, 201)[0][0])
+    channels = [recording.samples[0], recording.samples[5]]
+    for x in [*noisy_sines(), *channels]:
+        for levels in (1024, 256, 64):
+            yield quantized(x, levels)
+
+
+def test_quantized_fractions_do_not_depend_on_the_tree(monkeypatch):
+    for x in quantized_signals():
+        for tau in (1, 4):
+            for m in range(1, 5):
+                expected = {fnn_oracle(x, m, tau)}
+                for leaf in (1, 16, 64, 4096):
+                    monkeypatch.setattr(embedding, "FNN_LEAF_SIZE", leaf)
+                    assert chunked_fractions(x, m, tau) == expected, leaf
+
+
+def test_shortest_signal_the_scan_accepts():
+    # at x.size == m_max * tau + 2 the last m has 2 states, so the tree
+    # has no third neighbor to return; with the copy, those 2 states coincide
+    rng = np.random.default_rng(8)
+    for tau in (1, 2, 3):
+        for m_max in (1, 2, 3, 4):
+            x = rng.normal(size=m_max * tau + 2)
+            copied = x.copy()
+            for j in range(m_max):
+                copied[j * tau + 1] = copied[j * tau]
+            for signal in (x, copied):
+                assert fnn_fraction(signal, m_max, tau, 1) == fnn_oracle(signal, m_max, tau)
+                for threshold in (0.0, FNN_THRESHOLD, 0.6, 1.0):
+                    est = estimate_dimension(signal, tau, m_max, threshold)
+                    assert est == dimension_oracle(signal, tau, m_max, threshold)
 
 
 def test_dimension_queries_at_most_a_fifth_of_the_benchmark_states(monkeypatch):

@@ -288,6 +288,33 @@ def test_bad_labels_fail_before_any_trial_is_embedded(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("stage", [stage_evaluate, stage_train])
+@pytest.mark.parametrize(
+    "arousal, k_folds, match",
+    [
+        # two trials per regime: two members per class, one short of 3 folds
+        ("2.0", 3, "target 'valence': class 'low' has 2 members; need at least 3"),
+        ("5.0", 2, "target 'arousal': class 'low' has 1 members; need at least 2"),
+    ],
+    ids=["three-folds", "thin-arousal"],
+)
+def test_labels_that_cannot_fill_the_folds_fail_before_any_trial_is_embedded(
+    dataset, tmp_path, monkeypatch, stage, arousal, k_folds, match
+):
+    # learn's class rules apply to the discretized labels of each target
+    # before the first trial is embedded, not after features.csv is written
+    data_dir = tmp_path / "data"
+    shutil.copytree(dataset, data_dir)
+    labels = (data_dir / "labels.csv").read_text()
+    assert "none_001,2.0,2.0\n" in labels
+    (data_dir / "labels.csv").write_text(labels.replace("none_001,2.0,2.0", f"none_001,2.0,{arousal}"))
+    embedded, _ = _count_trial_work(monkeypatch)
+    with pytest.raises(InputError, match=f"^stage evaluate: {match}"):
+        stage(data_dir, tmp_path / "out", CONFIG.replace(k_folds=k_folds))
+    assert embedded == []
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("stage", [stage_features, stage_evaluate], ids=["features", "evaluate"])
 def test_different_modality_nodes_fail_before_any_trial_is_embedded(
     dataset, tmp_path, monkeypatch, stage

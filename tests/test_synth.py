@@ -130,6 +130,8 @@ def test_spec_validation_errors():
         pair_spec(sampling_rate_hz=0.0)
     with pytest.raises(InputError, match="sampling_rate_hz"):
         pair_spec(sampling_rate_hz=float("inf"))
+    with pytest.raises(InputError, match="seed must be >= 0"):
+        pair_spec(seed=-1)
 
 
 def test_spec_dict_roundtrip():
@@ -176,6 +178,8 @@ def test_three_regime_benchmark_layout():
     assert [s.to_dict() for s in again] == [s.to_dict() for s in specs]
     with pytest.raises(InputError, match="n_per_regime"):
         three_regime_specs(n_per_regime=0, seed=7)
+    with pytest.raises(InputError, match="seed must be >= 0"):
+        three_regime_specs(n_per_regime=3, seed=-1)
 
 
 def test_write_dataset_materializes_everything(tmp_path):
