@@ -44,7 +44,7 @@ for mu in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
     zscored = zscore_channels(recording)
     windows = segment_windows(zscored, window_s=10.0, overlap_fraction=0.0)
     embeddings = estimate_trial_embeddings(recording, config)
-    weights = channel_graphs(windows, embeddings)["JDET"]
+    weights = channel_graphs(windows, embeddings, recording.modalities)["JDET"]
     print(f"  {mu:.1f}   {gap:9.4f}   {weights[0, 0, 1]:8.3f}")
 
 print()

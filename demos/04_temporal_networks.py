@@ -54,8 +54,10 @@ embeddings = estimate_trial_embeddings(recording, config)
 
 # One call per trial gives one (windows, channels, channels) array per
 # metric; each window's recurrence plots reuse the rows they share with
-# the window before.
-weights = channel_graphs(windows, embeddings)["JDET"]
+# the window before.  Only channels of different modalities are paired,
+# so each channel is passed as its own modality to keep the a-b and c-d
+# module edges in this channel-level network.
+weights = channel_graphs(windows, embeddings, recording.channel_names)["JDET"]
 print(f"{len(weights)} windows, JDET weights of window 0:")
 with np.printoptions(precision=3, suppress=True):
     print(weights[0])

@@ -1,25 +1,27 @@
 """From windowed joint recurrence structure to temporal networks.
 
 A trial's coupling weights travel as one ``(windows, nodes, nodes)``
-array per metric.  For each window, every unordered channel pair gets a
-coupling weight (joint determinism or joint laminarity of the pair's
-JRP).  The windows are visited in order: overlapping windows share most
-of their states, so each channel's recurrence plot keeps the rows it
-shares with the window before and computes only the rows of its new
+array per metric.  For each window, every channel pair that spans two
+modalities gets a coupling weight (joint determinism or joint laminarity
+of the pair's JRP); pairs within a modality reach no edge and are never
+computed.  The windows are visited in order: overlapping windows share
+most of their states, so each channel's recurrence plot keeps the rows
+it shares with the window before and computes only the rows of its new
 states.  Channels are then merged into modality nodes by averaging the
-weights of every edge spanning (or staying inside) a modality pair,
-window by window.  Finally each window's modality weights are binarized
-with a proportional threshold into one layer of a temporal network.
+weights of every edge spanning a modality pair, window by window.
+Finally each window's modality weights are binarized with a proportional
+threshold into one layer of a temporal network.
 
-Weights are kept in [0, 1]; absent weights (degenerate channels, single
-channel modalities) are marked NaN and treated as non-edges, never
-imputed.
+Weights are kept in [0, 1]; absent weights (degenerate channels, pairs
+within a modality, the diagonal) are marked NaN and treated as
+non-edges, never imputed.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -110,13 +112,16 @@ def _window_plot(
 def channel_graphs(
     windows: list[Window],
     embeddings: dict[str, ChannelEmbedding | None],
+    modalities: tuple[str, ...],
     l_min: int = DEFAULT_L_MIN,
     v_min: int = DEFAULT_V_MIN,
     norm: str = "L1",
 ) -> dict[str, np.ndarray]:
-    """Pairwise joint-RQA weights of one trial's windows: for each of
-    ``METRICS`` a symmetric ``(windows, channels, channels)`` array in
-    window order, NaN where absent (always on the diagonal).
+    """Joint-RQA weights of one trial's windows: for each of ``METRICS`` a
+    symmetric ``(windows, channels, channels)`` array in window order, NaN
+    where absent.  Only channels of different ``modalities`` (each
+    channel's modality, in channel order) are paired; pairs within a
+    modality and the diagonal are always absent.
 
     Both metrics share the same joint recurrence plots and the same padded
     off-diagonal copy of each, so they cost one JRP pass.  A channel's plot
@@ -129,8 +134,11 @@ def channel_graphs(
     missing = [n for n in names if n not in embeddings]
     if missing:
         raise InputError(f"no embedding provided for channels {missing}")
-
     n = len(names)
+    if len(modalities) != n:
+        raise InputError(f"{len(modalities)} modalities for {n} channels")
+
+    pairs = [(i, j) for i, j in combinations(range(n), 2) if modalities[i] != modalities[j]]
     weights = {m: np.full((len(windows), n, n), np.nan) for m in METRICS}
     earlier: Window | None = None
     plots: dict[str, RecurrenceMatrix | None] = {}
@@ -140,16 +148,15 @@ def channel_graphs(
             for name in names
         }
         earlier = window
-        for i in range(n):
-            for j in range(i + 1, n):
-                rp_i, rp_j = plots[names[i]], plots[names[j]]
-                if rp_i is None or rp_j is None:
-                    continue
-                lines = off_diagonal(joint_recurrence_plot(rp_i, rp_j))
-                values = (determinism(lines, l_min), laminarity(lines, v_min))
-                for m, value in zip(METRICS, values):
-                    weights[m][t, i, j] = value
-                    weights[m][t, j, i] = value
+        for i, j in pairs:
+            rp_i, rp_j = plots[names[i]], plots[names[j]]
+            if rp_i is None or rp_j is None:
+                continue
+            lines = off_diagonal(joint_recurrence_plot(rp_i, rp_j))
+            values = (determinism(lines, l_min), laminarity(lines, v_min))
+            for m, value in zip(METRICS, values):
+                weights[m][t, i, j] = value
+                weights[m][t, j, i] = value
     return weights
 
 
@@ -162,9 +169,9 @@ def merge_modalities(
     ``modalities`` names each channel's modality in channel order.
     Returns the modalities in first-seen order and their
     ``(windows, k, k)`` weights.  In each window the weight between two
-    modalities is the mean of all channel-pair weights spanning them; the
-    diagonal holds the mean within a modality (absent for single-channel
-    modalities).  Absent channel weights are excluded from the means.
+    modalities is the mean of all channel-pair weights spanning them.
+    Absent channel weights are excluded from the means; the diagonal is
+    always absent.
     """
     if len(modalities) != weights.shape[-1]:
         raise InputError(f"{len(modalities)} modalities for {weights.shape[-1]} channels")
@@ -173,19 +180,13 @@ def merge_modalities(
 
     k = len(nodes)
     merged = np.full((len(weights), k, k), np.nan)
-    for a in range(k):
-        for b in range(a, k):
-            if a == b:
-                pairs = [(i, j) for p, i in enumerate(groups[a]) for j in groups[a][p + 1 :]]
-            else:
-                pairs = [(i, j) for i in groups[a] for j in groups[b]]
-            rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
-            # np.mean of each window's present values in pair order; nanmean
-            # would sum in another order once a pool holds more than 8 values
-            for t, pool in enumerate(weights[:, rows, cols]):
-                values = pool[~np.isnan(pool)]
-                if values.size:
-                    merged[t, a, b] = merged[t, b, a] = values.mean()
+    for a, b in combinations(range(k), 2):
+        # np.mean of each window's present values in pair order; nanmean
+        # would sum in another order once a pool holds more than 8 values
+        for t, pool in enumerate(weights[:, groups[a]][:, :, groups[b]]):
+            values = pool[~np.isnan(pool)]
+            if values.size:
+                merged[t, a, b] = merged[t, b, a] = values.mean()
     return nodes, merged
 
 
@@ -224,24 +225,16 @@ def assemble_temporal_network(
     )
 
 
-def weighted_records(weights: dict[str, np.ndarray], nodes: tuple[str, ...]) -> list[dict]:
-    """JSON-ready records of a trial's weight stacks by metric, window by
-    window and, within a window, metric by metric.
-
-    Weights are the upper triangle including the diagonal, row-major,
-    with absent entries as null.
-    """
-    iu = np.triu_indices(len(nodes))
-    n_windows = len(next(iter(weights.values())))
+def weighted_records(weights: dict[str, np.ndarray]) -> list[dict]:
+    """JSON-ready records of a trial's weight stacks by metric, one per
+    window: the upper triangle without the diagonal, row-major, with
+    absent entries as null, under each metric's name."""
+    n_windows, n, _ = next(iter(weights.values())).shape
+    rows, cols = np.triu_indices(n, k=1)
+    upper = {metric: stack[:, rows, cols].tolist() for metric, stack in weights.items()}
     return [
-        {
-            "window": t,
-            "metric": metric,
-            "nodes": list(nodes),
-            "weights": [None if np.isnan(v) else float(v) for v in stack[t][iu]],
-        }
+        {"window": t, **{m: [None if np.isnan(v) else v for v in u[t]] for m, u in upper.items()}}
         for t in range(n_windows)
-        for metric, stack in weights.items()
     ]
 
 

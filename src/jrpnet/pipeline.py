@@ -4,7 +4,7 @@ A data directory holds one CSV + JSON-sidecar pair per trial plus a
 ``labels.csv``; an output directory accumulates the artifacts:
 
 - ``embedding_params.json``: per-channel delay, dimension, threshold
-- ``networks/<trial>.weighted.jsonl``: merged modality graphs per window
+- ``networks/<trial>.weighted.jsonl``: cross-modality weights per window
 - ``networks/<trial>.<metric>.binary.jsonl``: binarized temporal network
 - ``features.csv``: one row per (trial, weight metric)
 - ``reachability.json``: latency / fastest-path audit per trial
@@ -49,7 +49,8 @@ trial no longer in the data directory are deleted, and ``train`` refits
 from the feature tables that ``evaluate`` read.
 An unchanged rerun computes and writes nothing, and running stages one
 by one writes what one run writes.  Writes are atomic (tmp file +
-rename), so interrupted runs never leave partial artifacts behind.
+rename), so interrupted runs never leave partial artifacts behind, and
+a failed write removes its tmp file.
 """
 
 from __future__ import annotations
@@ -143,9 +144,13 @@ def _stage(stage: str, trial: str | None = None):
 def _write_text(path: str, text: str) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:  # a failed write leaves no tmp file behind
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _json_line(obj: dict) -> str:
@@ -259,20 +264,20 @@ def analyze_recording(
 ) -> dict[str, tuple[dict, list[dict]]]:
     """The network files of one recording by kind: header fields and records.
 
-    Kind ``"weighted"`` holds the merged coupling graphs per window and
-    metric, and each metric's kind its binarized temporal network.  The
-    analyze stage writes these files and reads the networks back from
-    them, so networks reach the features stage only through their files.
+    Kind ``"weighted"`` holds the merged coupling graphs per window, and
+    each metric's kind its binarized temporal network.  The analyze stage
+    writes these files and reads the networks back from them, so networks
+    reach the features stage only through their files.
     """
     windows = segment_windows(recording, config.window_s, config.overlap)
     channel_weights = channel_graphs(
-        windows, embeddings, l_min=config.l_min, v_min=config.v_min, norm=config.norm
+        windows, embeddings, recording.modalities, config.l_min, config.v_min, config.norm
     )
     merged = {}
     for metric, weights in channel_weights.items():
         nodes, merged[metric] = merge_modalities(weights, recording.modalities)
 
-    files = {"weighted": ({}, weighted_records(merged, nodes))}
+    files = {"weighted": ({"nodes": list(nodes)}, weighted_records(merged))}
     for metric, weights in merged.items():
         tn = assemble_temporal_network(weights, nodes, metric, rho=config.binarize_rho)
         fields = {"nodes": list(tn.nodes), "binarize_rule": tn.binarize_rule}
@@ -426,7 +431,7 @@ def _network_files(
         path = os.path.join(out_dir, "networks", f"{trial_id}.{suffix}.jsonl")
         return path, _envelope("analyze", config, {trial_id: digest}, trial_id=trial_id, **names)
 
-    files = {"weighted": file("weighted", kind="weighted_graphs")}
+    files = {"weighted": file("weighted", kind="modality_weights")}
     for metric in METRICS:
         files[metric] = file(f"{metric}.binary", kind="temporal_network", metric=metric)
     return files
@@ -595,8 +600,8 @@ def stage_analyze(
 
     Only the trials whose network files are not current are analyzed and
     their files written, and the network files of any other trial are
-    deleted.  Every trial's networks, fresh or reused, are read back from
-    its files.
+    deleted, as are the temporary files of interrupted writes.  Every
+    trial's networks, fresh or reused, are read back from its files.
     """
     run, out_dir = _run(data_dir), os.fspath(out_dir)
     embedded = stage_embed_params(run, out_dir, config, jobs)
@@ -612,7 +617,7 @@ def stage_analyze(
     kept = {path for by_kind in files.values() for path, _ in by_kind.values()}
     for name in os.listdir(os.path.join(out_dir, "networks")):
         path = os.path.join(out_dir, "networks", name)
-        if name.endswith(".jsonl") and path not in kept:
+        if name.endswith((".jsonl", ".jsonl.tmp")) and path not in kept:
             os.remove(path)
     return networks
 

@@ -250,7 +250,9 @@ def test_coupling_raises_joint_determinism():
                 channel_names=recording.channel_names,
                 samples=zscore_channels(recording).samples,
             )
-            weights = channel_graphs([window], embeddings, norm=config.norm)["JDET"]
+            weights = channel_graphs(
+                [window], embeddings, recording.modalities, norm=config.norm
+            )["JDET"]
             bucket.append(weights[0, 0, 1])
     p = mannwhitneyu(coupled, uncoupled, alternative="greater").pvalue
     verdict(

@@ -21,7 +21,7 @@ from jrpnet.netbuild import (
 )
 from jrpnet.recurrence import NORMS, joint_recurrence_plot, recurrence_plot, threshold_for_rate
 from jrpnet.rqa import determinism, laminarity, off_diagonal
-from jrpnet.synth import CouplingSpec, generate
+from jrpnet.synth import CouplingSpec, generate, three_regime_specs
 
 
 def logistic_window(n_channels, length, seed, index=0):
@@ -50,8 +50,8 @@ def simple_embeddings(window, epsilon=0.5, delay=1, dim=2):
 def test_pair_weights_match_direct_recomputation():
     window = logistic_window(3, 120, seed=5)
     embeddings = simple_embeddings(window, epsilon=0.4, delay=2, dim=3)
-    weights = channel_graphs([window], embeddings, norm="L2")
     names = window.channel_names
+    weights = channel_graphs([window], embeddings, names, norm="L2")
     for i in range(3):
         for j in range(i + 1, 3):
             emb_i, emb_j = embeddings[names[i]], embeddings[names[j]]
@@ -76,7 +76,7 @@ def test_unequal_embeddings_give_unequal_jrps_with_exact_weights():
         name: ChannelEmbedding(params=EmbeddingParams(delay_tau=tau, dimension_m=m), epsilon=1.5)
         for name, (tau, m) in zip(names, shapes)
     }
-    weights = channel_graphs([window], embeddings, l_min=2, v_min=4)
+    weights = channel_graphs([window], embeddings, names, l_min=2, v_min=4)
     rps = [
         recurrence_plot(embed(window.channel(name), embeddings[name].params), 1.5)
         for name in names
@@ -92,7 +92,8 @@ def test_unequal_embeddings_give_unequal_jrps_with_exact_weights():
 
 def test_six_channels_fill_all_fifteen_pairs():
     window = logistic_window(6, 100, seed=9)
-    for stack in channel_graphs([window], simple_embeddings(window)).values():
+    graphs = channel_graphs([window], simple_embeddings(window), window.channel_names)
+    for stack in graphs.values():
         assert stack.shape == (1, 6, 6)
         w = stack[0]
         assert np.isnan(np.diagonal(w)).all()
@@ -108,7 +109,9 @@ def test_each_jrp_is_padded_once_for_both_metrics(monkeypatch):
     monkeypatch.setattr(
         netbuild, "off_diagonal", lambda jrp: padded.append(jrp) or off_diagonal(jrp)
     )
-    weights = channel_graphs([window, replace(window, index=1)], simple_embeddings(window))
+    weights = channel_graphs(
+        [window, replace(window, index=1)], simple_embeddings(window), window.channel_names
+    )
     assert len(padded) == 2 * 6
     assert np.isfinite(weights["JDET"][:, 0, 1]).all()
 
@@ -118,7 +121,7 @@ def test_constant_channel_gets_absent_weights(caplog):
     window.samples[1, :] = 0.7
     embeddings = simple_embeddings(window)
     with caplog.at_level(logging.WARNING):
-        weights = channel_graphs([window], embeddings)
+        weights = channel_graphs([window], embeddings, window.channel_names)
     assert "ch1 is constant" in caplog.text
     w = weights["JDET"][0]
     assert np.isnan(w[0, 1]) and np.isnan(w[1, 2])
@@ -130,7 +133,7 @@ def test_none_embedding_gets_absent_weights_silently(caplog):
     embeddings = simple_embeddings(window)
     embeddings["ch2"] = None
     with caplog.at_level(logging.WARNING):
-        weights = channel_graphs([window], embeddings)
+        weights = channel_graphs([window], embeddings, window.channel_names)
     assert "constant" not in caplog.text
     w = weights["JLAM"][0]
     assert np.isnan(w[0, 2]) and np.isnan(w[1, 2])
@@ -142,11 +145,36 @@ def test_channel_graph_input_errors():
     embeddings = simple_embeddings(window)
     incomplete = {"ch0": embeddings["ch0"]}
     with pytest.raises(InputError, match="no embedding"):
-        channel_graphs([window], incomplete)
+        channel_graphs([window], incomplete, window.channel_names)
+    with pytest.raises(InputError, match="1 modalities for 2 channels"):
+        channel_graphs([window], embeddings, ("EEG",))
 
 
-def oracle_graphs(windows, embeddings, norm):
-    """Per-window weights recomputed from scratch, window by window."""
+def test_only_cross_modality_pairs_get_a_jrp(monkeypatch):
+    # the benchmark layout: 8 channels in 4 modalities of 2, so 28 channel
+    # pairs of which 4 lie within a modality
+    spec = three_regime_specs(n_per_regime=1, seed=201, length_samples=256)[0][0]
+    recording = generate(spec)
+    windows = segment_windows(zscore_channels(recording), 2.0, 0.5)
+    jrps = []
+    monkeypatch.setattr(
+        netbuild,
+        "joint_recurrence_plot",
+        lambda a, b: jrps.append(1) or joint_recurrence_plot(a, b),
+    )
+    window = windows[0]
+    weights = channel_graphs(windows, simple_embeddings(window), recording.modalities)
+    assert len(recording.modalities) == 8 and len(set(recording.modalities)) == 4
+    assert len(windows) > 1 and len(jrps) == 24 * len(windows)
+    same = np.equal.outer(recording.modalities, recording.modalities)
+    for stack in weights.values():
+        assert np.isnan(stack[:, same]).all()
+        assert np.isfinite(stack[:, ~same]).all()
+
+
+def oracle_graphs(windows, embeddings, modalities, norm):
+    """Per-window weights of the cross-modality pairs recomputed from
+    scratch, window by window."""
     out = []
     for window in windows:
         plots = []
@@ -160,6 +188,8 @@ def oracle_graphs(windows, embeddings, norm):
         jdet, jlam = np.full((n, n), np.nan), np.full((n, n), np.nan)
         for i in range(n):
             for j in range(i + 1, n):
+                if modalities[i] == modalities[j]:
+                    continue
                 if plots[i] is not None and plots[j] is not None:
                     jrp = joint_recurrence_plot(plots[i], plots[j])
                     jdet[i, j] = jdet[j, i] = determinism(jrp)
@@ -210,9 +240,9 @@ def test_shared_window_rows_equal_per_window_recomputation(overlap, norm, monkey
     uneven = [w for k, w in enumerate(windows) if k % 3 != 2]
     rescaled = [windows[0], replace(windows[1], samples=1.5 * windows[1].samples), *windows[2:]]
     for subset in (windows, uneven, rescaled):
-        weights = channel_graphs(subset, embeddings, norm=norm)
+        weights = channel_graphs(subset, embeddings, recording.modalities, norm=norm)
         assert weights["JDET"].shape == (len(subset), 4, 4)
-        for t, want in enumerate(oracle_graphs(subset, embeddings, norm)):
+        for t, want in enumerate(oracle_graphs(subset, embeddings, recording.modalities, norm)):
             for metric in ("JDET", "JLAM"):
                 assert weights[metric][t].tobytes() == want[metric].tobytes()
         for t, w in enumerate(subset):
@@ -225,19 +255,15 @@ def test_shared_window_rows_equal_per_window_recomputation(overlap, norm, monkey
 
 def reference_merge(weights, modalities):
     """One window's merge as built graph by graph, the exactness reference:
-    each cell is the mean of the present pair weights, compacted in pair
-    order."""
+    each cell off the diagonal is the mean of the present pair weights,
+    compacted in pair order."""
     nodes = list(dict.fromkeys(modalities))
     groups = [[i for i, m in enumerate(modalities) if m == node] for node in nodes]
     n = len(nodes)
     merged = np.full((n, n), np.nan)
     for a in range(n):
-        for b in range(a, n):
-            if a == b:
-                group = groups[a]
-                pool = [weights[i, j] for k, i in enumerate(group) for j in group[k + 1 :]]
-            else:
-                pool = [weights[i, j] for i in groups[a] for j in groups[b]]
+        for b in range(a + 1, n):
+            pool = [weights[i, j] for i in groups[a] for j in groups[b]]
             values = np.array([w for w in pool if not np.isnan(w)])
             if values.size:
                 merged[a, b] = values.mean()
@@ -271,15 +297,14 @@ def stack(*windows):
     return np.array(windows, dtype=float)
 
 
-def test_merge_averages_cross_and_within_modalities():
+def test_merge_averages_cross_modality_pairs():
     nan = np.nan
     w = stack([[nan, 0.4, 0.2], [0.4, nan, 0.6], [0.2, 0.6, nan]])
     nodes, merged = merge_modalities(w, ("EEG", "EEG", "EMG"))
     assert nodes == ("EEG", "EMG")
     assert merged[0, 0, 1] == pytest.approx(0.4)  # mean of 0.2 and 0.6
     assert merged[0, 1, 0] == merged[0, 0, 1]
-    assert merged[0, 0, 0] == pytest.approx(0.4)  # the single EEG pair
-    assert np.isnan(merged[0, 1, 1])  # one-channel modality
+    assert np.isnan(np.diagonal(merged[0])).all()  # the EEG pair is not merged
 
 
 def test_merge_excludes_absent_weights():
@@ -297,7 +322,7 @@ def test_merge_of_uniform_weights_is_uniform():
         w = np.full((n, n), c)
         np.fill_diagonal(w, np.nan)
         _, merged = merge_modalities(stack(w, w), ("A",) * 3 + ("B",) * 3)
-        assert np.allclose(merged, c)
+        assert np.allclose(merged[:, 0, 1], c) and np.allclose(merged[:, 1, 0], c)
 
 
 def test_merge_preserves_first_seen_modality_order():
@@ -392,14 +417,14 @@ def test_assemble_input_errors():
 def test_weighted_record_upper_triangle_with_nulls():
     jdet = stack(ladder([0.1, 0.2, 0.3], 3), ladder([0.4, 0.5, 0.6], 3))
     jlam = jdet.copy()
+    # the diagonal is not recorded, whatever it holds
     jlam[1] = [[0.3, 0.4, np.nan], [0.4, np.nan, 0.6], [np.nan, 0.6, 0.1]]
-    records = weighted_records({"JDET": jdet, "JLAM": jlam}, ("A", "B", "C"))
-    assert [(r["window"], r["metric"]) for r in records] == [
-        (0, "JDET"), (0, "JLAM"), (1, "JDET"), (1, "JLAM")
+    records = weighted_records({"JDET": jdet, "JLAM": jlam})
+    assert records == [
+        {"window": 0, "JDET": [0.1, 0.2, 0.3], "JLAM": [0.1, 0.2, 0.3]},
+        {"window": 1, "JDET": [0.4, 0.5, 0.6], "JLAM": [0.4, None, 0.6]},
     ]
-    assert records[3]["nodes"] == ["A", "B", "C"]
-    assert records[3]["weights"] == [0.3, 0.4, None, None, 0.6, 0.1]
-    assert records[0]["weights"] == [None, 0.1, 0.2, None, 0.3, None]
+    assert all(type(v) is float for v in records[0]["JDET"])
 
 
 def test_binary_record_lists_sorted_edges():

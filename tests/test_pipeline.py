@@ -154,12 +154,16 @@ def test_network_files_have_headers_and_records(dataset, pipeline_out):
     tid = trial_ids(dataset)[0]
     weighted = (out_dir / "networks" / f"{tid}.weighted.jsonl").read_text().splitlines()
     header = json.loads(weighted[0])
-    assert header["kind"] == "weighted_graphs"
+    assert header["kind"] == "modality_weights"
     assert header["trial_id"] == tid
-    assert len(weighted) == 1 + 2 * 2  # two windows, two metrics
-    record = json.loads(weighted[1])
-    assert record["nodes"] == ["M1", "M2", "M3", "M4"]
-    assert len(record["weights"]) == 10  # upper triangle with diagonal
+    assert header["nodes"] == ["M1", "M2", "M3", "M4"]
+    assert len(weighted) == 1 + 2  # one record per window
+    for t, line in enumerate(weighted[1:]):
+        record = json.loads(line)
+        assert sorted(record) == ["JDET", "JLAM", "window"]
+        assert record["window"] == t
+        # the upper triangle without the diagonal: the modality pairs
+        assert len(record["JDET"]) == len(record["JLAM"]) == 6
 
     binary = (out_dir / "networks" / f"{tid}.JDET.binary.jsonl").read_text().splitlines()
     header = json.loads(binary[0])
@@ -704,6 +708,76 @@ def test_damaged_artifact_is_recomputed(
         (damaged / other).unlink()
     assert _cli(command, dataset, damaged, tmp_path) == 0
     assert _tree(damaged) == _tree(out_dir)
+
+
+def _earlier_weighted_layout(text):
+    """A weighted network file re-encoded in the earlier layout, resealed:
+    one record per window and metric, each with the node list and the
+    upper triangle including the (absent) diagonal."""
+    head, *lines = text.splitlines()
+    header = json.loads(head)
+    nodes = header.pop("nodes")
+    header["kind"] = "weighted_graphs"
+    records = []
+    for line in lines:
+        record = json.loads(line)
+        for metric in METRICS:
+            pairs = iter(record[metric])
+            weights = [
+                None if i == j else next(pairs)
+                for i in range(len(nodes))
+                for j in range(i, len(nodes))
+            ]
+            records.append(
+                {"window": record["window"], "metric": metric, "nodes": nodes, "weights": weights}
+            )
+    return _resealed("\n".join(map(_json_line, [header, *records])) + "\n", ".jsonl")
+
+
+def test_weighted_file_in_the_earlier_layout_is_rewritten(
+    dataset, pipeline_out, tmp_path, monkeypatch
+):
+    # its stamp is current and it hashes to its digest; its kind makes it stale
+    out_dir, _ = pipeline_out
+    old = tmp_path / "old"
+    shutil.copytree(out_dir, old)
+    path = old / "networks" / "dense_000.weighted.jsonl"
+    path.write_text(_earlier_weighted_layout(path.read_text()))
+    assert path.read_bytes() != (out_dir / "networks" / "dense_000.weighted.jsonl").read_bytes()
+    _, analyzed = _count_trial_work(monkeypatch)
+    run_pipeline(dataset, old, CONFIG)
+    assert analyzed == ["dense_000"]
+    assert _tree(old) == _tree(out_dir)
+
+
+def test_failed_write_leaves_no_tmp_file(dataset, pipeline_out, tmp_path, monkeypatch):
+    # the rename of the first network file written fails; the rerun then
+    # writes what a clean run writes and nothing else
+    out_dir, _ = pipeline_out
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    (out / "networks" / "dense_000.weighted.jsonl").unlink()
+
+    def failing(src, dst):
+        raise OSError("no space left")
+
+    monkeypatch.setattr(pipeline.os, "replace", failing)
+    with pytest.raises(OSError, match="no space left"):
+        stage_analyze(dataset, out, CONFIG)
+    monkeypatch.undo()
+    assert not list((out / "networks").glob("*.tmp"))
+    stage_analyze(dataset, out, CONFIG)
+    assert _tree(out) == _tree(out_dir)
+
+
+def test_rerun_removes_the_tmp_files_of_a_killed_run(dataset, pipeline_out, tmp_path):
+    out_dir, _ = pipeline_out
+    out = tmp_path / "out"
+    shutil.copytree(out_dir, out)
+    for name in ("dense_000.weighted.jsonl.tmp", "dense_000.JDET.binary.jsonl.tmp"):
+        (out / "networks" / name).write_text('{"partial')
+    run_pipeline(dataset, out, CONFIG)
+    assert _tree(out) == _tree(out_dir)
 
 
 def test_edited_embedding_entry_is_reembedded(dataset, pipeline_out, tmp_path):
