@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .config import load_config
@@ -60,7 +61,7 @@ _STAGES = {
     "features": (
         "compute temporal features per trial",
         stage_features,
-        lambda path, out: f"wrote {path}",
+        lambda features, out: f"wrote {os.path.join(out, 'features.csv')}",
     ),
     "train": (
         "fit final models at the cross-validated lambda",

@@ -14,7 +14,9 @@ threshold into one layer of a temporal network.
 
 Weights are kept in [0, 1]; absent weights (degenerate channels, pairs
 within a modality, the diagonal) are marked NaN and treated as
-non-edges, never imputed.
+non-edges, never imputed.  This module computes in memory only: the
+pipeline encodes the weights and networks into its network files and
+decodes them back.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ __all__ = [
     "channel_graphs",
     "merge_modalities",
     "assemble_temporal_network",
-    "weighted_records",
-    "binary_record",
 ]
 
 log = logging.getLogger(__name__)
@@ -223,26 +223,3 @@ def assemble_temporal_network(
         binarize_rule={"strategy": "proportional", "rho": rho},
         metric=metric,
     )
-
-
-def weighted_records(weights: dict[str, np.ndarray]) -> list[dict]:
-    """JSON-ready records of a trial's weight stacks by metric, one per
-    window: the upper triangle without the diagonal, row-major, with
-    absent entries as null, under each metric's name."""
-    n_windows, n, _ = next(iter(weights.values())).shape
-    rows, cols = np.triu_indices(n, k=1)
-    upper = {metric: stack[:, rows, cols].tolist() for metric, stack in weights.items()}
-    return [
-        {"window": t, **{m: [None if np.isnan(v) else v for v in u[t]] for m, u in upper.items()}}
-        for t in range(n_windows)
-    ]
-
-
-def binary_record(tn: TemporalNetwork, window_index: int) -> dict:
-    """JSON-ready record of one binarized layer: sorted edge list."""
-    layer = tn.layers[window_index]
-    i, j = np.nonzero(np.triu(layer, k=1))
-    return {
-        "window": int(window_index),
-        "edges": [[int(a), int(b)] for a, b in zip(i, j)],
-    }

@@ -20,37 +20,38 @@ evaluation report and the models also carry a digest of every trial's
 discretized class per target, so relabeling a trial makes them stale
 while a rescore that keeps every class does not.  Every artifact is
 also sealed with the sha256 of its content: a ``digest`` field over the
-rest of a JSON artifact as one canonical line, a ``digest`` field in a
-network file's header over the header without it and the record lines,
-and a first ``# digest=`` line over the rest of ``features.csv``.
+rest of a JSON artifact as one canonical line, and in the header line
+of a network file and of ``features.csv`` (after a ``# ``) over the
+header without it as one canonical line and every line after it.
 
-One rule decides reuse: a stored artifact is current when it holds
-every field of the envelope its stage would write now and its content
-hashes to its digest.  A file that does not parse or does not hash is
-stale, never an error.  Each stage checks the inputs that only it
-reads (``features`` compares the trials' modality nodes in their
-sidecars, ``evaluate`` loads ``labels.csv`` and checks that each
-target's classes can support the configured cross-validation), runs the
-stage before it, returns its own artifact if that is current, and
-otherwise computes and writes it; so trials with different modality
-nodes and a missing, malformed or too thinly labeled labels file fail
-before any trial is embedded, and a command first brings every earlier
-stage up to date.  A command lists and hashes its trials once, when it
-starts, and every stage it runs covers that one trial set: a trial
-added or removed during a command belongs to the next command (a
-removed trial whose files the command still has to read stops it with
-an input error).  The per-trial pieces are a trial's network files,
-current only all together, and its entry in ``embedding_params.json``,
-current when the slice of the file's stamp for that trial is.  ``features.csv`` with ``reachability.json``,
+One rule decides reuse: a stored artifact is current when it holds every
+field of the envelope its stage would write now and its content hashes
+to its digest.  A file that does not parse or does not hash is stale,
+never an error.  Each stage checks the inputs that only it reads
+(``features`` compares the trials' modality nodes in their sidecars,
+``evaluate`` loads ``labels.csv`` and checks that each target's classes
+can support the configured cross-validation), runs the stage before it,
+returns its own artifact if that is current, and otherwise computes and
+writes it; so trials with different modality nodes and a missing,
+malformed or too thinly labeled labels file fail before any trial is
+embedded, and a command first brings every earlier stage up to date.  A
+command lists and hashes its trials once, when it starts, and every
+stage it runs covers that one trial set: a trial added or removed during
+a command belongs to the next command (a removed trial whose files the
+command still has to read stops it with an input error).  The per-trial
+pieces are a trial's network files, current only all together, and its
+entry in ``embedding_params.json``, current when the slice of the file's
+stamp for that trial is.  ``features.csv`` with ``reachability.json``,
 ``evaluation.json`` and each model are current or stale as a whole.
 Networks reach the features stage only through their files: a freshly
 analyzed trial is read back as a reused one is.  The network files of a
-trial no longer in the data directory are deleted, and ``train`` refits
-from the feature tables that ``evaluate`` read.
-An unchanged rerun computes and writes nothing, and running stages one
-by one writes what one run writes.  Writes are atomic (tmp file +
-rename), so interrupted runs never leave partial artifacts behind, and
-a failed write removes its tmp file.
+trial no longer in the data directory are deleted.  ``evaluate`` takes
+its tables from the ``features.csv`` lines the features stage verified
+or wrote, and ``train`` refits from them.  An unchanged rerun computes
+and writes nothing, and running stages one by one writes what one run
+writes.  Writes are atomic (tmp file + rename), so interrupted runs
+never leave partial artifacts behind; a failed write removes its tmp
+file, and a command removes the tmp files a killed one left.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +91,8 @@ from .netbuild import (
     ChannelEmbedding,
     TemporalNetwork,
     assemble_temporal_network,
-    binary_record,
     channel_graphs,
     merge_modalities,
-    weighted_records,
 )
 from .recurrence import threshold_for_rate
 from .seeding import derive_seed
@@ -161,11 +160,12 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _write_jsonl(path: str, header: dict, records: list[dict]) -> None:
-    """Header line sealed with the digest of the file as it reads without it."""
-    body = "".join("\n" + _json_line(obj) for obj in records) + "\n"
+def _write_sealed(path: str, header: dict, lines: list[str], mark: str = "") -> None:
+    """``mark``, then ``header`` as one JSON line sealed with the digest of
+    the file as it reads without the mark and the digest, then ``lines``."""
+    body = "".join("\n" + line for line in lines) + "\n"
     sealed = {**header, "digest": _sha256(_json_line(header) + body)}
-    _write_text(path, _json_line(sealed) + body)
+    _write_text(path, mark + _json_line(sealed) + body)
 
 
 def _write_json(path: str, obj: dict) -> None:
@@ -277,11 +277,11 @@ def analyze_recording(
     for metric, weights in channel_weights.items():
         nodes, merged[metric] = merge_modalities(weights, recording.modalities)
 
-    files = {"weighted": ({"nodes": list(nodes)}, weighted_records(merged))}
+    files = {"weighted": ({"nodes": list(nodes)}, _weighted_records(merged))}
     for metric, weights in merged.items():
         tn = assemble_temporal_network(weights, nodes, metric, rho=config.binarize_rho)
         fields = {"nodes": list(tn.nodes), "binarize_rule": tn.binarize_rule}
-        files[metric] = (fields, [binary_record(tn, w) for w in range(tn.n_layers)])
+        files[metric] = (fields, [_binary_record(tn, w) for w in range(tn.n_layers)])
     return files
 
 
@@ -356,11 +356,22 @@ class _Run:
     report: dict | None = None
 
 
-def _run(source: str | os.PathLike | _Run) -> _Run:
-    """The caller's run, or a new one over the data directory ``source``."""
+#: The artifacts a run writes at the top of its output directory.
+_TOP_LEVEL = (
+    "embedding_params.json", "features.csv", "reachability.json", "evaluation.json",
+    *(f"model_{target}_{metric}.json" for target in TARGETS for metric in METRICS),
+)
+
+
+def _run(source: str | os.PathLike | _Run, out_dir: str | os.PathLike) -> _Run:
+    """The caller's run, or a new one over the data directory ``source``
+    that first removes the tmp files a killed run left in ``out_dir``."""
     if isinstance(source, _Run):
         return source
     trials = discover_trials(source)
+    for name in _TOP_LEVEL:
+        with suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name + ".tmp"))
     return _Run(os.fspath(source), trials, _trial_digests(trials))
 
 
@@ -409,16 +420,17 @@ def _read_json(path: str) -> dict | None:
         return None
 
 
-def _read_jsonl(path: str) -> tuple[dict, list[str]] | None:
-    """A network file's header and record lines, or None if it is missing,
-    unreadable or does not hash to the digest in its header."""
+def _read_sealed(path: str, mark: str = "") -> tuple[dict, list[str]] | None:
+    """The header and the lines after it of a file :func:`_write_sealed`
+    wrote with ``mark``, or None if it is missing, unreadable, does not
+    start with ``mark`` or does not hash to the digest in its header."""
     try:
         with open(path, encoding="utf-8") as fh:
             head, newline, rest = fh.read().partition("\n")
-        header = _unsealed(json.loads(head), newline + rest)
+        header = head.startswith(mark) and _unsealed(json.loads(head[len(mark):]), newline + rest)
     except (OSError, ValueError):  # missing, unparseable, or holds a NaN
         return None
-    return None if header is None else (header, rest.splitlines())
+    return (header, rest.splitlines()) if header else None
 
 
 def _network_files(
@@ -437,6 +449,25 @@ def _network_files(
     return files
 
 
+def _weighted_records(weights: dict[str, np.ndarray]) -> list[dict]:
+    """JSON-ready records of a trial's weight stacks by metric, one per
+    window: the upper triangle without the diagonal, row-major, with
+    absent entries as null, under each metric's name."""
+    n_windows, n, _ = next(iter(weights.values())).shape
+    rows, cols = np.triu_indices(n, k=1)
+    upper = {metric: stack[:, rows, cols].tolist() for metric, stack in weights.items()}
+    return [
+        {"window": t, **{m: [None if np.isnan(v) else v for v in u[t]] for m, u in upper.items()}}
+        for t in range(n_windows)
+    ]
+
+
+def _binary_record(tn: TemporalNetwork, window_index: int) -> dict:
+    """JSON-ready record of one binarized layer: sorted edge list."""
+    i, j = np.nonzero(np.triu(tn.layers[window_index], k=1))
+    return {"window": int(window_index), "edges": [[int(a), int(b)] for a, b in zip(i, j)]}
+
+
 def _read_networks(files: dict[str, tuple[str, dict]]) -> dict[str, TemporalNetwork] | None:
     """A trial's binarized networks by metric, read back from its
     :func:`_network_files` ``files``; or None unless all of them are
@@ -444,7 +475,7 @@ def _read_networks(files: dict[str, tuple[str, dict]]) -> dict[str, TemporalNetw
     binarized file, one per window in order, are its layers."""
     networks = {}
     for kind, (path, envelope) in files.items():
-        stored = _read_jsonl(path)
+        stored = _read_sealed(path)
         if stored is None or not _current(stored[0], envelope):
             return None
         header, records = stored
@@ -460,22 +491,22 @@ def _read_networks(files: dict[str, tuple[str, dict]]) -> dict[str, TemporalNetw
     return networks
 
 
+def _features_content(header: dict, lines: list[str]) -> tuple[dict, list[str], list[dict]]:
+    """(stamp, feature column names, rows) of a ``features.csv`` header
+    and the CSV lines after it."""
+    columns, *body = [line.split(",") for line in lines]
+    rows = [{"trial_id": tid, "metric": metric, "values": [float(v) for v in values]}
+            for tid, metric, *values in body]
+    return header["stamp"], columns[2:], rows
+
+
 def read_features_csv(path: str) -> tuple[dict, list[str], list[dict]]:
     """Parse a features artifact: (stamp, feature column names, rows)."""
-    if not os.path.isfile(path):
-        raise InputError(f"features file {path} does not exist")
-    with open(path, encoding="utf-8") as fh:
-        seal, _, text = fh.read().partition("\n")
-    if seal != f"# digest={_sha256(text)}":
-        raise InputError(f"features file {path} does not hash to its digest")
-    lines = [line for line in text.splitlines() if line]
-    stamps = [line.partition("=")[2] for line in lines if line.startswith("# stamp=")]
-    header, *body = [line.split(",") for line in lines if not line.startswith("# ")]
-    rows = [
-        {"trial_id": cells[0], "metric": cells[1], "values": [float(c) for c in cells[2:]]}
-        for cells in body
-    ]
-    return json.loads(stamps[0]), header[2:], rows
+    stored = _read_sealed(path, "# ")
+    if stored is None:
+        why = "does not hash to its digest" if os.path.isfile(path) else "does not exist"
+        raise InputError(f"features file {path} {why}")
+    return _features_content(*stored)
 
 
 def _reachability_json(rep: ReachabilityReport) -> dict:
@@ -486,15 +517,6 @@ def _reachability_json(rep: ReachabilityReport) -> dict:
         "strong_pairs": sorted(map(list, rep.strong_pairs)),
         "weak_pairs": sorted(map(list, rep.weak_pairs)),
     }
-
-
-def _features_current(path: str, envelope: dict) -> bool:
-    """Whether ``features.csv`` hashes to its digest and its stamp is the envelope's."""
-    try:
-        stamp, _, _ = read_features_csv(path)
-    except InputError:  # missing or damaged
-        return False
-    return _current({"stamp": stamp}, envelope)
 
 
 def _common_nodes(trials: list[TrialPaths]) -> tuple[str, ...]:
@@ -535,10 +557,10 @@ def _read_labels(run: _Run, k_folds: int) -> dict[str, dict[str, str]]:
     return classes
 
 
-def _labeled_tables(out_dir: str, classes: dict[str, dict[str, str]]) -> dict[str, FeatureTable]:
-    """Per-metric feature tables from the current ``features.csv`` with
-    the trials' ``classes`` attached."""
-    _, columns, rows = read_features_csv(os.path.join(out_dir, "features.csv"))
+def _labeled_tables(features: tuple, classes: dict[str, dict[str, str]]) -> dict[str, FeatureTable]:
+    """Per-metric feature tables from the ``features.csv`` content
+    :func:`stage_features` returns, with the trials' ``classes`` attached."""
+    _, columns, rows = features
     tables: dict[str, FeatureTable] = {}
     for metric in METRICS:
         subset = [r for r in rows if r["metric"] == metric]
@@ -578,7 +600,7 @@ def stage_embed_params(
     """Estimate and persist per-channel embedding parameters of every
     trial whose entry is not current; current entries are kept, and an
     unchanged file is not rewritten."""
-    run = _run(data_dir)
+    run = _run(data_dir, out_dir)
     path = os.path.join(os.fspath(out_dir), "embedding_params.json")
     stored = _read_json(path) or {}
     params = {tid: _current_entry(stored, tid, config, d) for tid, d in run.digests.items()}
@@ -603,7 +625,7 @@ def stage_analyze(
     deleted, as are the temporary files of interrupted writes.  Every
     trial's networks, fresh or reused, are read back from its files.
     """
-    run, out_dir = _run(data_dir), os.fspath(out_dir)
+    run, out_dir = _run(data_dir, out_dir), os.fspath(out_dir)
     embedded = stage_embed_params(run, out_dir, config, jobs)
     files = {tid: _network_files(out_dir, tid, config, d) for tid, d in run.digests.items()}
     networks = {tid: _read_networks(by_kind) for tid, by_kind in files.items()}
@@ -612,7 +634,7 @@ def stage_analyze(
     for tid, produced in results.items():
         for kind, (path, envelope) in files[tid].items():
             fields, records = produced[kind]
-            _write_jsonl(path, {**envelope, **fields}, records)
+            _write_sealed(path, {**envelope, **fields}, [_json_line(r) for r in records])
         networks[tid] = _read_networks(files[tid])
     kept = {path for by_kind in files.values() for path, _ in by_kind.values()}
     for name in os.listdir(os.path.join(out_dir, "networks")):
@@ -627,18 +649,20 @@ def stage_features(
     out_dir: str | os.PathLike,
     config: PipelineConfig,
     jobs: int = 1,
-) -> str:
+) -> tuple[dict, list[str], list[dict]]:
     """Write the feature CSV and the reachability audit report, unless
-    both are current."""
-    run, out_dir = _run(data_dir), os.fspath(out_dir)
+    both are current.  Returns the CSV's content as
+    :func:`read_features_csv` does, from the lines verified or written."""
+    run, out_dir = _run(data_dir, out_dir), os.fspath(out_dir)
     with _stage("features"):
         nodes = _common_nodes(run.trials)
     networks = stage_analyze(run, out_dir, config, jobs)
     path = os.path.join(out_dir, "features.csv")
     reach_path = os.path.join(out_dir, "reachability.json")
     envelope = _envelope("features", config, run.digests)
-    if _features_current(path, envelope) and _current(_read_json(reach_path), envelope):
-        return path
+    stored = _read_sealed(path, "# ")
+    if stored and _current(stored[0], envelope) and _current(_read_json(reach_path), envelope):
+        return _features_content(*stored)
     trial_ids = sorted(networks)
     # Serial on purpose: temporal features are cheap next to the resident
     # memory a worker pool would add to the run.
@@ -655,23 +679,19 @@ def stage_features(
     }
 
     names = features[trial_ids[0]][METRICS[0]].names(nodes)
-    lines = [
-        f"# stamp={_json_line(envelope['stamp'])}",
-        ",".join(["trial_id", "metric"] + names),
-    ]
+    lines = [",".join(["trial_id", "metric"] + names)]
     for tid in trial_ids:
         for metric in METRICS:
             values = features[tid][metric].values()
             lines.append(",".join([tid, metric] + [repr(float(v)) for v in values]))
-    text = "\n".join(lines) + "\n"
-    _write_text(path, f"# digest={_sha256(text)}\n{text}")
+    _write_sealed(path, envelope, lines, "# ")
 
     reach = {
         tid: {metric: _reachability_json(f.reachability) for metric, f in features[tid].items()}
         for tid in trial_ids
     }
     _write_json(reach_path, {**envelope, "trials": reach})
-    return path
+    return _features_content(envelope, lines)
 
 
 def stage_evaluate(
@@ -682,10 +702,10 @@ def stage_evaluate(
 ) -> dict:
     """Cross-validate every (target, metric) pair and write the report,
     unless it is current."""
-    run, out_dir = _run(data_dir), os.fspath(out_dir)
+    run, out_dir = _run(data_dir, out_dir), os.fspath(out_dir)
     classes = _read_labels(run, config.k_folds)
-    stage_features(run, out_dir, config, jobs)
-    tables = run.tables = _labeled_tables(out_dir, classes)
+    features = stage_features(run, out_dir, config, jobs)
+    tables = run.tables = _labeled_tables(features, classes)
     envelope = _envelope("evaluate", config, run.digests, _sha256(_json_line(classes)))
     path = os.path.join(out_dir, "evaluation.json")
     run.report = _read_json(path)
@@ -729,7 +749,7 @@ def stage_train(
     its lambda from, and refit from the feature tables that ``evaluate``
     read.
     """
-    run, out_dir = _run(data_dir), os.fspath(out_dir)
+    run, out_dir = _run(data_dir, out_dir), os.fspath(out_dir)
     report = stage_evaluate(run, out_dir, config, jobs)
     digests, classes = run.digests, report["stamp"]["classes"]
     written = []
@@ -753,6 +773,6 @@ def run_pipeline(
     jobs: int = 1,
 ) -> dict:
     """Every stage, through the last one's chain; returns the evaluation report."""
-    run = _run(data_dir)
+    run = _run(data_dir, out_dir)
     stage_train(run, out_dir, config, jobs)
     return run.report

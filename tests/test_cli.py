@@ -166,6 +166,7 @@ def test_embed_params_prints_the_artifact(dataset, config_file, tmp_path, capsys
         "--config", str(config_file), "--seed", "3",
     ])
     assert code == 0
+    assert capsys.readouterr().out == f"wrote {out / 'features.csv'}\n"
     stamp, _, _ = read_features_csv(out / "features.csv")
     assert stamp["config"]["seed"] == 3
     assert stamp["config"]["n_null"] == 2

@@ -14,10 +14,8 @@ from jrpnet.ingest import CONSTANT_EPS, Window, segment_windows, window_geometry
 from jrpnet.netbuild import (
     ChannelEmbedding,
     assemble_temporal_network,
-    binary_record,
     channel_graphs,
     merge_modalities,
-    weighted_records,
 )
 from jrpnet.recurrence import NORMS, joint_recurrence_plot, recurrence_plot, threshold_for_rate
 from jrpnet.rqa import determinism, laminarity, off_diagonal
@@ -413,21 +411,3 @@ def test_assemble_input_errors():
     with pytest.raises(InputError, match="for 3 nodes"):
         assemble_temporal_network(w, ("x", "y", "z"), "JDET")
 
-
-def test_weighted_record_upper_triangle_with_nulls():
-    jdet = stack(ladder([0.1, 0.2, 0.3], 3), ladder([0.4, 0.5, 0.6], 3))
-    jlam = jdet.copy()
-    # the diagonal is not recorded, whatever it holds
-    jlam[1] = [[0.3, 0.4, np.nan], [0.4, np.nan, 0.6], [np.nan, 0.6, 0.1]]
-    records = weighted_records({"JDET": jdet, "JLAM": jlam})
-    assert records == [
-        {"window": 0, "JDET": [0.1, 0.2, 0.3], "JLAM": [0.1, 0.2, 0.3]},
-        {"window": 1, "JDET": [0.4, 0.5, 0.6], "JLAM": [0.4, None, 0.6]},
-    ]
-    assert all(type(v) is float for v in records[0]["JDET"])
-
-
-def test_binary_record_lists_sorted_edges():
-    tn = binarize(ladder([0.9, 0.1, 0.8], 3), nodes=("a", "b", "c"), rho=0.7)
-    rec = binary_record(tn, 0)
-    assert rec == {"window": 0, "edges": [[0, 1], [1, 2]]}

@@ -1,13 +1,17 @@
 """End-to-end pipeline: artifacts, reruns, stage composition."""
 
+import builtins
 import hashlib
+import importlib.util
 import json
 import math
 import os
 import re
 import shutil
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from jrpnet import pipeline
@@ -16,7 +20,7 @@ from jrpnet.config import CONFIG_SCHEMA_VERSION, PipelineConfig
 from jrpnet.errors import InputError
 from jrpnet.ingest import load_recording
 from jrpnet.learn import CLASS_ORDER, discretize_score
-from jrpnet.netbuild import METRICS
+from jrpnet.netbuild import METRICS, assemble_temporal_network
 from jrpnet.pipeline import (
     TARGETS,
     analyze_recording,
@@ -115,12 +119,40 @@ def test_features_csv_layout(dataset, pipeline_out):
 
 
 def test_features_csv_comments_are_its_digest_and_stamp(pipeline_out):
+    # one comment line, the sealed header that network files start with
     out_dir, _ = pipeline_out
-    lines = (out_dir / "features.csv").read_text(encoding="utf-8").splitlines()
-    assert [line.partition("=")[0] for line in lines if line.startswith("#")] == [
-        "# digest",
-        "# stamp",
-    ]
+    path = out_dir / "features.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    assert len(comments) == 1
+    header = json.loads(comments[0].removeprefix("# "))
+    assert sorted(header) == ["digest", "stamp"]
+    assert header["stamp"] == read_features_csv(path)[0]
+
+
+def _golden():
+    path = Path(__file__).parent / "golden" / "regenerate.py"
+    spec = importlib.util.spec_from_file_location("golden_regenerate", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_decisions_equal_the_golden_run(pipeline_out):
+    # tests/golden/decisions.json holds this run's channel, layer and model
+    # decisions; a change that moves one regenerates the file on purpose
+    golden = _golden()
+    with open(golden.GOLDEN, encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert recorded["config"] == golden.CONFIG
+    assert PipelineConfig(**golden.CONFIG) == CONFIG
+    assert recorded["dataset"] == golden.DATASET == {
+        "n_per_regime": 2, "seed": 11, "length_samples": 640
+    }
+    found = golden.decisions(pipeline_out[0])
+    moved = sorted(k for k in found.keys() | recorded["decisions"].keys()
+                   if found.get(k) != recorded["decisions"].get(k))
+    assert not moved, f"decisions moved: {moved}"
 
 
 def test_evaluation_report_layout(pipeline_out):
@@ -176,10 +208,13 @@ def test_network_files_have_headers_and_records(dataset, pipeline_out):
         assert all(0 <= a < b < 4 for a, b in rec["edges"])
 
 
-def test_rerun_is_byte_identical(dataset, pipeline_out, tmp_path):
+def test_rerun_is_byte_identical(dataset, pipeline_out, tmp_path, monkeypatch):
+    # a fresh run into a new directory; it never reads features.csv back
     out_dir, _ = pipeline_out
     again = tmp_path / "again"
+    opened = _count_features_opens(monkeypatch)
     run_pipeline(dataset, again, CONFIG)
+    assert opened == [0]
     for name in ARTIFACTS:
         assert (again / name).read_bytes() == (out_dir / name).read_bytes(), name
     tid = trial_ids(dataset)[0]
@@ -476,17 +511,15 @@ def _json_line(obj):
 def _resealed(text, suffix):
     """``text``, an edited artifact whose file name ends in ``suffix``, with
     its digest rewritten to match its content again: the edit then reaches
-    the envelope check rather than the digest check."""
-    if suffix == ".csv":
-        # a digest line over the lines after it
-        _, _, rest = text.partition("\n")
-        return f"# digest={_sha256(rest)}\n{rest}"
-    # a digest field over the other fields as one JSON line, followed in a
-    # network file by the record lines
-    head, newline, rest = text.partition("\n") if suffix == ".jsonl" else (text, "", "")
-    sealed = {k: v for k, v in json.loads(head).items() if k != "digest"}
+    the envelope check rather than the digest check.  The one rule: a
+    digest field over the other fields as one JSON line, followed in a
+    network file and in ``features.csv`` (whose header line starts with
+    ``# ``) by the lines after the header."""
+    mark = "# " if suffix == ".csv" else ""
+    head, newline, rest = (text, "", "") if suffix == ".json" else text.partition("\n")
+    sealed = {k: v for k, v in json.loads(head.removeprefix(mark)).items() if k != "digest"}
     sealed["digest"] = _sha256(_json_line(sealed) + newline + rest)
-    return _json_line(sealed) + newline + rest
+    return mark + _json_line(sealed) + newline + rest
 
 
 def _emptied(data):
@@ -750,6 +783,34 @@ def test_weighted_file_in_the_earlier_layout_is_rewritten(
     assert _tree(old) == _tree(out_dir)
 
 
+def _earlier_features_layout(text):
+    """A ``features.csv`` as earlier versions wrote it: a ``# digest=`` line
+    over a ``# stamp=`` line and the CSV lines."""
+    head, _, rest = text.partition("\n")
+    stamp = json.loads(head.removeprefix("# "))["stamp"]
+    body = f"# stamp={_json_line(stamp)}\n{rest}"
+    return f"# digest={_sha256(body)}\n{body}"
+
+
+def test_features_file_in_the_earlier_layout_is_rewritten(
+    dataset, pipeline_out, tmp_path, monkeypatch
+):
+    # its stamp is current and it hashes to its digest; its first line is
+    # not a sealed header, which makes it stale
+    out_dir, _ = pipeline_out
+    old = tmp_path / "old"
+    shutil.copytree(out_dir, old)
+    path = old / "features.csv"
+    path.write_text(_earlier_features_layout(path.read_text()))
+    assert path.read_bytes() != (out_dir / "features.csv").read_bytes()
+    embedded, analyzed = _count_trial_work(monkeypatch)
+    calls = _count_calls(monkeypatch, "feature_vector", "cross_validate", "fit_lasso")
+    run_pipeline(dataset, old, CONFIG)
+    assert embedded == analyzed == []
+    assert calls == {"feature_vector": 2 * len(trial_ids(dataset))}
+    assert _tree(old) == _tree(out_dir)
+
+
 def test_failed_write_leaves_no_tmp_file(dataset, pipeline_out, tmp_path, monkeypatch):
     # the rename of the first network file written fails; the rerun then
     # writes what a clean run writes and nothing else
@@ -770,14 +831,47 @@ def test_failed_write_leaves_no_tmp_file(dataset, pipeline_out, tmp_path, monkey
     assert _tree(out) == _tree(out_dir)
 
 
-def test_rerun_removes_the_tmp_files_of_a_killed_run(dataset, pipeline_out, tmp_path):
+@pytest.mark.parametrize(
+    "names",
+    [
+        ["networks/dense_000.weighted.jsonl.tmp", "networks/dense_000.JDET.binary.jsonl.tmp"],
+        *([name + ".tmp"] for name in ARTIFACTS),
+    ],
+    ids=["networks", *ARTIFACTS],
+)
+def test_rerun_removes_the_tmp_files_of_a_killed_run(dataset, pipeline_out, tmp_path, names):
     out_dir, _ = pipeline_out
     out = tmp_path / "out"
     shutil.copytree(out_dir, out)
-    for name in ("dense_000.weighted.jsonl.tmp", "dense_000.JDET.binary.jsonl.tmp"):
-        (out / "networks" / name).write_text('{"partial')
+    for name in names:
+        (out / name).write_text('{"partial')
     run_pipeline(dataset, out, CONFIG)
     assert _tree(out) == _tree(out_dir)
+
+
+def test_weighted_record_upper_triangle_with_nulls():
+    nan = np.nan
+    jdet = np.array([
+        [[nan, 0.1, 0.2], [0.1, nan, 0.3], [0.2, 0.3, nan]],
+        [[nan, 0.4, 0.5], [0.4, nan, 0.6], [0.5, 0.6, nan]],
+    ])
+    jlam = jdet.copy()
+    # the diagonal is not recorded, whatever it holds
+    jlam[1] = [[0.3, 0.4, np.nan], [0.4, np.nan, 0.6], [np.nan, 0.6, 0.1]]
+    records = pipeline._weighted_records({"JDET": jdet, "JLAM": jlam})
+    assert records == [
+        {"window": 0, "JDET": [0.1, 0.2, 0.3], "JLAM": [0.1, 0.2, 0.3]},
+        {"window": 1, "JDET": [0.4, 0.5, 0.6], "JLAM": [0.4, None, 0.6]},
+    ]
+    assert all(type(v) is float for v in records[0]["JDET"])
+
+
+def test_binary_record_lists_sorted_edges():
+    nan = np.nan
+    weights = np.array([[[nan, 0.9, 0.1], [0.9, nan, 0.8], [0.1, 0.8, nan]]])
+    tn = assemble_temporal_network(weights, ("a", "b", "c"), "JDET", rho=0.7)
+    rec = pipeline._binary_record(tn, 0)
+    assert rec == {"window": 0, "edges": [[0, 1], [1, 2]]}
 
 
 def test_edited_embedding_entry_is_reembedded(dataset, pipeline_out, tmp_path):
@@ -927,13 +1021,14 @@ def test_unchanged_rerun_reuses_every_trial(nine_trials, tmp_path, monkeypatch, 
 
 
 def test_unchanged_rerun_reads_labels_and_features_once(nine_trials, tmp_path, monkeypatch):
-    # the command lists and hashes its trials once, and evaluate passes the
-    # tables and the report it read on to train and to run_pipeline, so
-    # nothing reads labels.csv, features.csv or a JSON artifact again
+    # the command lists and hashes its trials once, and the features stage
+    # and evaluate pass the content they read on to evaluate, train and
+    # run_pipeline, so nothing reads labels.csv, features.csv or a JSON
+    # artifact again
     data_dir, out_dir = nine_trials
     out = tmp_path / "out"
     shutil.copytree(out_dir, out)
-    calls = _count_calls(monkeypatch, "read_features_csv", "load_labels", "discover_trials")
+    calls = _count_calls(monkeypatch, "load_labels", "discover_trials")
     read_json, reads = pipeline._read_json, Counter()
 
     def counted(path):
@@ -941,10 +1036,26 @@ def test_unchanged_rerun_reads_labels_and_features_once(nine_trials, tmp_path, m
         return read_json(path)
 
     monkeypatch.setattr(pipeline, "_read_json", counted)
+    opened = _count_features_opens(monkeypatch)
     run_pipeline(data_dir, out, CONFIG)
-    assert calls == {"read_features_csv": 2, "load_labels": 1, "discover_trials": 1}
+    assert calls == {"load_labels": 1, "discover_trials": 1}
     assert reads == {name: 1 for name in ARTIFACTS if name.endswith(".json")}
+    assert opened == [1]
     assert _tree(out) == _tree(out_dir)
+
+
+def _count_features_opens(monkeypatch):
+    """A one-item list counting the times ``pipeline`` then opens an
+    existing ``features.csv`` to read it."""
+    opened = [0]
+
+    def counted(file, mode="r", *args, **kwargs):
+        fh = builtins.open(file, mode, *args, **kwargs)
+        opened[0] += os.path.basename(file) == "features.csv" and "r" in mode
+        return fh
+
+    monkeypatch.setattr(pipeline, "open", counted, raising=False)
+    return opened
 
 
 @pytest.mark.parametrize(
