@@ -10,10 +10,10 @@ flags override config-file fields, which override these defaults.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 from .errors import InputError
-from .ingest import check_keys, check_type, read_json_object
+from .ingest import check_fields, from_json, read_json_object
 from .recurrence import NORMS
 
 __all__ = ["CONFIG_SCHEMA_VERSION", "STAGE_FIELDS", "PipelineConfig", "load_config"]
@@ -49,8 +49,7 @@ class PipelineConfig:
     m_max: int = 10
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            check_type(f.name, getattr(self, f.name), f.type)
+        check_fields("", self)
         if not 0.0 < self.window_s < float("inf"):
             raise InputError(f"window_s must be finite and > 0, got {self.window_s}")
         if not 0.0 <= self.overlap < 1.0:
@@ -83,8 +82,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
-        check_keys("config", raw, (f.name for f in fields(cls)))
-        return cls(**raw)
+        return from_json(cls, raw, "config")
 
     def replace(self, **overrides) -> "PipelineConfig":
         merged = self.to_dict()

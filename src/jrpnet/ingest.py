@@ -6,11 +6,13 @@ channel-to-modality map.  Labels live in a separate CSV keyed by trial
 id.  Each input format has one reader: ``_read_table`` for every CSV
 file (blank lines skipped, rows as wide as the header) and
 ``read_json_object`` for every JSON file (sidecars, configs, synth
-specs; an object is required).  Callers check only their content, JSON
-values with ``check_keys`` and ``check_type``.  Segmentation z-scores
-each channel over the whole trial first, so distances and recurrence
-thresholds stay comparable across windows, then slices fixed-length
-windows at a uniform stride and drops any trailing partial window.
+specs; an object is required).  Every JSON value meets one type rule,
+``check_type`` against the annotation of the field it fills, which
+``from_json`` and ``check_fields`` apply to whole records.  Segmentation
+z-scores each channel over the whole trial first, so distances and
+recurrence thresholds stay comparable across windows, then slices
+fixed-length windows at a uniform stride and drops any trailing partial
+window.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import logging
 import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -33,6 +35,8 @@ __all__ = [
     "read_json_object",
     "check_keys",
     "check_type",
+    "check_fields",
+    "from_json",
     "load_schema",
     "load_recording",
     "load_labels",
@@ -52,6 +56,7 @@ _VALUE_TYPES = {
     "float": (numbers.Real, "a number"),
     "str": (str, "a string"),
     "int | None": ((numbers.Integral, type(None)), "an integer or null"),
+    "dict[str, str]": (dict, "a non-empty object whose values are non-empty strings"),
 }
 
 
@@ -119,12 +124,34 @@ def check_keys(what: str, raw: dict, known) -> None:
 
 
 def check_type(key: str, value, annotation: str) -> None:
-    """InputError naming ``key`` unless ``value`` fits ``annotation``, one
-    of ``"int"``, ``"float"``, ``"str"`` and ``"int | None"``; a bool is
-    never a number."""
+    """InputError naming ``key`` unless ``value`` fits ``annotation``, a key
+    of ``_VALUE_TYPES``; ``"dict[str, str]"`` is a non-empty modality map.
+    Nothing is converted: a bool or a numeric string is never a number."""
     accepted, kind = _VALUE_TYPES[annotation]
-    if isinstance(value, bool) or not isinstance(value, accepted):
+    fits = not isinstance(value, bool) and isinstance(value, accepted)
+    if fits and accepted is dict:
+        fits = bool(value) and all(isinstance(v, str) and v for v in value.values())
+    if not fits:
         raise InputError(f"{key} must be {kind}, got {value!r}")
+
+
+def check_fields(what: str, record) -> None:
+    """``check_type`` on each field of the dataclass ``record`` whose
+    annotation it knows, named after ``what`` if given; an array field is
+    left to the record's own check."""
+    for f in fields(record):
+        if f.type in _VALUE_TYPES:
+            check_type(f"{what} {f.name}".lstrip(), getattr(record, f.name), f.type)
+
+
+def from_json(cls, raw: dict, what: str):
+    """The dataclass ``cls`` from the JSON object ``raw``, absent keys at
+    their defaults; InputError naming an unknown or missing required key."""
+    check_keys(what, raw, (f.name for f in fields(cls)))
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in raw:
+            raise InputError(f"{what} lacks required key {f.name!r}")
+    return cls(**raw)
 
 
 def _read_table(path: str | os.PathLike, what: str) -> tuple[list[str], list[list[str]]]:
@@ -160,20 +187,16 @@ def load_schema(schema_path: str | os.PathLike) -> tuple[float, dict[str, str]]:
     in the sidecar's channel order."""
     raw = read_json_object(schema_path, "schema")
     try:
-        rate = float(raw["sampling_rate_hz"])
-        channels = raw["channels"]
+        rate, channels = raw["sampling_rate_hz"], raw["channels"]
+        check_type("sampling_rate_hz", rate, "float")
+        check_type("channels", channels, "dict[str, str]")
     except KeyError as exc:
-        raise SchemaError(f"schema {schema_path} lacks required key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"schema {schema_path}: bad sampling_rate_hz") from exc
+        raise SchemaError(f"schema {schema_path} lacks required key {exc}") from None
+    except InputError as exc:
+        raise SchemaError(f"schema {schema_path}: {exc}") from None
     if not np.isfinite(rate) or rate <= 0:
         raise SchemaError(f"schema {schema_path}: sampling_rate_hz must be > 0")
-    # JSON object keys are strings, so only the modalities need a check
-    if not isinstance(channels, dict) or not channels or not all(
-        isinstance(modality, str) and modality for modality in channels.values()
-    ):
-        raise SchemaError(f"schema {schema_path}: channels must map each name to a modality")
-    return rate, dict(channels)
+    return rate, channels
 
 
 def load_recording(path: str | os.PathLike, schema_path: str | os.PathLike) -> Recording:
@@ -218,11 +241,13 @@ def load_recording(path: str | os.PathLike, schema_path: str | os.PathLike) -> R
 
 
 def load_labels(path: str | os.PathLike) -> list[LabelRecord]:
-    """Load trial labels; scores must lie in [1, 9] and trial ids be unique."""
+    """Load trial labels: the header names each required column once, in
+    any order; scores must lie in [1, 9] and trial ids be unique."""
     header, rows = _read_table(path, "labels")
     required = ["trial_id", "valence", "arousal"]
-    if [h for h in header if h in required] != required or not set(required) <= set(header):
-        raise FormatError(f"{path}: header must contain columns {required}")
+    for name in required:
+        if header.count(name) != 1:
+            raise FormatError(f"{path}: header names {name!r} {header.count(name)} times, not once")
     t, *scored = (header.index(name) for name in required)
 
     out: list[LabelRecord] = []

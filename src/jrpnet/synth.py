@@ -20,12 +20,12 @@ from __future__ import annotations
 import inspect
 import json
 import os
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .ingest import Recording, check_keys, check_type
+from .ingest import Recording, check_fields, check_keys, check_type, from_json
 from .seeding import generator
 
 __all__ = [
@@ -47,13 +47,7 @@ OSCILLATOR_GAIN = 2.0 * np.pi
 
 DYNAMICS = ("coupled_logistic", "coupled_oscillator")
 
-
-#: CouplingSpec field -> the cast from its JSON value
-_SPEC_CASTS = {
-    "n_channels": int, "modality_map": dict, "dynamics": str, "noise_sd": float,
-    "coupling_matrix": lambda value: np.array(value, dtype=float),
-    "length_samples": int, "sampling_rate_hz": float, "seed": int, "trial_id": str,
-}
+_LABELS = ("valence", "arousal")  # a trial-list entry's labels; absent ones score 5.0
 
 
 @dataclass(frozen=True)
@@ -71,10 +65,7 @@ class CouplingSpec:
     trial_id: str = "synthetic"
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coupling_matrix", np.asarray(self.coupling_matrix, dtype=float)
-        )
-        mu = self.coupling_matrix
+        check_fields("coupling spec", self)
         if self.n_channels < 2:
             raise InputError(f"need at least 2 channels, got {self.n_channels}")
         if len(self.modality_map) != self.n_channels:
@@ -82,11 +73,16 @@ class CouplingSpec:
                 f"modality map covers {len(self.modality_map)} channels, "
                 f"spec declares {self.n_channels}"
             )
-        if mu.shape != (self.n_channels, self.n_channels):
+        entries = np.asarray(self.coupling_matrix, dtype=object)
+        if entries.shape != (self.n_channels, self.n_channels):
             raise InputError(
-                f"coupling matrix shape {mu.shape} does not match "
-                f"{self.n_channels} channels"
+                f"coupling spec coupling_matrix shape {entries.shape} does not "
+                f"match {self.n_channels} channels"
             )
+        for value in entries.flat:
+            check_type("coupling spec coupling_matrix entries", value, "float")
+        mu = entries.astype(float)
+        object.__setattr__(self, "coupling_matrix", mu)
         if not np.allclose(mu, mu.T):
             raise InputError("coupling matrix must be symmetric")
         if np.any(np.diagonal(mu) != 0.0):
@@ -129,21 +125,8 @@ class CouplingSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "CouplingSpec":
-        """Spec from its JSON form; absent optional keys take the field
-        defaults."""
-        check_keys("coupling spec", raw, _SPEC_CASTS)
-        for f in fields(cls):
-            if f.default is MISSING and f.name not in raw:
-                raise InputError(f"coupling spec lacks required key {f.name!r}")
-        kwargs = {}
-        for key, value in raw.items():
-            if _SPEC_CASTS[key] is int:
-                check_type(f"coupling spec {key}", value, "int")
-            try:
-                kwargs[key] = _SPEC_CASTS[key](value)
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"coupling spec {key}: {exc}") from exc
-        return cls(**kwargs)
+        """Spec from its JSON form, absent optional keys at their defaults."""
+        return from_json(cls, raw, "coupling spec")
 
 
 def _logistic(spec: CouplingSpec) -> np.ndarray:
@@ -220,10 +203,7 @@ def write_recording(recording: Recording, out_dir: str | os.PathLike) -> tuple[s
             fh.write(",".join(repr(float(v)) for v in row) + "\n")
     schema = {
         "sampling_rate_hz": float(recording.sampling_rate_hz),
-        "channels": {
-            name: modality
-            for name, modality in zip(recording.channel_names, recording.modalities)
-        },
+        "channels": dict(zip(recording.channel_names, recording.modalities)),
     }
     with open(schema_path, "w", encoding="utf-8") as fh:
         json.dump(schema, fh, indent=2, sort_keys=True)
@@ -337,15 +317,12 @@ def dataset_from_json(raw: dict) -> tuple[list[CouplingSpec], dict[str, tuple[fl
         specs = []
         labels = {}
         for entry in trials:
-            entry = dict(entry)
-            try:
-                scores = (float(entry.pop("valence", 5.0)), float(entry.pop("arousal", 5.0)))
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"dataset spec label: {exc}") from exc
-            for name, score in zip(("valence", "arousal"), scores):
+            scores = tuple(entry.get(name, 5.0) for name in _LABELS)
+            for name, score in zip(_LABELS, scores):
+                check_type(f"dataset spec label {name}", score, "float")
                 if not 1.0 <= score <= 9.0:
                     raise InputError(f"dataset spec label {name}={score} outside [1, 9]")
-            spec = CouplingSpec.from_dict(entry)
+            spec = CouplingSpec.from_dict({k: v for k, v in entry.items() if k not in _LABELS})
             if spec.trial_id in labels:
                 raise InputError(f"duplicate trial_id {spec.trial_id!r} in dataset spec")
             specs.append(spec)

@@ -315,6 +315,14 @@ def test_negative_seed_exits_2_before_any_trial_is_read(dataset, tmp_path, capsy
          "valence=12.0 outside [1, 9]"),
         ({"n_channels": 2, "modality_map": {"a": "A", "b": "B"},
           "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]], "seed": -1}, "seed must be >= 0"),
+        ({"n_channels": 2, "modality_map": {"a": "A", "b": "B"},
+          "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]], "noise_sd": True},
+         "coupling spec noise_sd must be a number, got True"),
+        ({"n_channels": 2, "modality_map": {"a": "A", "b": 2},
+          "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]]}, "coupling spec modality_map must be"),
+        ({"trials": [{"n_channels": 2, "modality_map": {"a": "A", "b": "B"},
+                      "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]], "valence": "7"}]},
+         "dataset spec label valence must be a number, got '7'"),
     ],
 )
 def test_malformed_synth_spec_exits_2(tmp_path, capsys, spec, needle):
@@ -325,6 +333,25 @@ def test_malformed_synth_spec_exits_2(tmp_path, capsys, spec, needle):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", [True, "64"])
+def test_bad_sidecar_stops_the_pipeline_before_any_trial_is_embedded(
+    dataset, config_file, tmp_path, capsys, rate
+):
+    # a rate of true used to run as 1 Hz and fail in analyze, after every
+    # trial was embedded and embedding_params.json written
+    data_dir = tmp_path / "data"
+    shutil.copytree(dataset, data_dir)
+    sidecar = data_dir / "none_001.schema.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "sampling_rate_hz": rate}))
+    out = tmp_path / "out"
+    code = main(["pipeline", "--in", str(data_dir), "--out", str(out), "--config", str(config_file)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: stage features: schema {sidecar}: ")
+    assert err[0].endswith(f"sampling_rate_hz must be a number, got {rate!r}")
+    assert not (out / "embedding_params.json").exists()
 
 
 def test_degenerate_trial_in_a_worker_exits_3(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,21 @@ def test_schema_validation_errors(tmp_path):
     bad.write_text(json.dumps({"sampling_rate_hz": -5, "channels": {"a": "EEG", "b": "EEG"}}))
     with pytest.raises(SchemaError, match="must be > 0"):
         load_recording(csv_path, bad)
+    # the rate is a JSON number, never a string or a bool; each modality a
+    # non-empty string
+    for key, value, kind in (
+        ("sampling_rate_hz", "64", "a number"),
+        ("sampling_rate_hz", True, "a number"),
+        ("sampling_rate_hz", None, "a number"),
+        ("channels", {"a": "EEG", "b": 3}, "a non-empty object"),
+        ("channels", {"a": "EEG", "b": ""}, "a non-empty object"),
+        ("channels", {}, "a non-empty object"),
+        ("channels", [["a", "EEG"], ["b", "EEG"]], "a non-empty object"),
+    ):
+        schema = {"sampling_rate_hz": 10.0, "channels": {"a": "EEG", "b": "EEG"}, key: value}
+        bad.write_text(json.dumps(schema))
+        with pytest.raises(SchemaError, match=f"^schema {re.escape(str(bad))}: {key} must be {kind}"):
+            load_recording(csv_path, bad)
     bad.write_text("[]")
     with pytest.raises(FormatError, match="must hold a JSON object"):
         load_recording(csv_path, bad)
@@ -165,12 +181,18 @@ def test_load_labels_roundtrip(tmp_path):
         ("t01", 2.5, 7.0),
         ("t02", 9.0, 1.0),
     ]
+    # columns in any order, as a recording's channels, and others ignored
+    path.write_text("arousal,notes,trial_id,valence\n7.0,x,t01,2.5\n1.0,y,t02,9.0\n")
+    assert load_labels(path) == records
 
 
 def test_load_labels_errors(tmp_path):
     path = tmp_path / "labels.csv"
     path.write_text("trial_id,valence\nt01,2.5\n")
     with pytest.raises(FormatError, match="header"):
+        load_labels(path)
+    path.write_text("trial_id,valence,arousal,valence\nt01,2.5,7.0,3.0\n")
+    with pytest.raises(FormatError, match="header names 'valence' 2 times"):
         load_labels(path)
     path.write_text("trial_id,valence,arousal\nt01,2.5,7.0\nt01,3.0,3.0\n")
     with pytest.raises(InputError, match="duplicate"):

@@ -9,6 +9,7 @@ import os
 import re
 import shutil
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from jrpnet.pipeline import (
     stage_features,
     stage_train,
 )
-from jrpnet.synth import three_regime_specs, write_dataset
+from jrpnet.synth import three_regime_specs, write_dataset, write_recording
 
 CONFIG = PipelineConfig(k_folds=2, n_null=2, lambda_points=4, tau_max=8, m_max=6)
 
@@ -130,9 +131,9 @@ def test_features_csv_comments_are_its_digest_and_stamp(pipeline_out):
     assert header["stamp"] == read_features_csv(path)[0]
 
 
-def _golden():
-    path = Path(__file__).parent / "golden" / "regenerate.py"
-    spec = importlib.util.spec_from_file_location("golden_regenerate", path)
+def _golden(script="regenerate"):
+    path = Path(__file__).parent / "golden" / f"{script}.py"
+    spec = importlib.util.spec_from_file_location(f"golden_{script}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -153,6 +154,84 @@ def test_decisions_equal_the_golden_run(pipeline_out):
     moved = sorted(k for k in found.keys() | recorded["decisions"].keys()
                    if found.get(k) != recorded["decisions"].get(k))
     assert not moved, f"decisions moved: {moved}"
+
+
+# Each transformation edits a trial's channel names and samples in place
+# and returns {new name: the name whose decisions it must reproduce}.
+def _swap_within_a_modality(names, samples):
+    i, j = names.index("m1a"), names.index("m1b")
+    samples[[i, j]] = samples[[j, i]]
+    return {"m1a": "m1b", "m1b": "m1a"}
+
+
+def _positive_affine_map(names, samples):
+    samples[names.index("m2a")] = 3.0 * samples[names.index("m2a")] + 7.0
+    return {}
+
+
+def _negation(names, samples):
+    samples[names.index("m3b")] = -samples[names.index("m3b")]
+    return {}
+
+
+def _rename(names, samples):
+    names[names.index("m4b")] = "m4b_renamed"
+    return {"m4b_renamed": "m4b"}
+
+
+@pytest.mark.parametrize(
+    "transform", [_swap_within_a_modality, _positive_affine_map, _negation, _rename],
+    ids=["swap", "affine", "negate", "rename"],
+)
+def test_features_do_not_move_under_channel_symmetries(dataset, pipeline_out, tmp_path, transform):
+    # a modality pools its channels and every channel is z-scored and
+    # compared by recurrence alone, so none of these may move a decision
+    # or a feature value of the golden run
+    data_dir, out_dir = tmp_path / "data", tmp_path / "out"
+    for t in discover_trials(dataset):
+        recording = load_recording(t.csv_path, t.schema_path)
+        names, samples = list(recording.channel_names), recording.samples.copy()
+        source = transform(names, samples)
+        write_recording(replace(recording, channel_names=tuple(names), samples=samples), data_dir)
+    assert trial_digests(data_dir).keys() == trial_digests(dataset).keys()
+    assert trial_digests(data_dir) != trial_digests(dataset)
+    stage_features(data_dir, out_dir, CONFIG)
+
+    def lines_after_the_seal(path):
+        return (path / "features.csv").read_text(encoding="utf-8").splitlines()[1:]
+
+    assert lines_after_the_seal(out_dir) == lines_after_the_seal(pipeline_out[0])
+
+    def decisions(path):
+        trials = json.loads((path / "embedding_params.json").read_text())["trials"]
+        return {
+            tid: {name: {k: entry[k] for k in ("tau", "m", "saturated")}
+                  for name, entry in channels.items()}
+            for tid, channels in trials.items()
+        }
+
+    before, after = decisions(pipeline_out[0]), decisions(out_dir)
+    assert after.keys() == before.keys()
+    for tid, channels in after.items():
+        assert len(channels) == len(before[tid])
+        for name, decided in channels.items():
+            assert decided == before[tid][source.get(name, name)], (tid, name)
+
+
+def test_accuracy_table_reports_the_run_it_makes(pipeline_out, tmp_path, capsys):
+    # tests/golden/accuracy.py at the golden run's dataset and config
+    # prints that run's accuracies and their means
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CONFIG.to_dict()))
+    _golden("accuracy").main(
+        ["--config", str(config), "--n-per-regime", "2", "--length-samples", "640", "11"]
+    )
+    header, row, mean = capsys.readouterr().out.splitlines()
+    pairs = [(t, m) for t in TARGETS for m in METRICS]
+    assert header.split() == ["seed"] + [f"{t}/{m}" for t, m in pairs]
+    results = pipeline_out[1]["results"]
+    assert row.split() == ["11"] + [f"{results[t][m]['accuracy']:.3f}" for t, m in pairs]
+    assert mean.split() == ["mean"] + row.split()[1:]
 
 
 def test_evaluation_report_layout(pipeline_out):

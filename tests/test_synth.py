@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jrpnet.errors import InputError
-from jrpnet.ingest import load_labels, load_recording
+from jrpnet.ingest import load_labels, load_recording, load_schema
 from jrpnet.seeding import generator
 from jrpnet.synth import (
     BURN_IN_SAMPLES,
@@ -16,6 +16,7 @@ from jrpnet.synth import (
     three_regime_specs,
     write_dataset,
     write_recording,
+    write_trial,
 )
 
 
@@ -244,6 +245,64 @@ def test_spec_from_dict_rejects_what_it_cannot_use():
         with pytest.raises(InputError, match=f"coupling spec {key} must be an integer"):
             CouplingSpec.from_dict({**required, key: value})
     assert CouplingSpec.from_dict({**required, "seed": np.int64(7)}).seed == 7
+    # every value has its field's type, and nothing is cast to fit: a bool
+    # or a numeric string is no number, a list of pairs is no map
+    for key, value, kind in (
+        ("noise_sd", True, "a number"),
+        ("noise_sd", "0.05", "a number"),
+        ("sampling_rate_hz", True, "a number"),
+        ("trial_id", 5, "a string"),
+        ("dynamics", None, "a string"),
+        ("modality_map", [["a", "EEG"], ["b", "EMG"]], "a non-empty object"),
+        ("modality_map", {"a": 3, "b": "EMG"}, "a non-empty object"),
+        ("modality_map", {"a": "", "b": "EMG"}, "a non-empty object"),
+        ("coupling_matrix", [[0.0, "0.2"], ["0.2", 0.0]], "a number"),
+        ("coupling_matrix", [[False, 0.2], [0.2, False]], "a number"),
+        ("coupling_matrix", [[0.0, None], [None, 0.0]], "a number"),
+    ):
+        with pytest.raises(InputError, match=f"^coupling spec {key}.* must be {kind}"):
+            CouplingSpec.from_dict({**required, key: value})
+    # numbers of any numeric type still fill the number fields
+    spec = CouplingSpec.from_dict({**required, "noise_sd": 0, "sampling_rate_hz": 64})
+    assert spec.to_dict() == CouplingSpec(**required, noise_sd=0.0, sampling_rate_hz=64.0).to_dict()
+    spec = CouplingSpec(**{**required, "coupling_matrix": np.array([[0, 1], [1, 0]]) * 0.2},
+                        noise_sd=np.float64(0.1), seed=np.int64(3))
+    assert spec.coupling_matrix.dtype == np.float64 and spec.to_dict()["noise_sd"] == 0.1
+
+
+def test_every_spec_synth_accepts_writes_a_sidecar_ingest_accepts(tmp_path):
+    # the spec and the sidecar hold the same rate and modality map, so they
+    # take the same type rule; a spec that synth accepts cannot write a
+    # sidecar that every later run rejects
+    base = {
+        "n_channels": 2,
+        "modality_map": {"a": "EEG", "b": "EMG"},
+        "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]],
+        "length_samples": 16,
+    }
+    candidates = [
+        base,
+        {**base, "sampling_rate_hz": 64},
+        {**base, "sampling_rate_hz": 0.5, "noise_sd": 1},
+        {**base, "modality_map": {"ä b": "EEG · 1", "c": "x"}},
+        {**base, "modality_map": {"a": 3, "b": "EMG"}},
+        {**base, "modality_map": {"a": "", "b": "EMG"}},
+        {**base, "modality_map": {"a": None, "b": "EMG"}},
+        {**base, "sampling_rate_hz": "64"},
+        {**base, "sampling_rate_hz": True},
+    ]
+    accepted = 0
+    for k, raw in enumerate(candidates):
+        try:
+            spec = CouplingSpec.from_dict({**raw, "trial_id": f"t{k}"})
+        except InputError:
+            continue
+        accepted += 1
+        csv_path = write_trial(spec, tmp_path)
+        rate, channels = load_schema(csv_path[: -len(".csv")] + ".schema.json")
+        assert (rate, channels) == (spec.sampling_rate_hz, spec.modality_map)
+        assert load_recording(csv_path, csv_path[: -len(".csv")] + ".schema.json")
+    assert accepted == 4
 
 
 def test_dataset_from_json_rejects_what_it_cannot_use():
@@ -259,6 +318,10 @@ def test_dataset_from_json_rejects_what_it_cannot_use():
             dataset_from_json({"trials": trials})
     with pytest.raises(InputError, match="label"):
         dataset_from_json({"trials": [{**entry, "valence": "high"}]})
+    # a label is a JSON number: neither a numeric string nor a bool
+    for key, value in (("valence", "7"), ("arousal", True), ("valence", None)):
+        with pytest.raises(InputError, match=f"^dataset spec label {key} must be a number"):
+            dataset_from_json({"trials": [{**entry, key: value}]})
     for key, value in (("valence", 12.0), ("arousal", 0.5), ("valence", float("nan"))):
         with pytest.raises(InputError, match=rf"label {key}=.* outside \[1, 9\]"):
             dataset_from_json({"trials": [{**entry, key: value}]})
