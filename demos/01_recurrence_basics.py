@@ -41,8 +41,8 @@ for name, signal in [("periodic", periodic), ("chaotic", chaotic), ("noise", noi
     # fixed radius would make the comparison meaningless: the three
     # signals have different amplitudes, so the same epsilon would give
     # plots of wildly different density.
-    eps = threshold_for_rate(signal, target_rr=0.1, norm="L1")
-    rp = recurrence_plot(signal, eps, norm="L1")
+    eps = threshold_for_rate(signal, target_rr=0.1)
+    rp = recurrence_plot(signal, eps)
     det, lam = determinism(rp, l_min=3), laminarity(rp, v_min=3)
     print(f"{name:<10}  {eps:7.4f}   {det:5.3f}  {lam:5.3f}")
 

@@ -63,12 +63,7 @@ from .pipeline import (
     stage_features,
     stage_train,
 )
-from .recurrence import (
-    RecurrenceMatrix,
-    joint_recurrence_plot,
-    recurrence_plot,
-    threshold_for_rate,
-)
+from .recurrence import joint_recurrence_plot, recurrence_plot, threshold_for_rate
 from .rqa import determinism, laminarity
 from .synth import CouplingSpec, generate, three_regime_specs, write_dataset, write_recording
 from .tempnet import (

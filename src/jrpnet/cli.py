@@ -40,8 +40,8 @@ def _evaluation_lines(report: dict, out: str) -> str:
     return "\n".join(
         f"{target}/{metric}: accuracy {entry['accuracy']:.3f} "
         f"at lambda {entry['selected_lambda']:.5g}"
-        for target, per_metric in sorted(report["results"].items())
-        for metric, entry in sorted(per_metric.items())
+        for target, by_metric in sorted(report["results"].items())
+        for metric, entry in sorted(by_metric.items())
     )
 
 

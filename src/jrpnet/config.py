@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 
 from .errors import InputError
 from .ingest import check_fields, from_json, read_json_object
-from .recurrence import NORMS
 
 __all__ = ["CONFIG_SCHEMA_VERSION", "STAGE_FIELDS", "PipelineConfig", "load_config"]
 
@@ -24,7 +23,7 @@ CONFIG_SCHEMA_VERSION = 4
 #: An artifact depends on its stage's fields and on every earlier stage's;
 #: train reads nothing evaluate does not.
 STAGE_FIELDS: dict[str, tuple[str, ...]] = {
-    "embed-params": ("target_rr", "norm", "tau_max", "m_max"),
+    "embed-params": ("target_rr", "tau_max", "m_max"),
     "analyze": ("window_s", "overlap", "l_min", "v_min", "binarize_rho"),
     "features": ("n_null", "seed"),
     "evaluate": ("lambda_points", "lambda_span", "k_folds"),
@@ -36,7 +35,6 @@ class PipelineConfig:
     window_s: float = 5.0
     overlap: float = 0.2
     target_rr: float = 0.1
-    norm: str = "L1"
     l_min: int = 3
     v_min: int = 3
     binarize_rho: float = 0.5
@@ -56,8 +54,6 @@ class PipelineConfig:
             raise InputError(f"overlap must be in [0, 1), got {self.overlap}")
         if not 0.0 < self.target_rr < 1.0:
             raise InputError(f"target_rr must be in (0, 1), got {self.target_rr}")
-        if self.norm not in NORMS:
-            raise InputError(f"norm must be one of {', '.join(NORMS)}; got {self.norm!r}")
         if self.l_min < 2 or self.v_min < 2:
             raise InputError("l_min and v_min must be >= 2")
         if not 0.0 < self.binarize_rho <= 1.0:

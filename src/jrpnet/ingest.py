@@ -8,7 +8,9 @@ file (blank lines skipped, rows as wide as the header) and
 ``read_json_object`` for every JSON file (sidecars, configs, synth
 specs; an object is required).  Every JSON value meets one type rule,
 ``check_type`` against the annotation of the field it fills, which
-``from_json`` and ``check_fields`` apply to whole records.  Segmentation
+``from_json`` and ``check_fields`` apply to whole records.  Every name
+that becomes a file name or a CSV cell (trial ids, channels, modalities)
+meets one name rule, ``check_name``.  Segmentation
 z-scores each channel over the whole trial first, so distances and
 recurrence thresholds stay comparable across windows, then slices
 fixed-length windows at a uniform stride and drops any trailing partial
@@ -35,6 +37,7 @@ __all__ = [
     "read_json_object",
     "check_keys",
     "check_type",
+    "check_name",
     "check_fields",
     "from_json",
     "load_schema",
@@ -58,6 +61,10 @@ _VALUE_TYPES = {
     "int | None": ((numbers.Integral, type(None)), "an integer or null"),
     "dict[str, str]": (dict, "a non-empty object whose values are non-empty strings"),
 }
+
+#: What no name may hold: a CSV delimiter, quote or line break, or a path
+#: separator.
+_NAME_BREAKERS = frozenset(',"\r\n/\\')
 
 
 @dataclass(frozen=True)
@@ -126,13 +133,30 @@ def check_keys(what: str, raw: dict, known) -> None:
 def check_type(key: str, value, annotation: str) -> None:
     """InputError naming ``key`` unless ``value`` fits ``annotation``, a key
     of ``_VALUE_TYPES``; ``"dict[str, str]"`` is a non-empty modality map.
-    Nothing is converted: a bool or a numeric string is never a number."""
+    Nothing is converted: a bool, a numeric string or an integer too large
+    for a float is never a number."""
     accepted, kind = _VALUE_TYPES[annotation]
     fits = not isinstance(value, bool) and isinstance(value, accepted)
     if fits and accepted is dict:
         fits = bool(value) and all(isinstance(v, str) and v for v in value.values())
     if not fits:
         raise InputError(f"{key} must be {kind}, got {value!r}")
+    if annotation == "float" and isinstance(value, numbers.Integral):
+        try:
+            float(value)
+        except OverflowError:
+            raise InputError(f"{key} must be {kind}, got an integer too large for a float") from None
+
+
+def check_name(what: str, name: str) -> None:
+    """InputError naming ``what`` unless ``name`` can be a file name and a
+    CSV cell: a non-empty string with no comma, double quote, line break
+    or path separator (``/`` or ``\\``), and not ``.`` or ``..``."""
+    if not name or name in (".", "..") or _NAME_BREAKERS.intersection(name):
+        raise InputError(
+            f"{what} {name!r} must be a non-empty name with no comma, double quote, "
+            "line break or path separator, and not '.' or '..'"
+        )
 
 
 def check_fields(what: str, record) -> None:
@@ -190,6 +214,9 @@ def load_schema(schema_path: str | os.PathLike) -> tuple[float, dict[str, str]]:
         rate, channels = raw["sampling_rate_hz"], raw["channels"]
         check_type("sampling_rate_hz", rate, "float")
         check_type("channels", channels, "dict[str, str]")
+        for channel, modality in channels.items():
+            check_name("channel", channel)
+            check_name("modality", modality)
     except KeyError as exc:
         raise SchemaError(f"schema {schema_path} lacks required key {exc}") from None
     except InputError as exc:

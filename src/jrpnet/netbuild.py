@@ -4,13 +4,15 @@ A trial's coupling weights travel as one ``(windows, nodes, nodes)``
 array per metric.  For each window, every channel pair that spans two
 modalities gets a coupling weight (joint determinism or joint laminarity
 of the pair's JRP); pairs within a modality reach no edge and are never
-computed.  The windows are visited in order: overlapping windows share
-most of their states, so each channel's recurrence plot keeps the rows
-it shares with the window before and computes only the rows of its new
-states.  Channels are then merged into modality nodes by averaging the
-weights of every edge spanning a modality pair, window by window.
-Finally each window's modality weights are binarized with a proportional
-threshold into one layer of a temporal network.
+computed.  Every plot is a bool array in the L1 distance.  The windows
+are visited in order: overlapping windows share most of their states,
+so each channel's recurrence plot, at the channel's one trial-wide
+threshold, keeps the rows it shares with the window before and computes
+only the rows of its new states.  Channels are then merged into
+modality nodes by averaging the weights of every edge spanning a
+modality pair, window by window.  Finally each window's modality weights
+are binarized with a proportional threshold into one layer of a temporal
+network.
 
 Weights are kept in [0, 1]; absent weights (degenerate channels, pairs
 within a modality, the diagonal) are marked NaN and treated as
@@ -30,7 +32,7 @@ import numpy as np
 from .embedding import EmbeddingParams, embed
 from .errors import InputError
 from .ingest import CONSTANT_EPS, Window
-from .recurrence import RecurrenceMatrix, joint_recurrence_plot, recurrence_plot
+from .recurrence import joint_recurrence_plot, recurrence_plot
 from .rqa import DEFAULT_L_MIN, DEFAULT_V_MIN, determinism, laminarity, off_diagonal
 
 __all__ = [
@@ -86,15 +88,16 @@ def _window_plot(
     window: Window,
     name: str,
     emb: ChannelEmbedding | None,
-    norm: str,
     earlier: Window | None,
-    earlier_plot: RecurrenceMatrix | None,
-) -> RecurrenceMatrix | None:
+    earlier_plot: np.ndarray | None,
+) -> np.ndarray | None:
     """One channel's plot in one window, None if absent or constant.
 
-    The earlier window's plot is handed on when this window, starting
-    ``shift`` samples after it, repeats its samples from ``shift`` on;
-    ``recurrence_plot`` then decides whether the rows can be shared.
+    The earlier window's plot, made at the same trial-wide threshold
+    ``emb.epsilon`` and of as many states, is handed on when this window,
+    starting ``shift`` samples after it, repeats its samples from
+    ``shift`` on; ``recurrence_plot`` then shares the rows when the two
+    windows overlap.
     """
     x = window.channel(name)
     if emb is None or np.ptp(x) < CONSTANT_EPS:
@@ -104,9 +107,10 @@ def _window_plot(
     shift = 0 if earlier is None else window.start_sample - earlier.start_sample
     if earlier_plot is not None:
         overlap = earlier.channel(name)[shift:]
-        if not np.array_equal(overlap, x[: len(overlap)]):
+        same_length = window.length_samples == earlier.length_samples
+        if not (same_length and np.array_equal(overlap, x[: len(overlap)])):
             earlier_plot = None
-    return recurrence_plot(embed(x, emb.params), emb.epsilon, norm, earlier_plot, shift)
+    return recurrence_plot(embed(x, emb.params), emb.epsilon, earlier_plot, shift)
 
 
 def channel_graphs(
@@ -115,7 +119,6 @@ def channel_graphs(
     modalities: tuple[str, ...],
     l_min: int = DEFAULT_L_MIN,
     v_min: int = DEFAULT_V_MIN,
-    norm: str = "L1",
 ) -> dict[str, np.ndarray]:
     """Joint-RQA weights of one trial's windows: for each of ``METRICS`` a
     symmetric ``(windows, channels, channels)`` array in window order, NaN
@@ -141,10 +144,10 @@ def channel_graphs(
     pairs = [(i, j) for i, j in combinations(range(n), 2) if modalities[i] != modalities[j]]
     weights = {m: np.full((len(windows), n, n), np.nan) for m in METRICS}
     earlier: Window | None = None
-    plots: dict[str, RecurrenceMatrix | None] = {}
+    plots: dict[str, np.ndarray | None] = {}
     for t, window in enumerate(windows):
         plots = {
-            name: _window_plot(window, name, embeddings[name], norm, earlier, plots.get(name))
+            name: _window_plot(window, name, embeddings[name], earlier, plots.get(name))
             for name in names
         }
         earlier = window

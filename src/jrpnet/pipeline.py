@@ -70,6 +70,7 @@ from .embedding import EmbeddingParams, embed, estimate_delay, estimate_dimensio
 from .errors import DegenerateInputError, InputError, JrpnetError
 from .ingest import (
     Recording,
+    check_name,
     load_labels,
     load_recording,
     load_schema,
@@ -183,6 +184,7 @@ def discover_trials(data_dir: str | os.PathLike) -> list[TrialPaths]:
         if not name.endswith(".csv") or name == "labels.csv":
             continue
         trial_id = name[: -len(".csv")]
+        check_name(f"recording {os.path.join(data_dir, name)}: trial id", trial_id)
         schema = os.path.join(data_dir, f"{trial_id}.schema.json")
         if not os.path.isfile(schema):
             raise InputError(f"recording {name} has no sidecar schema {schema}")
@@ -219,7 +221,7 @@ def estimate_trial_embeddings(
             tau = estimate_delay(x, tau_max=tau_max)
             dim = estimate_dimension(x, tau, m_max=config.m_max)
             params = EmbeddingParams(delay_tau=tau, dimension_m=dim.dimension)
-            epsilon = threshold_for_rate(embed(x, params), config.target_rr, config.norm)
+            epsilon = threshold_for_rate(embed(x, params), config.target_rr)
         except DegenerateInputError as exc:
             out[name], reasons[name] = None, str(exc)
             continue
@@ -271,7 +273,7 @@ def analyze_recording(
     """
     windows = segment_windows(recording, config.window_s, config.overlap)
     channel_weights = channel_graphs(
-        windows, embeddings, recording.modalities, config.l_min, config.v_min, config.norm
+        windows, embeddings, recording.modalities, config.l_min, config.v_min
     )
     merged = {}
     for metric, weights in channel_weights.items():

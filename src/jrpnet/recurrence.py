@@ -1,63 +1,31 @@
 """Recurrence plots and joint recurrence plots.
 
-A recurrence plot marks every pair of trajectory states closer than a
-threshold epsilon under a chosen norm.  The joint recurrence plot of two
-channels is the elementwise AND of their individual plots, cropped to a
-common size when different embedding parameters trim the trajectories to
-different lengths.  Thresholds are picked per channel so that every plot
-hits the same target recurrence rate, which keeps densities comparable
-across heterogeneous modalities.
+A recurrence plot is an ``(n, n)`` bool array that marks every pair of
+trajectory states within a threshold epsilon of each other in the L1
+(city-block) distance.  The joint recurrence plot of two channels is the
+elementwise AND of their individual plots, cropped to a common size when
+different embedding parameters trim the trajectories to different
+lengths.  Thresholds are picked per channel so that every plot hits the
+same target recurrence rate, which keeps densities comparable across
+heterogeneous modalities.
 
 A channel's threshold holds for the whole trial, so the plots of two
 overlapping windows agree on their shared states: a window's plot can
 take the previous window's overlap block and compute only the rows of its
-new states.  ``recurrence_plot`` builds every plot's bits, whole or from
-shared rows.
+new states.  ``recurrence_plot`` builds every plot, whole or from shared
+rows.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .errors import DegenerateInputError, InputError
 
-__all__ = [
-    "NORMS",
-    "RecurrenceMatrix",
-    "threshold_for_rate",
-    "recurrence_plot",
-    "joint_recurrence_plot",
-]
-
-#: Supported distance norms and their scipy metric names.
-NORMS = {"L1": "cityblock", "L2": "euclidean", "Linf": "chebyshev"}
+__all__ = ["threshold_for_rate", "recurrence_plot", "joint_recurrence_plot"]
 
 DEFAULT_TARGET_RR = 0.1
-
-
-@dataclass(frozen=True)
-class RecurrenceMatrix:
-    """Binary recurrence structure of one channel (RP) or channel pair (JRP).
-
-    ``epsilon`` is the threshold for an RP and the pair of parent
-    thresholds for a JRP.
-    """
-
-    size_n: int
-    bits: np.ndarray  # (n, n) bool
-    epsilon: float | tuple[float, float]
-    norm: str
-    kind: str  # "RP" or "JRP"
-
-
-def _metric(norm: str) -> str:
-    try:
-        return NORMS[norm]
-    except KeyError:
-        raise InputError(f"unknown norm {norm!r}; choose one of {sorted(NORMS)}") from None
 
 
 def _states(trajectory: np.ndarray) -> np.ndarray:
@@ -69,27 +37,22 @@ def _states(trajectory: np.ndarray) -> np.ndarray:
     return states
 
 
-def threshold_for_rate(
-    trajectory: np.ndarray,
-    target_rr: float = DEFAULT_TARGET_RR,
-    norm: str = "L1",
-) -> float:
+def threshold_for_rate(trajectory: np.ndarray, target_rr: float = DEFAULT_TARGET_RR) -> float:
     """Threshold achieving a target recurrence rate.
 
     Returns the empirical quantile at level ``target_rr`` of all
-    off-diagonal pairwise state distances, so the resulting plot's
+    off-diagonal pairwise L1 state distances, so the resulting plot's
     off-diagonal density lands near ``target_rr``.
     """
     if not 0.0 < target_rr <= 1.0:
         raise InputError(f"target_rr must be in (0, 1], got {target_rr}")
     states = _states(trajectory)
-    metric = _metric(norm)
     # every distance is zero exactly when every state is the same point
     if not np.ptp(states, axis=0).any():
         raise DegenerateInputError(
             "all pairwise distances are zero; cannot calibrate a threshold"
         )
-    dists = pdist(states, metric=metric)
+    dists = pdist(states, metric="cityblock")
     # Each unordered pair appears twice among the ordered off-diagonal
     # distances; quantiles are taken over that full population.  In the
     # doubled sorted array entry j equals sorted(dists)[j // 2], so the
@@ -116,69 +79,43 @@ def threshold_for_rate(
 def recurrence_plot(
     trajectory: np.ndarray,
     epsilon: float,
-    norm: str = "L1",
-    previous: RecurrenceMatrix | None = None,
+    previous: np.ndarray | None = None,
     shift: int = 0,
-) -> RecurrenceMatrix:
-    """Recurrence plot: bits[i, j] = 1 iff the states i and j lie within
-    ``epsilon`` of each other (closed ball) under ``norm``.
+) -> np.ndarray:
+    """Recurrence plot: the ``(n, n)`` bool array whose entry [i, j] is
+    set iff the states i and j lie within ``epsilon`` of each other
+    (closed L1 ball).
 
-    ``previous`` may be the plot of a trajectory whose states from index
-    ``shift`` on are this trajectory's first states, such as the window
-    ``shift`` samples earlier.  When both plots have n states, the same
-    threshold and norm, and 0 < shift < n, its block ``[shift:, shift:]``
-    is reused and only the new states' distances to all n are computed,
-    mirrored into the new columns; every norm is symmetric, so the bits
-    equal a full rebuild.  Otherwise the plot is built from scratch.
+    ``previous`` may be the plot, at the same ``epsilon``, of a trajectory
+    of as many states whose states from index ``shift`` on are this
+    trajectory's first states, such as the window ``shift`` samples
+    earlier; the caller vouches for that.  When 0 < shift < n its block
+    ``[shift:, shift:]`` is reused and only the new states' distances to
+    all n are computed, mirrored into the new columns; the distance is
+    symmetric, so the plot equals a full rebuild.  Otherwise the plot is
+    built from scratch.
     """
     if not epsilon > 0.0:
         raise InputError(f"epsilon must be positive, got {epsilon}")
     states = _states(trajectory)
     n = states.shape[0]
-    metric = _metric(norm)
-    if (
-        previous is not None
-        and previous.size_n == n
-        and previous.epsilon == epsilon
-        and previous.norm == norm
-        and 0 < shift < n
-    ):
-        kept = n - shift
-        new_rows = cdist(states[kept:], states, metric=metric) <= epsilon
-        bits = np.empty((n, n), dtype=bool)
-        bits[:kept, :kept] = previous.bits[shift:, shift:]
-        bits[kept:] = new_rows
-        bits[:kept, kept:] = new_rows[:, :kept].T
-    else:
-        bits = cdist(states, states, metric=metric) <= epsilon
-    return RecurrenceMatrix(
-        size_n=n,
-        bits=bits,
-        epsilon=float(epsilon),
-        norm=norm,
-        kind="RP",
-    )
+    if previous is None or not 0 < shift < n:
+        return cdist(states, states, metric="cityblock") <= epsilon
+    kept = n - shift
+    new_rows = cdist(states[kept:], states, metric="cityblock") <= epsilon
+    bits = np.empty((n, n), dtype=bool)
+    bits[:kept, :kept] = previous[shift:, shift:]
+    bits[kept:] = new_rows
+    bits[:kept, kept:] = new_rows[:, :kept].T
+    return bits
 
 
-def joint_recurrence_plot(rp_a: RecurrenceMatrix, rp_b: RecurrenceMatrix) -> RecurrenceMatrix:
+def joint_recurrence_plot(rp_a: np.ndarray, rp_b: np.ndarray) -> np.ndarray:
     """Joint recurrence plot: AND of two plots on their common time range.
 
     Different embedding parameters leave the two plots with different
     sizes; both trajectories start at the same wall-clock sample, so the
     top-left blocks are the simultaneous part and get combined.
     """
-    if rp_a.kind != "RP" or rp_b.kind != "RP":
-        raise InputError("joint_recurrence_plot expects two plain recurrence plots")
-    if rp_a.norm != rp_b.norm:
-        raise InputError(
-            f"parent plots use different norms ({rp_a.norm} vs {rp_b.norm})"
-        )
-    n = min(rp_a.size_n, rp_b.size_n)
-    bits = rp_a.bits[:n, :n] & rp_b.bits[:n, :n]
-    return RecurrenceMatrix(
-        size_n=n,
-        bits=bits,
-        epsilon=(float(rp_a.epsilon), float(rp_b.epsilon)),
-        norm=rp_a.norm,
-        kind="JRP",
-    )
+    n = min(len(rp_a), len(rp_b))
+    return rp_a[:n, :n] & rp_b[:n, :n]

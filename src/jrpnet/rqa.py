@@ -27,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError
-from .recurrence import RecurrenceMatrix
 
 __all__ = ["OffDiagonal", "off_diagonal", "determinism", "laminarity"]
 
@@ -48,10 +47,10 @@ class OffDiagonal(NamedTuple):
     total: int
 
 
-def off_diagonal(matrix: RecurrenceMatrix | np.ndarray) -> OffDiagonal:
+def off_diagonal(matrix: np.ndarray) -> OffDiagonal:
     """The padded off-diagonal copy that :func:`determinism` and
     :func:`laminarity` erode; make it once to ask both of one matrix."""
-    bits = matrix.bits if isinstance(matrix, RecurrenceMatrix) else np.asarray(matrix)
+    bits = np.asarray(matrix)
     if bits.ndim != 2 or bits.shape[0] != bits.shape[1]:
         raise InputError("recurrence matrix must be square")
     n = len(bits)
@@ -63,7 +62,7 @@ def off_diagonal(matrix: RecurrenceMatrix | np.ndarray) -> OffDiagonal:
 
 
 def _lines(
-    matrix: RecurrenceMatrix | np.ndarray | OffDiagonal, length: int, diagonal: bool
+    matrix: np.ndarray | OffDiagonal, length: int, diagonal: bool
 ) -> float:
     """Fraction of the off-diagonal recurrence points on lines of >= length.
 
@@ -89,7 +88,7 @@ def _lines(
 
 
 def determinism(
-    matrix: RecurrenceMatrix | np.ndarray | OffDiagonal, l_min: int = DEFAULT_L_MIN
+    matrix: np.ndarray | OffDiagonal, l_min: int = DEFAULT_L_MIN
 ) -> float:
     """Fraction of off-diagonal recurrence points on diagonal lines of
     length >= l_min; 0 when no off-diagonal points exist."""
@@ -97,7 +96,7 @@ def determinism(
 
 
 def laminarity(
-    matrix: RecurrenceMatrix | np.ndarray | OffDiagonal, v_min: int = DEFAULT_V_MIN
+    matrix: np.ndarray | OffDiagonal, v_min: int = DEFAULT_V_MIN
 ) -> float:
     """Fraction of off-diagonal recurrence points on vertical lines of
     length >= v_min; main-diagonal points are removed before lines form."""

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .ingest import Recording, check_fields, check_keys, check_type, from_json
+from .ingest import Recording, check_fields, check_keys, check_name, check_type, from_json
 from .seeding import generator
 
 __all__ = [
@@ -66,6 +66,10 @@ class CouplingSpec:
 
     def __post_init__(self) -> None:
         check_fields("coupling spec", self)
+        check_name("coupling spec trial_id", self.trial_id)
+        for channel, modality in self.modality_map.items():
+            check_name("coupling spec channel", channel)
+            check_name("coupling spec modality", modality)
         if self.n_channels < 2:
             raise InputError(f"need at least 2 channels, got {self.n_channels}")
         if len(self.modality_map) != self.n_channels:

@@ -140,23 +140,19 @@ def test_rqa_matches_exhaustive_line_counting():
 def test_jrp_is_the_cropped_intersection_of_its_parents():
     start = time.perf_counter()
     rng = np.random.default_rng(77)
-    norms = ("L1", "L2", "Linf")
     bad = 0
     for _ in range(100):
-        norm = norms[int(rng.integers(3))]
         na, nb = int(rng.integers(20, 81)), int(rng.integers(20, 81))
         dim = int(rng.integers(1, 4))
-        a = recurrence_plot(rng.normal(size=(na, dim)), float(rng.uniform(0.3, 1.5)), norm)
-        b = recurrence_plot(rng.normal(size=(nb, dim)), float(rng.uniform(0.3, 1.5)), norm)
+        a = recurrence_plot(rng.normal(size=(na, dim)), float(rng.uniform(0.3, 1.5)))
+        b = recurrence_plot(rng.normal(size=(nb, dim)), float(rng.uniform(0.3, 1.5)))
         j = joint_recurrence_plot(a, b)
         m = min(na, nb)
-        if not np.array_equal(j.bits, a.bits[:m, :m] & b.bits[:m, :m]):
-            bad += 1
-        if j.kind != "JRP" or j.epsilon != (a.epsilon, b.epsilon):
+        if not np.array_equal(j, a[:m, :m] & b[:m, :m]):
             bad += 1
         if m > 1:
-            cap = min(off_diagonal_rate(a.bits[:m, :m]), off_diagonal_rate(b.bits[:m, :m]))
-            if off_diagonal_rate(j.bits) > cap + 1e-12:
+            cap = min(off_diagonal_rate(a[:m, :m]), off_diagonal_rate(b[:m, :m]))
+            if off_diagonal_rate(j) > cap + 1e-12:
                 bad += 1
     verdict(
         bad == 0,
@@ -174,9 +170,8 @@ def test_calibrated_thresholds_hit_the_target_rate():
             n = int(rng.integers(100, 400))
             dim = int(rng.integers(1, 5))
             states = rng.normal(size=(n, dim))
-            norm = ("L1", "L2", "Linf")[int(rng.integers(3))]
-            eps = threshold_for_rate(states, target, norm)
-            achieved = off_diagonal_rate(recurrence_plot(states, eps, norm).bits)
+            eps = threshold_for_rate(states, target)
+            achieved = off_diagonal_rate(recurrence_plot(states, eps))
             worst = max(worst, abs(achieved - target))
     verdict(
         worst <= 0.02,
@@ -250,9 +245,7 @@ def test_coupling_raises_joint_determinism():
                 channel_names=recording.channel_names,
                 samples=zscore_channels(recording).samples,
             )
-            weights = channel_graphs(
-                [window], embeddings, recording.modalities, norm=config.norm
-            )["JDET"]
+            weights = channel_graphs([window], embeddings, recording.modalities)["JDET"]
             bucket.append(weights[0, 0, 1])
     p = mannwhitneyu(coupled, uncoupled, alternative="greater").pvalue
     verdict(

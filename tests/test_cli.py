@@ -156,7 +156,7 @@ def test_embed_params_prints_the_artifact(dataset, config_file, tmp_path, capsys
     }
     artifact = json.loads((out / "embedding_params.json").read_text())
     assert artifact["stamp"]["config"] == {
-        "target_rr": 0.1, "norm": "L1", "tau_max": 8, "m_max": 6
+        "target_rr": 0.1, "tau_max": 8, "m_max": 6
     }
     sample = printed["dense_000"]["m1a"]
     assert set(sample) == {"tau", "m", "saturated", "epsilon"}
@@ -265,7 +265,11 @@ def test_config_file_validation_error_exits_2(dataset, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field,value", [("window_s", "5"), ("l_min", 3.0), ("k_folds", 2.5), ("n_null", True)]
+    "field,value",
+    [
+        ("window_s", "5"), ("l_min", 3.0), ("k_folds", 2.5), ("n_null", True),
+        pytest.param("window_s", 10**400, id="window_s-1e400"),
+    ],
 )
 def test_config_type_error_exits_2_before_any_trial_is_embedded(
     dataset, tmp_path, capsys, field, value
@@ -323,6 +327,19 @@ def test_negative_seed_exits_2_before_any_trial_is_read(dataset, tmp_path, capsy
         ({"trials": [{"n_channels": 2, "modality_map": {"a": "A", "b": "B"},
                       "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]], "valence": "7"}]},
          "dataset spec label valence must be a number, got '7'"),
+        # a name becomes a file name and a CSV cell, and a number a float
+        ({"n_channels": 2, "modality_map": {"a": "A", "b": "B"},
+          "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]], "trial_id": "../escaped"},
+         "coupling spec trial_id '../escaped' must be a non-empty name"),
+        ({"n_channels": 2, "modality_map": {"a": "A", "b": "M1,x"},
+          "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]]},
+         "coupling spec modality 'M1,x' must be a non-empty name"),
+        ({"trials": [{"n_channels": 2, "modality_map": {"a": "A", 'b"': "B"},
+                      "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]]}]},
+         "coupling spec channel 'b\"' must be a non-empty name"),
+        ({"n_channels": 2, "modality_map": {"a": "A", "b": "B"},
+          "coupling_matrix": [[0.0, 0.2], [0.2, 0.0]], "noise_sd": 10**400},
+         "coupling spec noise_sd must be a number, got an integer too large for a float"),
     ],
 )
 def test_malformed_synth_spec_exits_2(tmp_path, capsys, spec, needle):
@@ -351,6 +368,49 @@ def test_bad_sidecar_stops_the_pipeline_before_any_trial_is_embedded(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: stage features: schema {sidecar}: ")
     assert err[0].endswith(f"sampling_rate_hz must be a number, got {rate!r}")
+    assert not (out / "embedding_params.json").exists()
+
+
+def _huge_rate(data_dir):
+    sidecar = data_dir / "none_001.schema.json"
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "sampling_rate_hz": 10**400}))
+    return (f"schema {sidecar}: sampling_rate_hz must be a number, "
+            "got an integer too large for a float")
+
+
+def _comma_modality(data_dir):
+    # in every sidecar, so the trials still share their modality nodes
+    for sidecar in sorted(data_dir.glob("*.schema.json")):
+        raw = json.loads(sidecar.read_text())
+        raw["channels"] = {c: "M1,x" if m == "M1" else m for c, m in raw["channels"].items()}
+        sidecar.write_text(json.dumps(raw))
+    return f"schema {data_dir / 'dense_000.schema.json'}: modality 'M1,x' must be a non-empty name"
+
+
+def _comma_trial(data_dir):
+    for suffix in (".csv", ".schema.json"):
+        (data_dir / f"dense_000{suffix}").rename(data_dir / f"dense,000{suffix}")
+    labels = data_dir / "labels.csv"
+    labels.write_text(labels.read_text().replace("dense_000,", '"dense,000",'))
+    return f"recording {data_dir / 'dense,000.csv'}: trial id 'dense,000' must be a non-empty name"
+
+
+@pytest.mark.parametrize("damage", [_huge_rate, _comma_modality, _comma_trial],
+                         ids=["huge_rate", "comma_modality", "comma_trial"])
+def test_bad_name_or_number_stops_the_pipeline_before_any_trial_is_embedded(
+    dataset, config_file, tmp_path, capsys, damage
+):
+    # a comma in a modality used to fail in evaluate after every trial was
+    # featurized, one in a trial id with a traceback, and a rate no float
+    # can hold with a traceback
+    data_dir = tmp_path / "data"
+    shutil.copytree(dataset, data_dir)
+    needle = damage(data_dir)
+    out = tmp_path / "out"
+    code = main(["pipeline", "--in", str(data_dir), "--out", str(out), "--config", str(config_file)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
     assert not (out / "embedding_params.json").exists()
 
 

@@ -16,7 +16,6 @@ def test_default_values():
         "window_s": 5.0,
         "overlap": 0.2,
         "target_rr": 0.1,
-        "norm": "L1",
         "l_min": 3,
         "v_min": 3,
         "binarize_rho": 0.5,
@@ -38,10 +37,13 @@ def test_every_field_belongs_to_exactly_one_stage():
 
 
 def test_dict_roundtrip_and_unknown_keys():
-    cfg = PipelineConfig(window_s=2.5, norm="L2", tau_max=7)
+    cfg = PipelineConfig(window_s=2.5, tau_max=7)
     assert PipelineConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(InputError, match="unknown config keys.*windowsize"):
         PipelineConfig.from_dict({"windowsize": 5})
+    # every distance is L1, so there is no norm to choose
+    with pytest.raises(InputError, match=r"^unknown config keys: \['norm'\]$"):
+        PipelineConfig.from_dict({"norm": "L1"})
 
 
 def test_replace_checks_the_merged_record():
@@ -60,7 +62,6 @@ def test_replace_checks_the_merged_record():
         ("window_s", float("inf"), "window_s"),
         ("overlap", -0.1, "overlap"),
         ("target_rr", 1.0, "target_rr"),
-        ("norm", "L3", "norm"),
         ("l_min", 1, "l_min"),
         ("v_min", 0, "v_min"),
         ("binarize_rho", 0.0, "binarize_rho"),
@@ -78,8 +79,9 @@ def test_replace_checks_the_merged_record():
         ("k_folds", 2.5, "k_folds must be an integer"),
         ("n_null", True, "n_null must be an integer"),
         ("lambda_span", False, "lambda_span must be a number"),
-        ("norm", 1, "norm must be a string"),
         ("tau_max", 8.0, "tau_max must be an integer or null"),
+        # an integer a float cannot hold is no number either
+        pytest.param("window_s", 10**400, "window_s must be a number", id="window_s-1e400"),
     ],
 )
 def test_field_validation(field, value, needle):

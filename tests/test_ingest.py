@@ -10,6 +10,7 @@ import pytest
 from jrpnet.errors import FormatError, InputError, ParseError, SchemaError
 from jrpnet.ingest import (
     Recording,
+    check_name,
     load_labels,
     load_recording,
     segment_windows,
@@ -156,6 +157,7 @@ def test_schema_validation_errors(tmp_path):
         ("sampling_rate_hz", "64", "a number"),
         ("sampling_rate_hz", True, "a number"),
         ("sampling_rate_hz", None, "a number"),
+        ("sampling_rate_hz", 10**400, "a number, got an integer too large for a float"),
         ("channels", {"a": "EEG", "b": 3}, "a non-empty object"),
         ("channels", {"a": "EEG", "b": ""}, "a non-empty object"),
         ("channels", {}, "a non-empty object"),
@@ -165,12 +167,26 @@ def test_schema_validation_errors(tmp_path):
         bad.write_text(json.dumps(schema))
         with pytest.raises(SchemaError, match=f"^schema {re.escape(str(bad))}: {key} must be {kind}"):
             load_recording(csv_path, bad)
+    # channel and modality names follow the name rule
+    for channels, what in (({"a": "EEG", "b": "E,G"}, "modality 'E,G'"),
+                           ({"a": "EEG", "b/c": "EEG"}, "channel 'b/c'")):
+        bad.write_text(json.dumps({"sampling_rate_hz": 10.0, "channels": channels}))
+        with pytest.raises(SchemaError, match=f"^schema {re.escape(str(bad))}: {what} must be"):
+            load_recording(csv_path, bad)
     bad.write_text("[]")
     with pytest.raises(FormatError, match="must hold a JSON object"):
         load_recording(csv_path, bad)
     bad.write_bytes(b"\xff{}")
     with pytest.raises(ParseError, match="not valid JSON"):
         load_recording(csv_path, bad)
+
+
+def test_check_name_accepts_what_can_be_a_file_name_and_a_csv_cell():
+    for name in ("t01", "dense_000", "M1", "ä b · 1", "a.b", "...", "'quoted'"):
+        check_name("trial id", name)
+    for name in ("", ".", "..", "a,b", 'a"b', "a\nb", "a\rb", "../x", "a/b", "a\\b"):
+        with pytest.raises(InputError, match=f"^trial id {re.escape(repr(name))} must be"):
+            check_name("trial id", name)
 
 
 def test_load_labels_roundtrip(tmp_path):

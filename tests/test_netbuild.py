@@ -17,7 +17,7 @@ from jrpnet.netbuild import (
     channel_graphs,
     merge_modalities,
 )
-from jrpnet.recurrence import NORMS, joint_recurrence_plot, recurrence_plot, threshold_for_rate
+from jrpnet.recurrence import joint_recurrence_plot, recurrence_plot, threshold_for_rate
 from jrpnet.rqa import determinism, laminarity, off_diagonal
 from jrpnet.synth import CouplingSpec, generate, three_regime_specs
 
@@ -49,16 +49,12 @@ def test_pair_weights_match_direct_recomputation():
     window = logistic_window(3, 120, seed=5)
     embeddings = simple_embeddings(window, epsilon=0.4, delay=2, dim=3)
     names = window.channel_names
-    weights = channel_graphs([window], embeddings, names, norm="L2")
+    weights = channel_graphs([window], embeddings, names)
     for i in range(3):
         for j in range(i + 1, 3):
             emb_i, emb_j = embeddings[names[i]], embeddings[names[j]]
-            rp_i = recurrence_plot(
-                embed(window.channel(names[i]), emb_i.params), emb_i.epsilon, "L2"
-            )
-            rp_j = recurrence_plot(
-                embed(window.channel(names[j]), emb_j.params), emb_j.epsilon, "L2"
-            )
+            rp_i = recurrence_plot(embed(window.channel(names[i]), emb_i.params), emb_i.epsilon)
+            rp_j = recurrence_plot(embed(window.channel(names[j]), emb_j.params), emb_j.epsilon)
             jrp = joint_recurrence_plot(rp_i, rp_j)
             assert weights["JDET"][0, i, j] == determinism(jrp)
             assert weights["JLAM"][0, i, j] == laminarity(jrp)
@@ -79,7 +75,7 @@ def test_unequal_embeddings_give_unequal_jrps_with_exact_weights():
         recurrence_plot(embed(window.channel(name), embeddings[name].params), 1.5)
         for name in names
     ]
-    assert len({rp.size_n for rp in rps}) == 4
+    assert len({len(rp) for rp in rps}) == 4
     assert np.nanmax(weights["JDET"]) > 0.0 and np.nanmax(weights["JLAM"]) > 0.0
     for i in range(4):
         for j in range(i + 1, 4):
@@ -170,7 +166,7 @@ def test_only_cross_modality_pairs_get_a_jrp(monkeypatch):
         assert np.isfinite(stack[:, ~same]).all()
 
 
-def oracle_graphs(windows, embeddings, modalities, norm):
+def oracle_graphs(windows, embeddings, modalities):
     """Per-window weights of the cross-modality pairs recomputed from
     scratch, window by window."""
     out = []
@@ -181,7 +177,7 @@ def oracle_graphs(windows, embeddings, modalities, norm):
             if emb is None or np.ptp(x) < CONSTANT_EPS:
                 plots.append(None)
             else:
-                plots.append(recurrence_plot(embed(x, emb.params), emb.epsilon, norm))
+                plots.append(recurrence_plot(embed(x, emb.params), emb.epsilon))
         n = len(plots)
         jdet, jlam = np.full((n, n), np.nan), np.full((n, n), np.nan)
         for i in range(n):
@@ -196,9 +192,8 @@ def oracle_graphs(windows, embeddings, modalities, norm):
     return out
 
 
-@pytest.mark.parametrize("norm", sorted(NORMS))
 @pytest.mark.parametrize("overlap", [0.0, 0.2, 0.5, 0.9])
-def test_shared_window_rows_equal_per_window_recomputation(overlap, norm, monkeypatch):
+def test_shared_window_rows_equal_per_window_recomputation(overlap, monkeypatch):
     spec = CouplingSpec(
         n_channels=4,
         modality_map={"a": "EEG", "b": "EEG", "c": "EMG", "d": "EMG"},
@@ -223,24 +218,27 @@ def test_shared_window_rows_equal_per_window_recomputation(overlap, norm, monkey
     embeddings = {}
     for name, (tau, m) in shapes.items():
         params = EmbeddingParams(delay_tau=tau, dimension_m=m)
-        epsilon = threshold_for_rate(embed(normalized.channel(name), params), 0.1, norm)
+        epsilon = threshold_for_rate(embed(normalized.channel(name), params), 0.1)
         embeddings[name] = ChannelEmbedding(params=params, epsilon=epsilon)
 
     shared = []
 
-    def spy(states, epsilon, norm, previous=None, shift=0):
+    def spy(states, epsilon, previous=None, shift=0):
         shared.append(previous is not None and 0 < shift < len(states))
-        return recurrence_plot(states, epsilon, norm, previous, shift)
+        return recurrence_plot(states, epsilon, previous, shift)
 
     monkeypatch.setattr(netbuild, "recurrence_plot", spy)
-    # every window in order, a list with uneven gaps (1 and 2 strides), and
-    # one whose second window does not repeat its neighbours' samples
+    # every window in order, a list with uneven gaps (1 and 2 strides), one
+    # whose second window does not repeat its neighbours' samples, and one
+    # whose second window is shorter, so its plot has fewer states
     uneven = [w for k, w in enumerate(windows) if k % 3 != 2]
     rescaled = [windows[0], replace(windows[1], samples=1.5 * windows[1].samples), *windows[2:]]
-    for subset in (windows, uneven, rescaled):
-        weights = channel_graphs(subset, embeddings, recording.modalities, norm=norm)
+    short = replace(windows[1], length_samples=length - 5, samples=windows[1].samples[:, :-5])
+    shortened = [windows[0], short, *windows[2:]]
+    for subset in (windows, uneven, rescaled, shortened):
+        weights = channel_graphs(subset, embeddings, recording.modalities)
         assert weights["JDET"].shape == (len(subset), 4, 4)
-        for t, want in enumerate(oracle_graphs(subset, embeddings, recording.modalities, norm)):
+        for t, want in enumerate(oracle_graphs(subset, embeddings, recording.modalities)):
             for metric in ("JDET", "JLAM"):
                 assert weights[metric][t].tobytes() == want[metric].tobytes()
         for t, w in enumerate(subset):

@@ -473,6 +473,19 @@ def test_orphan_csv_is_a_clear_error(tmp_path):
         discover_trials(orphan)
 
 
+@pytest.mark.parametrize("trial_id", ["dense,000", 'say"hi', "", "."])
+def test_trial_file_names_follow_the_name_rule(tmp_path, trial_id):
+    # a trial id becomes a CSV cell and a file name of every output
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for tid in ("t1", trial_id):
+        (data_dir / f"{tid}.csv").write_text("a,b\n1.0,2.0\n")
+        (data_dir / f"{tid}.schema.json").write_text("{}")
+    csv_path = re.escape(str(data_dir / f"{trial_id}.csv"))
+    with pytest.raises(InputError, match=f"^recording {csv_path}: trial id {re.escape(repr(trial_id))}"):
+        discover_trials(data_dir)
+
+
 def _tree(root):
     return {
         p.relative_to(root).as_posix(): p.read_bytes()
@@ -577,6 +590,25 @@ def test_other_schema_version_is_recomputed(
     assert _tree(old) == _tree(out_dir)
     # entries of another schema are estimated again, though their values are the same
     assert embedded == (trial_ids(dataset) if name == "embedding_params.json" else [])
+
+
+def test_stamps_that_hold_norm_are_recomputed_once(dataset, pipeline_out, tmp_path, monkeypatch):
+    # artifacts from when the distance was a config field are stale by
+    # their envelope alone: every file is resealed with "norm" in its stamp
+    out_dir, _ = pipeline_out
+    old = tmp_path / "old"
+    shutil.copytree(out_dir, old)
+    for path in (p for p in old.rglob("*") if p.is_file()):
+        mark = "# " if path.suffix == ".csv" else ""
+        text = path.read_text()
+        head, newline, rest = (text, "", "") if path.suffix == ".json" else text.partition("\n")
+        header = json.loads(head.removeprefix(mark))
+        header["stamp"]["config"]["norm"] = "L1"
+        path.write_text(_resealed(mark + json.dumps(header) + newline + rest, path.suffix))
+    embedded, analyzed = _count_trial_work(monkeypatch)
+    run_pipeline(dataset, old, CONFIG)
+    assert _tree(old) == _tree(out_dir)
+    assert embedded == analyzed == trial_ids(dataset)
 
 
 def _sha256(text):

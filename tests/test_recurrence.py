@@ -5,15 +5,10 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from jrpnet.errors import DegenerateInputError, InputError
-from jrpnet.recurrence import (
-    NORMS,
-    joint_recurrence_plot,
-    recurrence_plot,
-    threshold_for_rate,
-)
+from jrpnet.recurrence import joint_recurrence_plot, recurrence_plot, threshold_for_rate
 
 
-def brute_rp(states, epsilon, norm):
+def brute_rp(states, epsilon):
     states = np.atleast_2d(np.asarray(states, dtype=float))
     if states.shape[0] == 1:
         states = states.T
@@ -21,14 +16,7 @@ def brute_rp(states, epsilon, norm):
     out = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(n):
-            d = states[i] - states[j]
-            if norm == "L1":
-                dist = np.abs(d).sum()
-            elif norm == "L2":
-                dist = np.sqrt((d * d).sum())
-            else:
-                dist = np.abs(d).max()
-            out[i, j] = dist <= epsilon
+            out[i, j] = np.abs(states[i] - states[j]).sum() <= epsilon
     return out
 
 
@@ -39,38 +27,34 @@ def off_diagonal_rate(bits):
 
 def test_hand_case_l1():
     states = np.array([0.0, 3.0, 4.0])
-    rp = recurrence_plot(states, 1.0, "L1")
-    assert np.array_equal(rp.bits, [[1, 0, 0], [0, 1, 1], [0, 1, 1]])
-    assert rp.kind == "RP"
-    assert rp.size_n == 3
-    assert rp.epsilon == 1.0
+    rp = recurrence_plot(states, 1.0)
+    assert rp.dtype == bool
+    assert np.array_equal(rp, [[1, 0, 0], [0, 1, 1], [0, 1, 1]])
 
 
 def test_epsilon_below_minimum_distance_gives_identity():
     rng = np.random.default_rng(2)
     states = rng.normal(size=(20, 2))
     eps = 0.5 * pdist(states, "cityblock").min()
-    rp = recurrence_plot(states, eps, "L1")
-    assert np.array_equal(rp.bits, np.eye(20, dtype=bool))
+    rp = recurrence_plot(states, eps)
+    assert np.array_equal(rp, np.eye(20, dtype=bool))
 
 
 def test_constant_trajectory_is_all_ones():
     states = np.zeros((8, 3))
-    rp = recurrence_plot(states, 0.1, "L2")
-    assert rp.bits.all()
+    assert recurrence_plot(states, 0.1).all()
 
 
 def test_matrix_is_symmetric_with_unit_diagonal():
     rng = np.random.default_rng(4)
-    for norm in ("L1", "L2", "Linf"):
-        for _ in range(10):
-            n = int(rng.integers(2, 40))
-            states = rng.normal(size=(n, int(rng.integers(1, 5))))
-            eps = float(rng.uniform(0.1, 2.0))
-            bits = recurrence_plot(states, eps, norm).bits
-            assert np.array_equal(bits, bits.T)
-            assert bits.diagonal().all()
-            assert np.array_equal(bits, brute_rp(states, eps, norm))
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        states = rng.normal(size=(n, int(rng.integers(1, 5))))
+        eps = float(rng.uniform(0.1, 2.0))
+        bits = recurrence_plot(states, eps)
+        assert np.array_equal(bits, bits.T)
+        assert bits.diagonal().all()
+        assert np.array_equal(bits, brute_rp(states, eps))
 
 
 def test_threshold_monotone_in_epsilon():
@@ -79,8 +63,8 @@ def test_threshold_monotone_in_epsilon():
         states = rng.normal(size=(30, 3))
         e1 = float(rng.uniform(0.1, 1.0))
         e2 = e1 + float(rng.uniform(0.0, 1.5))
-        b1 = recurrence_plot(states, e1).bits
-        b2 = recurrence_plot(states, e2).bits
+        b1 = recurrence_plot(states, e1)
+        b2 = recurrence_plot(states, e2)
         assert np.all(b2[b1])
 
 
@@ -89,13 +73,13 @@ def test_threshold_for_rate_calibrates():
     for _ in range(25):
         states = rng.normal(size=(100, int(rng.integers(1, 5))))
         eps = threshold_for_rate(states, 0.1)
-        achieved = off_diagonal_rate(recurrence_plot(states, eps).bits)
+        achieved = off_diagonal_rate(recurrence_plot(states, eps))
         assert abs(achieved - 0.1) <= 0.02
 
 
-def sorted_threshold(states, rate, norm):
+def sorted_threshold(states, rate):
     """The quantile by a full sort of the ordered off-diagonal distances."""
-    doubled = np.sort(np.repeat(pdist(states, metric=NORMS[norm]), 2))
+    doubled = np.sort(np.repeat(pdist(states, metric="cityblock"), 2))
     virtual = rate * (doubled.size - 1)
     k = int(virtual)
     frac = virtual - k
@@ -112,20 +96,19 @@ def test_threshold_for_rate_equals_the_sorted_quantile():
         states = rng.normal(size=(n, 3))
         # coarse copies put ties among the distances
         for trajectory in (states, np.round(states, 1)):
-            for norm in NORMS:
-                for rate in (0.05, 0.1, 0.2, 1.0):
-                    want, k = sorted_threshold(trajectory, rate, norm)
-                    if want <= 0.0:
-                        continue
-                    assert threshold_for_rate(trajectory, rate, norm) == want
-                    parities.add(k % 2)
+            for rate in (0.05, 0.1, 0.2, 1.0):
+                want, k = sorted_threshold(trajectory, rate)
+                if want <= 0.0:
+                    continue
+                assert threshold_for_rate(trajectory, rate) == want
+                parities.add(k % 2)
     assert parities == {0, 1}
 
 
 def test_threshold_rate_one_connects_everything():
     states = np.random.default_rng(7).normal(size=(40, 2))
     eps = threshold_for_rate(states, 1.0)
-    assert recurrence_plot(states, eps).bits.all()
+    assert recurrence_plot(states, eps).all()
 
 
 def test_threshold_degenerate_inputs():
@@ -137,13 +120,10 @@ def test_threshold_degenerate_inputs():
         threshold_for_rate(states, 0.1)
     with pytest.raises(InputError):
         threshold_for_rate(np.random.default_rng(0).normal(size=(10, 1)), 0.0)
-    # an unknown norm is named before the states are found degenerate
-    with pytest.raises(InputError, match="unknown norm"):
-        threshold_for_rate(np.zeros((10, 2)), 0.1, "L3")
     # states that differ in one coordinate only are not degenerate
     states = np.zeros((10, 3))
     states[::2, 2] = 1.0
-    assert threshold_for_rate(states, 0.6, "Linf") == 1.0
+    assert threshold_for_rate(states, 0.6) == 1.0
 
 
 def test_invalid_inputs():
@@ -151,8 +131,6 @@ def test_invalid_inputs():
         recurrence_plot(np.zeros((1, 2)), 1.0)
     with pytest.raises(InputError):
         recurrence_plot(np.zeros((5, 2)), -1.0)
-    with pytest.raises(InputError):
-        recurrence_plot(np.zeros((5, 2)), 1.0, "L3")
 
 
 def test_jrp_is_elementwise_and_of_cropped_plots():
@@ -163,18 +141,15 @@ def test_jrp_is_elementwise_and_of_cropped_plots():
         b = recurrence_plot(rng.normal(size=(nb, 3)), float(rng.uniform(0.3, 2.0)))
         j = joint_recurrence_plot(a, b)
         n = min(na, nb)
-        assert j.size_n == n
-        assert j.kind == "JRP"
-        assert j.epsilon == (a.epsilon, b.epsilon)
-        assert np.array_equal(j.bits, a.bits[:n, :n] & b.bits[:n, :n])
+        assert np.array_equal(j, a[:n, :n] & b[:n, :n])
 
 
 def test_jrp_idempotent_and_identity():
     states = np.random.default_rng(9).normal(size=(25, 2))
     rp = recurrence_plot(states, 1.0)
-    assert np.array_equal(joint_recurrence_plot(rp, rp).bits, rp.bits)
+    assert np.array_equal(joint_recurrence_plot(rp, rp), rp)
     ones = recurrence_plot(np.zeros((25, 1)), 1.0)
-    assert np.array_equal(joint_recurrence_plot(rp, ones).bits, rp.bits)
+    assert np.array_equal(joint_recurrence_plot(rp, ones), rp)
 
 
 def test_jrp_rate_never_exceeds_parents():
@@ -184,17 +159,23 @@ def test_jrp_rate_never_exceeds_parents():
         a = recurrence_plot(rng.normal(size=(n, 2)), float(rng.uniform(0.3, 2.0)))
         b = recurrence_plot(rng.normal(size=(n, 2)), float(rng.uniform(0.3, 2.0)))
         j = joint_recurrence_plot(a, b)
-        ra = off_diagonal_rate(a.bits)
-        rb = off_diagonal_rate(b.bits)
-        assert off_diagonal_rate(j.bits) <= min(ra, rb) + 1e-12
+        ra = off_diagonal_rate(a)
+        rb = off_diagonal_rate(b)
+        assert off_diagonal_rate(j) <= min(ra, rb) + 1e-12
 
 
-def test_jrp_rejects_mismatched_norms_and_kinds():
-    states = np.random.default_rng(11).normal(size=(10, 2))
-    a = recurrence_plot(states, 1.0, "L1")
-    b = recurrence_plot(states, 1.0, "L2")
-    with pytest.raises(InputError, match="norm"):
-        joint_recurrence_plot(a, b)
-    j = joint_recurrence_plot(a, recurrence_plot(states, 1.0, "L1"))
-    with pytest.raises(InputError, match="recurrence plots"):
-        joint_recurrence_plot(j, a)
+
+
+def test_shared_rows_equal_a_full_rebuild():
+    # the plot of states[shift:shift + 40] from the overlap block of the
+    # plot of states[:40] and the new states' rows is the plot built whole
+    states = np.random.default_rng(12).normal(size=(60, 3))
+    earlier = recurrence_plot(states[:40], 1.5)
+    for shift in (1, 7, 20):
+        later = states[shift : shift + 40]
+        assert np.array_equal(recurrence_plot(later, 1.5, earlier, shift), brute_rp(later, 1.5))
+    # at a shift of n or more no state is shared, and the earlier plot is unused
+    unused = np.zeros((40, 40), dtype=bool)
+    for shift in (0, 40, 45):
+        later = states[20:]
+        assert np.array_equal(recurrence_plot(later, 1.5, unused, shift), brute_rp(later, 1.5))

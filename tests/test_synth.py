@@ -1,6 +1,7 @@
 """Synthetic coupled dynamics and dataset materialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -259,8 +260,23 @@ def test_spec_from_dict_rejects_what_it_cannot_use():
         ("coupling_matrix", [[0.0, "0.2"], ["0.2", 0.0]], "a number"),
         ("coupling_matrix", [[False, 0.2], [0.2, False]], "a number"),
         ("coupling_matrix", [[0.0, None], [None, 0.0]], "a number"),
+        # nor is an integer that no float can hold
+        ("noise_sd", 10**400, "a number"),
+        ("sampling_rate_hz", 10**400, "a number"),
+        ("coupling_matrix", [[0, 10**400], [10**400, 0]], "a number"),
     ):
         with pytest.raises(InputError, match=f"^coupling spec {key}.* must be {kind}"):
+            CouplingSpec.from_dict({**required, key: value})
+    # a trial id, channel or modality becomes a file name or a CSV cell
+    for key, value, what in (
+        ("trial_id", "../escaped", "trial_id '../escaped'"),
+        ("trial_id", "..", "trial_id '..'"),
+        ("trial_id", "", "trial_id ''"),
+        ("trial_id", "dense,000", "trial_id 'dense,000'"),
+        ("modality_map", {"a": "EEG", "b/c": "EMG"}, "channel 'b/c'"),
+        ("modality_map", {"a": "EEG", "b": "M1,x"}, "modality 'M1,x'"),
+    ):
+        with pytest.raises(InputError, match=f"^coupling spec {re.escape(what)} must be"):
             CouplingSpec.from_dict({**required, key: value})
     # numbers of any numeric type still fill the number fields
     spec = CouplingSpec.from_dict({**required, "noise_sd": 0, "sampling_rate_hz": 64})
@@ -290,6 +306,9 @@ def test_every_spec_synth_accepts_writes_a_sidecar_ingest_accepts(tmp_path):
         {**base, "modality_map": {"a": None, "b": "EMG"}},
         {**base, "sampling_rate_hz": "64"},
         {**base, "sampling_rate_hz": True},
+        {**base, "sampling_rate_hz": 10**400},
+        {**base, "modality_map": {"a,b": "EEG", "c": "x"}},
+        {**base, "modality_map": {"a": "EEG", "c": 'x"'}},
     ]
     accepted = 0
     for k, raw in enumerate(candidates):
