@@ -9,7 +9,9 @@ Both parameters can be read off the data itself:
 
 * tau: the first local minimum of the average mutual information (AMI)
   between the signal and its lagged copy.  Earlier lags are redundant,
-  later ones decorrelate the coordinates too much.
+  later ones decorrelate the coordinates too much.  When that minimum
+  sits at the AMI's bias floor, as for a fast-mixing map, the coordinates
+  are already independent there, and tau is 1.
 * m: the smallest dimension at which the fraction of false nearest
   neighbors (points that look close only because the embedding is too
   flat) drops to near zero.  If no dimension up to the cap works, the
@@ -46,21 +48,19 @@ for name, signal in [("sine", sine), ("logistic", logistic), ("noise", noise)]:
     print(f"  {name:<9} " + "  ".join(f"{v:6.3f}" for v in curve))
 
 print()
-print("estimated delay (first AMI minimum):")
+print("estimated delay (first AMI minimum, or 1 at the floor):")
 for name, signal in [("sine", sine), ("logistic", logistic), ("noise", noise)]:
     print(f"  {name:<9} tau={estimate_delay(signal)}")
-print("  (the sine finds its quarter period, 64/4 = 16)")
+print("  (the sine finds its quarter period, 64/4 = 16; the map's AMI")
+print("  reaches the floor within a few lags, so one step of the map is tau)")
 
-# For the false-neighbor scan the delay matters.  The oscillation uses
-# its estimated tau; for an iterated map one application of the map is
-# the natural step, so tau=1.
+# For the false-neighbor scan the delay matters: at the lag where the
+# map's AMI reaches the floor, its delay coordinates are independent and
+# no dimension up to the cap would do.
 print()
 print("estimated dimension (false nearest neighbors):")
-for name, signal, tau in [
-    ("sine", sine, estimate_delay(sine)),
-    ("logistic", logistic, 1),
-    ("noise", noise, 1),
-]:
+for name, signal in [("sine", sine), ("logistic", logistic), ("noise", noise)]:
+    tau = estimate_delay(signal)
     est = estimate_dimension(signal, tau=tau, m_max=8)
     status = "saturated, noise-dominated" if est.saturated else f"m={est.dimension}"
     print(f"  {name:<9} tau={tau:<3d} {status}")

@@ -17,7 +17,7 @@ from .ingest import check_fields, from_json, read_json_object
 
 __all__ = ["CONFIG_SCHEMA_VERSION", "STAGE_FIELDS", "PipelineConfig", "load_config"]
 
-CONFIG_SCHEMA_VERSION = 4
+CONFIG_SCHEMA_VERSION = 5
 
 #: The stages in order, each with the config fields its own code reads.
 #: An artifact depends on its stage's fields and on every earlier stage's;

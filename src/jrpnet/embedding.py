@@ -1,11 +1,12 @@
 """Delay-embedding parameter estimation and trajectory reconstruction.
 
 The delay tau comes from the first local minimum of the average mutual
-information (AMI) between a channel and its lagged copy; the dimension m
-comes from the false-nearest-neighbors criterion.  Both estimators run
-once per channel on the full trial, and every window of that channel
-reuses the same parameters so recurrence plots stay size-aligned across
-windows.
+information (AMI) between a channel and its lagged copy, or is 1 when
+that minimum sits at the AMI's bias floor (a fast-mixing, map-like
+signal); the dimension m comes from the false-nearest-neighbors
+criterion.  Both estimators run once per channel on the full trial, and
+every window of that channel reuses the same parameters so recurrence
+plots stay size-aligned across windows.
 
 A state's nearest neighbor is the lowest-index state among all other
 states at the nearest distance, so the false-neighbor count is a function
@@ -29,10 +30,12 @@ sampling biases such a histogram away from zero even for independent
 variables, so "the AMI has reached its minimum" is judged against the
 first-order chi-square bias floor (bins-1)^2 / (2 n) rather than against
 zero, and plateau-shaped minima are resolved to the midpoint of their
-basin instead of to whichever lag float jitter happens to favor.  The
-delay estimator computes the curve in doubling prefixes of lags (8, 16,
-...), each lag once, and extends it to every lag only when the first
-minimum is above the floor, or there is none.
+basin instead of to whichever lag float jitter happens to favor.  A first
+minimum at or below twice the floor means the delay coordinates are
+already independent there, so the delay is 1, the lag that keeps the
+most dependence.  The delay estimator computes the curve in doubling
+prefixes of lags (8, 16, ...), each lag once, and extends it to every lag
+only when the first minimum is above the floor, or there is none.
 """
 
 from __future__ import annotations
@@ -139,12 +142,25 @@ def ami_curve(samples, tau_max: int) -> np.ndarray:
 def estimate_delay(samples, tau_max: int | None = None) -> int:
     """Embedding delay: lag of the first local minimum of the AMI curve.
 
-    Scans lags 1..tau_max (default: length/4).  A minimum that sits at
-    the histogram bias floor is reported at the first lag reaching the
-    floor; a plateau-shaped minimum is reported at its basin midpoint
-    (basin = contiguous lags within 2% of the AMI range above the
-    minimum).  If the curve decays without any local minimum, the first
-    lag where AMI drops below AMI(1)/e is used; failing that, tau = 1.
+    Scans lags 1..tau_max (default: length/4).  A plateau-shaped minimum
+    is reported at its basin midpoint (basin = contiguous lags within 2%
+    of the AMI range above the minimum).  If the curve decays without any
+    local minimum, the first lag where AMI drops below AMI(1)/e is used;
+    failing that, tau = 1.
+
+    A first minimum at or below twice the histogram bias floor gives
+    tau = 1.  The first-minimum rule is meant for flows (Fraser & Swinney
+    1986).  A fast-mixing map's AMI falls onto the floor within a few
+    lags; there its delay coordinates are independent and the dimension
+    scan saturates, so the smallest lag, the one that keeps the most
+    dependence, is taken instead (Kantz & Schreiber, ch. 3 and 9).  The
+    rule does not tell a map from a flow whose minimum also sits at the
+    floor, such as a sine under heavy noise or a short random walk, since
+    no cheap test separates them there: a rise above twice the floor
+    after the minimum marks most such sines, but also some maps and
+    walks, and needs every lag of the curve; an AMI(2)/AMI(1) ratio below
+    0.8 marks most maps, but also some sines and walks.  This rule reads
+    only the doubling prefix that holds the minimum.
     """
     x = _as_signal(samples)
     if x.size < MIN_DELAY_SAMPLES:
@@ -174,7 +190,7 @@ def estimate_delay(samples, tau_max: int | None = None) -> int:
             break
         v = np.append(v, _ami_lags(codes, v.size + 1, min(2 * v.size, tau_max)))
     if interior.size and v[interior[0] + 1] <= 2.0 * floor:
-        return int(np.nonzero(v <= 2.0 * floor)[0][0]) + 1
+        return 1
     v = np.append(v, _ami_lags(codes, v.size + 1, tau_max))
     if interior.size == 0:
         drops = np.nonzero(v < v[0] / np.e)[0]

@@ -27,7 +27,7 @@ def test_default_values():
         "tau_max": None,
         "m_max": 10,
     }
-    assert CONFIG_SCHEMA_VERSION == 4
+    assert CONFIG_SCHEMA_VERSION == 5
 
 
 def test_every_field_belongs_to_exactly_one_stage():

@@ -21,7 +21,7 @@ from jrpnet import embedding, pipeline
 from jrpnet.config import PipelineConfig
 from jrpnet.embedding import _false_neighbor_counts
 from jrpnet.errors import DegenerateInputError, InputError
-from jrpnet.synth import generate, three_regime_specs
+from jrpnet.synth import CouplingSpec, generate, three_regime_specs
 
 
 def ami_oracle(x, tau_max, bins=AMI_BINS):
@@ -134,7 +134,7 @@ def delay_oracle(x, tau_max=None):
         return (int(drops[0]) + 1 if drops.size else 1), "no minimum"
     kstar = int(interior[0]) + 1
     if v[kstar] <= floor:
-        return int(np.nonzero(v <= floor)[0][0]) + 1, "minimum at floor"
+        return 1, "minimum at floor"
     level = v[kstar] + 0.02 * (v.max() - v.min())
     a = b = kstar
     while a > 0 and v[a - 1] <= level:
@@ -232,6 +232,61 @@ def test_delay_is_deterministic():
         2 * np.pi * np.arange(600) / 7.0
     )
     assert estimate_delay(x) == estimate_delay(x)
+
+
+def logistic_map(r, n=1280, x0=0.3):
+    x = np.empty(n + 128)
+    x[0] = x0
+    for i in range(1, x.size):
+        x[i] = r * x[i - 1] * (1 - x[i - 1])
+    return x[128:]
+
+
+def henon_map(n=1280, a=1.4, b=0.3):
+    x, y, out = 0.1, 0.1, np.empty(n + 128)
+    for i in range(out.size):
+        x, y = 1 - a * x * x + y, b * x
+        out[i] = x
+    return out[128:]
+
+
+@pytest.mark.parametrize(
+    "x, m",
+    [(logistic_map(4.0), 1), (logistic_map(3.8), 1), (henon_map(), 2)],
+    ids=["logistic r 4", "logistic r 3.8", "henon"],
+)
+def test_noise_free_maps_take_lag_one_and_a_small_dimension(x, m):
+    # each AMI falls onto the bias floor within a few lags, where the delay
+    # coordinates are already independent
+    x = (x - x.mean()) / x.std()
+    tau = estimate_delay(x, tau_max=127)
+    assert tau == 1
+    assert estimate_dimension(x, tau) == (m, False)
+
+
+def test_oscillator_channels_keep_their_first_minimum():
+    spec = CouplingSpec(
+        n_channels=4,
+        modality_map={"a": "M1", "b": "M1", "c": "M2", "d": "M2"},
+        coupling_matrix=np.zeros((4, 4)),
+        dynamics="coupled_oscillator",
+        noise_sd=0.05,
+        seed=3,
+    )
+    found = pipeline.estimate_trial_embeddings(generate(spec), PipelineConfig())
+    assert [e.params.delay_tau for e in found.values()] == [11, 29, 29, 31]
+    assert {(e.params.dimension_m, e.saturated) for e in found.values()} == {(3, False)}
+
+
+def test_no_benchmark_channel_saturates():
+    specs, _ = three_regime_specs(1, 201)
+    found = [
+        e
+        for spec in specs
+        for e in pipeline.estimate_trial_embeddings(generate(spec), PipelineConfig()).values()
+    ]
+    assert len(found) == 24
+    assert not any(e.saturated for e in found)
 
 
 def fnn_oracle(x, m, tau):
